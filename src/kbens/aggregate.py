@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .embedding import Embedding
-from .ensemble import Ensemble
+from .ensemble import Ensemble, member_vote
 from .kb import Query, UnknownTermError
 from .verdict import TernaryVerdict
 
@@ -222,10 +222,7 @@ def aggregate_query(
 ) -> TernaryVerdict:
     """Unanimity verdict over the retained members, each evaluated in its
     own pre-alignment coordinates."""
-    count = sum(1 for m in agg.members if m.satisfies(q, tau=tau))
-    return TernaryVerdict.from_fraction(
-        count / len(agg.members), len(agg.members), quorum_slack
-    )
+    return member_vote(agg.members, q, tau, quorum_slack)
 
 
 def cloud_diameter(agg: AggregateModel, term: str) -> float:

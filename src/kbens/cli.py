@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -54,32 +54,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run: the command, every parameter
-    fully resolved, the store digest, tool version, and wall-clock time."""
-
-    command: str
-    parameters: dict
-    kb_digest: Optional[str]
-    tool_version: str
-    rng_algorithm_id: str
-    duration_seconds: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "parameters": self.parameters,
-                "kb_digest": self.kb_digest,
-                "tool_version": self.tool_version,
-                "rng_algorithm_id": self.rng_algorithm_id,
-                "duration_seconds": self.duration_seconds,
-            },
-            sort_keys=True,
-        )
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -95,22 +69,35 @@ def _load_ensemble(path: str) -> Ensemble:
     text = _read_text(path)
     try:
         ensemble = Ensemble.from_json(text)
+        ensemble.check_frame()
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"invalid ensemble file {path!r}: {exc}") from exc
-    if not ensemble.members:
-        raise ValueError(f"ensemble file {path!r} has no members")
     return ensemble
 
 
 def _emit_manifest(
-    manifest: RunManifest, out_path: Optional[str] = None
+    args, kb_digest: Optional[str], started: float, out_path: Optional[str] = None,
+    **resolved,
 ) -> None:
+    """Write everything needed to reproduce the run: the command, every
+    parameter fully resolved, the store digest, tool version, and wall-clock
+    time; to ``<out_path>.manifest.json`` when given, else to stderr."""
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    text = json.dumps(
+        {
+            "command": args.command,
+            "parameters": {**parameters, **resolved},
+            "kb_digest": kb_digest,
+            "tool_version": __version__,
+            "rng_algorithm_id": RNG_ALGORITHM_ID,
+            "duration_seconds": time.monotonic() - started,
+        },
+        sort_keys=True,
+    )
     if out_path is not None:
-        Path(out_path + ".manifest.json").write_text(
-            manifest.to_json() + "\n", encoding="utf-8"
-        )
+        Path(out_path + ".manifest.json").write_text(text + "\n", encoding="utf-8")
     else:
-        print(manifest.to_json(), file=sys.stderr)
+        print(text, file=sys.stderr)
 
 
 def cmd_fit(args) -> int:
@@ -126,55 +113,28 @@ def cmd_fit(args) -> int:
         init_scale=args.init_scale,
         retry_budget=args.retry_budget,
     )
-    if args.dim is not None:
-        cfg = EmbeddingConfig(
-            dimension=args.dim, tau_pos=args.tau, gamma=args.gamma, eps_fit=args.fit_tol
-        )
-        dimension = args.dim
-    else:
-        template = EmbeddingConfig(
-            dimension=1, tau_pos=args.tau, gamma=args.gamma, eps_fit=args.fit_tol
-        )
-        dimension, _ = min_dimension_search(kb, template, tcfg, args.seed)
-        cfg = EmbeddingConfig(
-            dimension=dimension, tau_pos=args.tau, gamma=args.gamma, eps_fit=args.fit_tol
-        )
+    cfg = EmbeddingConfig(
+        dimension=1 if args.dim is None else args.dim,
+        tau_pos=args.tau, gamma=args.gamma, eps_fit=args.fit_tol,
+    )
+    if args.dim is None:
+        dimension, _ = min_dimension_search(kb, cfg, tcfg, args.seed)
+        cfg = replace(cfg, dimension=dimension)
     ensemble = fit_ensemble(
         kb, cfg, tcfg, args.seed, members=args.members, jobs=args.jobs
     )
     Path(args.out).write_text(ensemble.to_json(), encoding="utf-8")
-    print(f"dimension\t{dimension}")
+    print(f"dimension\t{cfg.dimension}")
     print(f"members\t{len(ensemble)}")
     for i, report in enumerate(ensemble.reports):
         print(
             f"member\t{i}\t{report.seed}\t{report.final_error!r}\t{report.epochs_used}"
         )
-    manifest = RunManifest(
-        command="fit",
-        parameters={
-            "kb": args.kb,
-            "out": args.out,
-            "seed": args.seed,
-            "members": args.members,
-            "dim": dimension,
-            "dim_searched": args.dim is None,
-            "tau": args.tau,
-            "gamma": args.gamma,
-            "fit_tol": args.fit_tol,
-            "lr": args.lr,
-            "init_scale": args.init_scale,
-            "max_epochs": args.max_epochs,
-            "retry_budget": args.retry_budget,
-            "jobs": args.jobs,
-        },
-        kb_digest=kb.digest(),
-        tool_version=__version__,
-        rng_algorithm_id=RNG_ALGORITHM_ID,
-        duration_seconds=time.monotonic() - started,
+    _emit_manifest(
+        args, kb.digest(), started, args.out, dim=cfg.dimension, dim_searched=args.dim is None
     )
-    _emit_manifest(manifest, args.out)
     print(
-        f"fitted {len(ensemble)} members at dimension {dimension} -> {args.out}",
+        f"fitted {len(ensemble)} members at dimension {cfg.dimension} -> {args.out}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -191,32 +151,13 @@ def cmd_query(args) -> int:
             raise DigestMismatchError(
                 "ensemble digest does not match the given knowledge base"
             )
-    member = ensemble.members[0]
-    for name in (args.subject, args.object):
-        member.entity_point(name)
-    member.relation_vector(args.relation)
     verdict = query_truth(
         ensemble,
         Query(args.relation, args.subject, args.object),
         quorum_slack=args.delta,
     )
     print(f"{verdict.value}\t{verdict.satisfied_fraction:.6f}")
-    manifest = RunManifest(
-        command="query",
-        parameters={
-            "ensemble": args.ensemble,
-            "relation": args.relation,
-            "subject": args.subject,
-            "object": args.object,
-            "kb": args.kb,
-            "delta": args.delta,
-        },
-        kb_digest=kb_digest or ensemble.kb_digest,
-        tool_version=__version__,
-        rng_algorithm_id=RNG_ALGORITHM_ID,
-        duration_seconds=time.monotonic() - started,
-    )
-    _emit_manifest(manifest)
+    _emit_manifest(args, kb_digest or ensemble.kb_digest, started)
     return EXIT_OK
 
 
@@ -228,20 +169,7 @@ def cmd_report(args) -> int:
         ensemble, kb, include_self_pairs=args.self_pairs, quorum_slack=args.delta
     )
     sys.stdout.write(report.to_tsv())
-    manifest = RunManifest(
-        command="report",
-        parameters={
-            "ensemble": args.ensemble,
-            "kb": args.kb,
-            "self_pairs": args.self_pairs,
-            "delta": args.delta,
-        },
-        kb_digest=kb.digest(),
-        tool_version=__version__,
-        rng_algorithm_id=RNG_ALGORITHM_ID,
-        duration_seconds=time.monotonic() - started,
-    )
-    _emit_manifest(manifest)
+    _emit_manifest(args, kb.digest(), started)
     return EXIT_OK
 
 
@@ -260,21 +188,7 @@ def cmd_aggregate(args) -> int:
     print(f"retained\t{len(aggregate.member_indices)}")
     print(f"reference_index\t{aggregate.reference_index}")
     print(f"max_diameter\t{max_diameter!r}")
-    manifest = RunManifest(
-        command="aggregate",
-        parameters={
-            "ensemble": args.ensemble,
-            "out": args.out,
-            "dedup_tol": args.dedup_tol,
-            "max_diameter": args.max_diameter,
-            "clouds_tsv": args.clouds_tsv,
-        },
-        kb_digest=ensemble.kb_digest,
-        tool_version=__version__,
-        rng_algorithm_id=RNG_ALGORITHM_ID,
-        duration_seconds=time.monotonic() - started,
-    )
-    _emit_manifest(manifest, args.out)
+    _emit_manifest(args, ensemble.kb_digest, started, args.out)
     print(
         f"retained {len(aggregate.member_indices)} members"
         f" (max cloud diameter {max_diameter:.6g}) -> {args.out}",

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Optional
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
+from typing import Optional, Sequence
 
 from .embedding import Embedding, EmbeddingConfig
 from .kb import KnowledgeBase, Query, assertion_oracle, unstated_queries
@@ -55,16 +56,25 @@ class Ensemble:
     def dimension(self) -> int:
         return self.members[0].dimension
 
-    def validate(self, kb: Optional[KnowledgeBase] = None) -> None:
+    def check_frame(self) -> None:
+        """Every member shares one vocabulary and config, and carries one
+        report; cheap enough to run on every file load."""
         if not self.members:
             raise ValueError("an ensemble needs at least one member")
-        cfg = self.members[0].config
+        first = self.members[0]
+        for m in self.members[1:]:
+            if (m.entity_names, m.relation_names) != (first.entity_names, first.relation_names):
+                raise ValueError(f"member seed={m.seed} has a different vocabulary than member 0")
+            if m.config != first.config:
+                raise ValueError("members disagree on embedding config")
+        if len(self.reports) != len(self.members):
+            raise ValueError(f"{len(self.reports)} reports for {len(self.members)} members")
+
+    def validate(self, kb: Optional[KnowledgeBase] = None) -> None:
+        self.check_frame()
         seeds = [m.seed for m in self.members]
         if len(set(seeds)) != len(seeds):
             raise ValueError(f"member seeds are not pairwise distinct: {seeds}")
-        for m in self.members:
-            if m.config != cfg:
-                raise ValueError("members disagree on embedding config")
         if kb is not None:
             if kb.digest() != self.kb_digest:
                 raise DigestMismatchError(
@@ -72,7 +82,7 @@ class Ensemble:
                 )
             for m, r in zip(self.members, self.reports):
                 err = m.cumulative_error(kb)
-                if err > cfg.eps_fit:
+                if err > self.config.eps_fit:
                     raise ValueError(
                         f"member seed={m.seed} has error {err} above eps_fit"
                     )
@@ -82,21 +92,9 @@ class Ensemble:
     def to_doc(self) -> dict:
         return {
             "kb_digest": self.kb_digest,
-            "config": {
-                "dimension": self.config.dimension,
-                **self.config.to_doc(),
-            },
+            "config": asdict(self.config),
             "members": [m.to_doc() for m in self.members],
-            "reports": [
-                {
-                    "seed": r.seed,
-                    "final_error": r.final_error,
-                    "epochs_used": r.epochs_used,
-                    "converged": r.converged,
-                    "rng_algorithm_id": r.rng_algorithm_id,
-                }
-                for r in self.reports
-            ],
+            "reports": [asdict(r) for r in self.reports],
         }
 
     def to_json(self) -> str:
@@ -124,12 +122,6 @@ class Ensemble:
         return cls.from_doc(json.loads(text))
 
 
-def _fit_candidate(args) -> tuple[int, Embedding, FitReport]:
-    kb, cfg, tcfg, seed = args
-    emb, report = train(kb, cfg, tcfg, seed)
-    return seed, emb, report
-
-
 def fit_ensemble(
     kb: KnowledgeBase,
     cfg: EmbeddingConfig,
@@ -153,29 +145,21 @@ def fit_ensemble(
     cap = _ATTEMPT_CAP_FACTOR * members
     kept: list[tuple[Embedding, FitReport]] = []
     attempted = 0
-    if jobs == 1:
+    # A wave is exactly the number of members still missing, so it never
+    # trains a seed that one-at-a-time fitting would have skipped.
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
         while len(kept) < members and attempted < cap:
-            seed = base_seed + attempted
-            attempted += 1
-            emb, report = train(kb, cfg, tcfg, seed)
-            if report.converged:
-                kept.append((emb, report))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            while len(kept) < members and attempted < cap:
-                wave = min(members - len(kept), cap - attempted)
-                seeds = [base_seed + attempted + i for i in range(wave)]
-                attempted += wave
-                args = [(kb, cfg, tcfg, s) for s in seeds]
-                for _, emb, report in pool.map(_fit_candidate, args):
-                    if report.converged:
-                        kept.append((emb, report))
+            wave = min(members - len(kept), cap - attempted)
+            seeds = range(base_seed + attempted, base_seed + attempted + wave)
+            attempted += wave
+            fits = run(train, [kb] * wave, [cfg] * wave, [tcfg] * wave, seeds)
+            kept.extend(fit for fit in fits if fit[1].converged)
     if len(kept) < members:
         raise EnsembleFitError(
             f"only {len(kept)} of {members} members converged "
             f"within {cap} candidate seeds"
         )
-    kept = kept[:members]
     ensemble = Ensemble(
         members=tuple(emb for emb, _ in kept),
         kb_digest=kb.digest(),
@@ -183,6 +167,17 @@ def fit_ensemble(
     )
     ensemble.validate()
     return ensemble
+
+
+def member_vote(
+    members: Sequence[Embedding],
+    q: Query,
+    tau: Optional[float] = None,
+    quorum_slack: float = 0.0,
+) -> TernaryVerdict:
+    """Unanimity rule on the fraction of ``members`` in which the fact holds."""
+    count = sum(1 for m in members if m.satisfies(q, tau=tau))
+    return TernaryVerdict.from_fraction(count / len(members), len(members), quorum_slack)
 
 
 def query_truth(
@@ -193,10 +188,7 @@ def query_truth(
 ) -> TernaryVerdict:
     """Three-valued answer over the ensemble, by the unanimity rule on the
     fraction of members in which the fact holds."""
-    count = sum(1 for m in ens.members if m.satisfies(q, tau=tau))
-    return TernaryVerdict.from_fraction(
-        count / len(ens.members), len(ens.members), quorum_slack
-    )
+    return member_vote(ens.members, q, tau, quorum_slack)
 
 
 @dataclass(frozen=True)

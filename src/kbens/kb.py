@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .verdict import TernaryVerdict, Truth
 
 POSITIVE = "+"
@@ -154,6 +156,29 @@ class KnowledgeBase:
     @cached_property
     def _polarity_index(self) -> dict[tuple[str, str, str], bool]:
         return {t.key: t.positive for t in self.triples}
+
+    @cached_property
+    def triple_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per triple, in store order: subject and object rows into
+        ``entities``, relation row into ``relations``, and a positive mask.
+
+        Read-only and computed once; every vectorized pass over the triples
+        (training, the satisfiability oracle) indexes through it.
+        """
+        ent = {t: i for i, t in enumerate(self.entities)}
+        rel = {t: i for i, t in enumerate(self.relations)}
+        try:
+            index = (
+                np.array([ent[t.subject] for t in self.triples], dtype=np.intp),
+                np.array([ent[t.object] for t in self.triples], dtype=np.intp),
+                np.array([rel[t.relation] for t in self.triples], dtype=np.intp),
+                np.array([t.positive for t in self.triples], dtype=bool),
+            )
+        except KeyError as exc:
+            raise KBError(f"a triple names a term outside the vocabulary: {exc}") from None
+        for a in index:
+            a.flags.writeable = False
+        return index
 
     @cached_property
     def _entity_set(self) -> frozenset[str]:

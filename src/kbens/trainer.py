@@ -8,7 +8,7 @@ smallest dimension at which training reaches it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -104,20 +104,18 @@ class _Problem:
     """Index arrays for vectorized loss and gradient evaluation."""
 
     def __init__(self, kb: KnowledgeBase, e: Embedding, seed: int):
-        ent = {t: i for i, t in enumerate(e.entity_names)}
-        rel = {t: i for i, t in enumerate(e.relation_names)}
-        pos = [t for t in kb.triples if t.positive]
-        neg = [t for t in kb.triples if not t.positive]
-        self.ps = np.array([ent[t.subject] for t in pos], dtype=np.intp)
-        self.po = np.array([ent[t.object] for t in pos], dtype=np.intp)
-        self.pr = np.array([rel[t.relation] for t in pos], dtype=np.intp)
-        self.ns = np.array([ent[t.subject] for t in neg], dtype=np.intp)
-        self.no = np.array([ent[t.object] for t in neg], dtype=np.intp)
-        self.nr = np.array([rel[t.relation] for t in neg], dtype=np.intp)
+        if e.entity_names != kb.entities or e.relation_names != kb.relations:
+            raise ValueError("embedding vocabulary differs from the knowledge base's")
+        subjects, objects, relations, positive = kb.triple_index
+        negative = ~positive
+        self.ps, self.po, self.pr = subjects[positive], objects[positive], relations[positive]
+        self.ns, self.no, self.nr = subjects[negative], objects[negative], relations[negative]
         # Deterministic unit directions used as the subgradient when a
         # negative residual sits exactly at the kink ||eps|| = 0.
         dirs = []
-        for t in neg:
+        for t in kb.triples:
+            if t.positive:
+                continue
             rng = _term_rng(seed, f"{t.relation}\x1f{t.subject}\x1f{t.object}\x1fkink")
             v = rng.normal(size=e.dimension)
             dirs.append(v / np.linalg.norm(v))
@@ -197,7 +195,7 @@ def train(
         new_points = points - rate * g_points
         new_vectors = vectors - rate * g_vectors
         new_err, new_gp, new_gv = problem.loss_and_grads(new_points, new_vectors, gamma)
-        if new_err > err:
+        if not (new_err <= err and np.isfinite(new_err)):
             rate *= 0.5
             if rate < _MIN_LEARNING_RATE:
                 break
@@ -269,27 +267,21 @@ def satisfiability_oracle(
     if n_terms == 0:
         empty = Embedding((), (), np.zeros((0, dimension)), np.zeros((0, dimension)), cfg, 0)
         return SatisfiabilityResult(Satisfiability.SATISFIABLE, empty)
-    ent = {t: i for i, t in enumerate(kb.entities)}
-    rel = {t: n_ent + i for i, t in enumerate(kb.relations)}
-
-    def row(t) -> np.ndarray:
-        r = np.zeros(n_terms)
-        r[ent[t.subject]] += 1.0
-        r[ent[t.object]] -= 1.0
-        r[rel[t.relation]] -= 1.0
-        return r
-
-    positives = [row(t) for t in kb.triples if t.positive]
-    negatives = [row(t) for t in kb.triples if not t.positive]
-    if positives:
-        constraint = np.array(positives)
-        _, svals, vt = np.linalg.svd(constraint, full_matrices=True)
-        tol = max(constraint.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
+    subjects, objects, relations, positive = kb.triple_index
+    rows = np.zeros((len(kb.triples), n_terms))
+    triple = np.arange(len(kb.triples))
+    np.add.at(rows, (triple, subjects), 1.0)
+    np.add.at(rows, (triple, objects), -1.0)
+    np.add.at(rows, (triple, n_ent + relations), -1.0)
+    positives, negatives = rows[positive], rows[~positive]
+    if positives.size:
+        _, svals, vt = np.linalg.svd(positives, full_matrices=True)
+        tol = max(positives.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
         rank = int(np.sum(svals > tol))
         basis = vt[rank:].T  # (n_terms, k) null-space basis
     else:
         basis = np.eye(n_terms)
-    if not negatives:
+    if not negatives.size:
         coords = np.zeros(n_terms)
         return SatisfiabilityResult(
             Satisfiability.SATISFIABLE, _certificate(kb, cfg, coords)
@@ -297,7 +289,7 @@ def satisfiability_oracle(
     if basis.shape[1] == 0:
         # Positives pin every coordinate to zero, so negatives cannot escape.
         return SatisfiabilityResult(Satisfiability.UNSATISFIABLE, None)
-    projected = np.array(negatives) @ basis  # (n_neg, k)
+    projected = negatives @ basis  # (n_neg, k)
     norms = np.linalg.norm(projected, axis=1)
     if np.any(norms < 1e-9):
         return SatisfiabilityResult(Satisfiability.UNSATISFIABLE, None)
@@ -344,13 +336,7 @@ def min_dimension_search(
     fits: dict[int, Embedding] = {}
 
     def attempt(n: int) -> bool:
-        cfg = EmbeddingConfig(
-            dimension=n,
-            tau_pos=cfg_template.tau_pos,
-            gamma=cfg_template.gamma,
-            eps_fit=cfg_template.eps_fit,
-        )
-        emb, report = train_with_retries(kb, cfg, tcfg, seed)
+        emb, report = train_with_retries(kb, replace(cfg_template, dimension=n), tcfg, seed)
         if report.converged:
             fits[n] = emb
         return report.converged

@@ -85,6 +85,13 @@ class TestFit:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_overflowing_steps_are_rejected_not_fatal(self, tmp_path, kb_file, capsys):
+        code = main(
+            ["fit", str(kb_file), "-o", str(tmp_path / "ens.json"), "--seed", "7",
+             "--dim", "2", "--members", "1", "--init-scale", "1e154", "--lr", "1e10"]
+        )
+        assert code == 0
+
 
 class TestQuery:
     def test_asserted_positive(self, fitted, capsys):
@@ -170,6 +177,72 @@ class TestAggregate:
         dup = tmp_path / "dup.json"
         dup.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["aggregate", str(dup), "-o", str(tmp_path / "agg.json")]) == 2
+
+
+class TestManifestParameters:
+    FIT = {"kb", "out", "seed", "members", "dim", "dim_searched", "tau", "gamma",
+           "fit_tol", "lr", "init_scale", "max_epochs", "retry_budget", "jobs"}
+
+    def test_fit_records_resolved_dimension(self, tmp_path, kb_file, capsys):
+        out = tmp_path / "ens.json"
+        assert main(["fit", str(kb_file), "-o", str(out), "--seed", "7", "--members", "2"]) == 0
+        params = json.loads((tmp_path / "ens.json.manifest.json").read_text())["parameters"]
+        assert set(params) == self.FIT
+        assert params["dim"] == json.loads(out.read_text())["config"]["dimension"]
+        assert params["dim_searched"] is True
+
+    def test_fit_with_given_dimension(self, fitted):
+        params = json.loads((fitted.parent / "ens.json.manifest.json").read_text())["parameters"]
+        assert set(params) == self.FIT
+        assert params["dim"] == 1 and params["dim_searched"] is False
+
+    def test_query(self, fitted, capsys):
+        assert main(["query", str(fitted), "friend", "Joe", "Bob"]) == 0
+        params = json.loads(capsys.readouterr().err)["parameters"]
+        assert set(params) == {"ensemble", "relation", "subject", "object", "kb", "delta"}
+
+    def test_report(self, fitted, kb_file, capsys):
+        assert main(["report", str(fitted), str(kb_file)]) == 0
+        params = json.loads(capsys.readouterr().err)["parameters"]
+        assert set(params) == {"ensemble", "kb", "self_pairs", "delta"}
+
+    def test_aggregate(self, fitted, tmp_path, capsys):
+        out = tmp_path / "agg.json"
+        assert main(["aggregate", str(fitted), "-o", str(out)]) == 0
+        params = json.loads((tmp_path / "agg.json.manifest.json").read_text())["parameters"]
+        assert set(params) == {"ensemble", "out", "dedup_tol", "max_diameter", "clouds_tsv"}
+
+
+class TestEnsembleFileChecks:
+    def _query_mutant(self, fitted, tmp_path, capsys, mutate):
+        doc = json.loads(fitted.read_text())
+        mutate(doc)
+        path = tmp_path / "mutant.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["query", str(path), "friend", "Joe", "Bob"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "mutant.json" in captured.err
+        return captured.err
+
+    def test_member_missing_an_entity(self, fitted, tmp_path, capsys):
+        err = self._query_mutant(
+            fitted, tmp_path, capsys, lambda d: d["members"][1]["entities"].pop("Bob")
+        )
+        assert "vocabulary" in err
+
+    def test_member_with_other_tau_pos(self, fitted, tmp_path, capsys):
+        def retune(doc):
+            doc["members"][2]["config"]["tau_pos"] = 0.1
+
+        assert "config" in self._query_mutant(fitted, tmp_path, capsys, retune)
+
+    def test_report_count_differs_from_member_count(self, fitted, tmp_path, capsys):
+        def cut(doc):
+            doc["reports"] = doc["reports"][:1]
+
+        assert "reports" in self._query_mutant(fitted, tmp_path, capsys, cut)
 
 
 class TestVersion:

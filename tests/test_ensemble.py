@@ -1,10 +1,13 @@
 """Ensemble fitting, ternary query answering, reports, and serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from kbens import (
     DigestMismatchError,
+    Embedding,
     Ensemble,
     EnsembleFitError,
     EmbeddingConfig,
@@ -17,6 +20,7 @@ from kbens import (
     query_truth,
     unstated_queries,
 )
+from kbens import ensemble as ensemble_module
 from kbens.kb import KnowledgeBase, SignedTriple
 
 from conftest import all_queries, random_satisfiable_kb
@@ -80,6 +84,24 @@ class TestFitEnsemble:
         seq = fit_ensemble(friend_kb_m, cfg, TrainConfig(), 7, members=6, jobs=1)
         par = fit_ensemble(friend_kb_m, cfg, TrainConfig(), 7, members=6, jobs=3)
         assert seq.to_json() == par.to_json()
+
+    def test_parallel_fit_matches_sequential_when_seeds_fail(self, friend_kb_m):
+        # At 15 epochs some seeds fail on the friend store, so filling the
+        # ensemble takes several waves of candidate seeds.
+        cfg = EmbeddingConfig(dimension=1)
+        tcfg = TrainConfig(max_epochs=15)
+        seq = fit_ensemble(friend_kb_m, cfg, tcfg, 7, members=4, jobs=1)
+        par = fit_ensemble(friend_kb_m, cfg, tcfg, 7, members=4, jobs=2)
+        assert [m.seed for m in seq.members] == [9, 12, 13, 14]
+        assert seq.to_json() == par.to_json()
+
+    def test_single_job_starts_no_process(self, friend_kb_m, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("jobs=1 must not start a process pool")
+
+        monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", refuse)
+        ens = fit_ensemble(friend_kb_m, EmbeddingConfig(dimension=1), TrainConfig(), 7, members=3)
+        assert len(ens) == 3
 
 
 class TestQueryTruth:
@@ -237,3 +259,27 @@ class TestSerialization:
         )
         with pytest.raises(ValueError):
             forced.validate()
+
+    def test_check_frame_rejects_mismatched_members(self, friend_ensemble):
+        first, second = friend_ensemble.members[:2]
+        reports = friend_ensemble.reports[:2]
+        shrunk = Embedding.from_points(
+            {t: p for t, p in second.entity_points.items() if t != "Bob"},
+            second.relation_vectors, second.config, second.seed,
+        )
+        retuned = Embedding.from_points(
+            second.entity_points, second.relation_vectors,
+            replace(second.config, tau_pos=0.1), second.seed,
+        )
+        mutants = [
+            Ensemble((first, shrunk), friend_ensemble.kb_digest, reports),
+            Ensemble((first, retuned), friend_ensemble.kb_digest, reports),
+            Ensemble((first, second), friend_ensemble.kb_digest, reports[:1]),
+            Ensemble((), friend_ensemble.kb_digest, ()),
+        ]
+        for mutant in mutants:
+            with pytest.raises(ValueError):
+                mutant.check_frame()
+            with pytest.raises(ValueError):
+                mutant.validate()
+        Ensemble((first, second), friend_ensemble.kb_digest, reports).check_frame()

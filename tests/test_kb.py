@@ -148,3 +148,35 @@ class TestAssertionOracle:
             for t in kb.triples:
                 v = assertion_oracle(kb, t.as_query())
                 assert v.value is (Truth.TRUE if t.positive else Truth.FALSE)
+
+
+class TestTripleIndex:
+    def test_rows_name_each_triple_in_store_order(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            kb = random_kb(rng)
+            subjects, objects, relations, positive = kb.triple_index
+            assert len(subjects) == len(objects) == len(relations) == len(kb.triples)
+            for i, t in enumerate(kb.triples):
+                assert kb.entities[subjects[i]] == t.subject
+                assert kb.entities[objects[i]] == t.object
+                assert kb.relations[relations[i]] == t.relation
+                assert positive[i] == t.positive
+
+    def test_cached_and_read_only(self, friend_kb):
+        index = friend_kb.triple_index
+        assert friend_kb.triple_index is index
+        for array in index:
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_empty_store(self):
+        for array in parse_kb("").triple_index:
+            assert array.shape == (0,)
+
+    def test_term_outside_vocabulary_rejected(self):
+        kb = KnowledgeBase(
+            triples=(SignedTriple("r", "a", "b", True),), entities=("a",), relations=("r",)
+        )
+        with pytest.raises(KBError):
+            kb.triple_index

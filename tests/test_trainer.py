@@ -134,6 +134,19 @@ class TestGradients:
         np.testing.assert_allclose(g1["b"], -g1["a"], atol=0)
         np.testing.assert_allclose(g1["r"], -g1["a"], atol=0)
 
+    def test_vocabulary_mismatch_rejected(self, friend_kb):
+        cfg = EmbeddingConfig(dimension=1)
+        e = init_embedding(friend_kb, cfg, TrainConfig(), 7)
+        missing = Embedding.from_points(
+            {t: p for t, p in e.entity_points.items() if t != "Mary"}, e.relation_vectors, cfg
+        )
+        extra = Embedding.from_points(
+            {**e.entity_points, "Zed": (0.0,)}, e.relation_vectors, cfg
+        )
+        for probe in (missing, extra):
+            with pytest.raises(ValueError):
+                gradients(probe, friend_kb)
+
 
 class TestTrain:
     def test_friend_kb_converges(self, friend_kb):
@@ -197,6 +210,24 @@ class TestTrain:
                 err = Embedding.from_points(ents, rels, cfg, e.seed).cumulative_error(kb)
                 assert err <= last + 1e-12
                 last = err
+
+
+    def test_store_naming_terms_outside_its_vocabulary_rejected(self):
+        kb = KnowledgeBase(
+            triples=(SignedTriple("r", "a", "b", True),), entities=("a",), relations=("r",)
+        )
+        with pytest.raises(ValueError):
+            train(kb, EmbeddingConfig(dimension=1), TrainConfig(), seed=1)
+
+    def test_non_finite_steps_are_rejected(self, friend_kb):
+        # Coordinates near 1e154 square to near the float limit, so the first
+        # steps at this rate overflow; they must be rejected, not accepted.
+        tcfg = TrainConfig(init_scale=1e154, learning_rate=1e10)
+        emb, report = train(friend_kb, EmbeddingConfig(dimension=2), tcfg, seed=7)
+        assert np.isfinite(report.final_error)
+        assert np.all(np.isfinite(emb.entity_array))
+        assert np.all(np.isfinite(emb.relation_array))
+        assert emb.cumulative_error(friend_kb) == pytest.approx(report.final_error)
 
 
 class TestTrainWithRetries:
