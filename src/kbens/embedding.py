@@ -28,6 +28,13 @@ DEFAULT_GAMMA = 1.0
 DEFAULT_EPS_FIT = 1e-4
 
 
+def _squared_norm(eps: np.ndarray) -> float:
+    # The trainer's and the batched vote's reduction, so all paths agree bit
+    # for bit.  An overflowing square is +inf, outside every radius and margin.
+    with np.errstate(over="ignore"):
+        return float(np.sum(eps * eps))
+
+
 @dataclass(frozen=True)
 class EmbeddingConfig:
     """Geometry of one embedding space.
@@ -119,17 +126,23 @@ class Embedding:
     def relation_vectors(self) -> dict[str, np.ndarray]:
         return {t: self.relation_array[i] for t, i in self._relation_index.items()}
 
-    def entity_point(self, name: str) -> np.ndarray:
+    def entity_row(self, name: str) -> int:
         try:
-            return self.entity_array[self._entity_index[name]]
+            return self._entity_index[name]
         except KeyError:
             raise UnknownTermError(f"unknown entity: {name!r}") from None
 
-    def relation_vector(self, name: str) -> np.ndarray:
+    def relation_row(self, name: str) -> int:
         try:
-            return self.relation_array[self._relation_index[name]]
+            return self._relation_index[name]
         except KeyError:
             raise UnknownTermError(f"unknown relation: {name!r}") from None
+
+    def entity_point(self, name: str) -> np.ndarray:
+        return self.entity_array[self.entity_row(name)]
+
+    def relation_vector(self, name: str) -> np.ndarray:
+        return self.relation_array[self.relation_row(name)]
 
     def residual(self, t: TripleLike) -> np.ndarray:
         """eps = (subject - object) - relation, component-exact."""
@@ -142,10 +155,10 @@ class Embedding:
     def triple_error(self, t: SignedTriple) -> float:
         """||eps||^2 for a positive fact, max(0, gamma - ||eps||)^2 for a
         negative one."""
-        eps = self.residual(t)
+        squared = _squared_norm(self.residual(t))
         if t.positive:
-            return float(eps @ eps)
-        gap = self.config.gamma - math.sqrt(float(eps @ eps))
+            return squared
+        gap = self.config.gamma - math.sqrt(squared)
         return gap * gap if gap > 0.0 else 0.0
 
     def cumulative_error(self, kb: KnowledgeBase) -> float:
@@ -156,11 +169,11 @@ class Embedding:
     def satisfies(self, q: TripleLike, tau: Optional[float] = None) -> bool:
         """Whether the fact holds in this embedding: ||eps|| <= tau.
 
-        ``tau`` defaults to the configured satisfaction radius.
+        ``tau`` defaults to the configured satisfaction radius.  This is the
+        scalar reference for :func:`kbens.ensemble.satisfied_counts`.
         """
         radius = self.config.tau_pos if tau is None else tau
-        eps = self.residual(q)
-        return bool(math.sqrt(float(eps @ eps)) <= radius)
+        return bool(math.sqrt(_squared_norm(self.residual(q))) <= radius)
 
     def to_doc(self) -> dict:
         """JSON-ready document with full round-trip float precision."""

@@ -14,6 +14,8 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .embedding import Embedding, EmbeddingConfig
 from .kb import KnowledgeBase, Query, assertion_oracle, unstated_queries
 from .trainer import FitReport, TrainConfig, train
@@ -23,6 +25,9 @@ DEFAULT_MEMBERS = 32
 
 # Candidate seeds tried before giving up, as a multiple of the member count.
 _ATTEMPT_CAP_FACTOR = 4
+
+# Largest temporary of the batched vote, in float64 elements (64 KiB).
+_VOTE_CHUNK_ELEMENTS = 2**13
 
 
 class EnsembleFitError(RuntimeError):
@@ -57,18 +62,22 @@ class Ensemble:
         return self.members[0].dimension
 
     def check_frame(self) -> None:
-        """Every member shares one vocabulary and config, and carries one
-        report; cheap enough to run on every file load."""
+        """Every member shares one vocabulary and config and carries one
+        converged report of its seed; cheap enough for every file load."""
         if not self.members:
             raise ValueError("an ensemble needs at least one member")
+        if len(self.reports) != len(self.members):
+            raise ValueError(f"{len(self.reports)} reports for {len(self.members)} members")
         first = self.members[0]
-        for m in self.members[1:]:
+        for i, (m, r) in enumerate(zip(self.members, self.reports)):
             if (m.entity_names, m.relation_names) != (first.entity_names, first.relation_names):
                 raise ValueError(f"member seed={m.seed} has a different vocabulary than member 0")
             if m.config != first.config:
                 raise ValueError("members disagree on embedding config")
-        if len(self.reports) != len(self.members):
-            raise ValueError(f"{len(self.reports)} reports for {len(self.members)} members")
+            if r.seed != m.seed:
+                raise ValueError(f"report {i} has seed {r.seed} but member {i} has seed {m.seed}")
+            if not r.converged:
+                raise ValueError(f"member seed={m.seed} carries a non-converged report")
 
     def validate(self, kb: Optional[KnowledgeBase] = None) -> None:
         self.check_frame()
@@ -77,17 +86,11 @@ class Ensemble:
             raise ValueError(f"member seeds are not pairwise distinct: {seeds}")
         if kb is not None:
             if kb.digest() != self.kb_digest:
-                raise DigestMismatchError(
-                    "ensemble digest does not match the given knowledge base"
-                )
-            for m, r in zip(self.members, self.reports):
+                raise DigestMismatchError("ensemble digest does not match the given knowledge base")
+            for m in self.members:
                 err = m.cumulative_error(kb)
                 if err > self.config.eps_fit:
-                    raise ValueError(
-                        f"member seed={m.seed} has error {err} above eps_fit"
-                    )
-                if not r.converged:
-                    raise ValueError(f"member seed={m.seed} carries a non-converged report")
+                    raise ValueError(f"member seed={m.seed} has error {err} above eps_fit")
 
     def to_doc(self) -> dict:
         return {
@@ -115,6 +118,9 @@ class Ensemble:
             )
             for r in doc["reports"]
         )
+        # The top-level block restates the members' config; a mismatch means an edited file.
+        if members and doc["config"] != asdict(members[0].config):
+            raise ValueError(f"top-level config {doc['config']} differs from the members' config")
         return cls(members=members, kb_digest=str(doc["kb_digest"]), reports=reports)
 
     @classmethod
@@ -169,6 +175,41 @@ def fit_ensemble(
     return ensemble
 
 
+def satisfied_counts(
+    members: Sequence[Embedding],
+    queries: Sequence[Query],
+    tau: Optional[float] = None,
+) -> np.ndarray:
+    """Number of ``members`` in which each query holds, ||eps|| <= radius
+    (each member's ``tau_pos`` unless ``tau`` is given), over members stacked
+    into (M, E, d) / (M, R, d) arrays, one or more queries per 64-KiB chunk.
+    Equal bit for bit to counting :meth:`Embedding.satisfies`, with its
+    errors; members with different vocabularies raise ``ValueError``."""
+    if not members:
+        raise ValueError("a vote needs at least one member")
+    first = members[0]
+    vocabulary = (first.entity_names, first.relation_names)
+    if any((m.entity_names, m.relation_names) != vocabulary for m in members[1:]):
+        raise ValueError("members do not share one vocabulary")
+    rows = np.array([
+        (first.entity_row(q.subject), first.entity_row(q.object), first.relation_row(q.relation))
+        for q in queries
+    ], dtype=np.intp).reshape(-1, 3)
+    ents = np.array([m.entity_array for m in members])
+    rels = np.array([m.relation_array for m in members])
+    radius = np.array([m.config.tau_pos if tau is None else tau for m in members])[:, None]
+    counts = np.empty(len(rows), dtype=np.intp)
+    step = max(1, _VOTE_CHUNK_ELEMENTS // (len(members) * first.dimension))
+    # A square that overflows is +inf, correctly outside every radius.
+    with np.errstate(over="ignore"):
+        for start in range(0, len(rows), step):
+            s, o, r = rows[start:start + step].T
+            eps = ents[:, s] - ents[:, o] - rels[:, r]
+            inside = np.sqrt(np.sum(eps * eps, axis=-1)) <= radius
+            counts[start:start + step] = np.count_nonzero(inside, axis=0)
+    return counts
+
+
 def member_vote(
     members: Sequence[Embedding],
     q: Query,
@@ -176,7 +217,7 @@ def member_vote(
     quorum_slack: float = 0.0,
 ) -> TernaryVerdict:
     """Unanimity rule on the fraction of ``members`` in which the fact holds."""
-    count = sum(1 for m in members if m.satisfies(q, tau=tau))
+    count = int(satisfied_counts(members, [q], tau)[0])
     return TernaryVerdict.from_fraction(count / len(members), len(members), quorum_slack)
 
 
@@ -264,21 +305,15 @@ def knowledge_report(
     """
     if ens.kb_digest != kb.digest():
         raise DigestMismatchError("ensemble digest does not match the given knowledge base")
-    asserted = []
-    for t in kb.triples:
-        q = t.as_query()
-        verdict = query_truth(ens, q, tau=tau, quorum_slack=quorum_slack)
-        oracle = assertion_oracle(kb, q)
-        asserted.append(
-            ReportRow(q, verdict, t.positive, verdict.value == oracle.value)
-        )
-    unstated = [
-        ReportRow(q, query_truth(ens, q, tau=tau, quorum_slack=quorum_slack), None, None)
-        for q in unstated_queries(kb, include_self_pairs=include_self_pairs)
-    ]
-    return KnowledgeReport(
-        kb_digest=ens.kb_digest,
-        member_count=len(ens.members),
-        asserted_rows=tuple(asserted),
-        unstated_rows=tuple(unstated),
+    n = len(ens.members)
+    asserted = [t.as_query() for t in kb.triples]
+    unstated = unstated_queries(kb, include_self_pairs=include_self_pairs)
+    counts = satisfied_counts(ens.members, asserted + unstated, tau).tolist()
+    verdicts = [TernaryVerdict.from_fraction(c / n, n, quorum_slack) for c in counts]
+    asserted_rows = tuple(
+        ReportRow(q, v, t.positive, v.value == assertion_oracle(kb, q).value)
+        for t, q, v in zip(kb.triples, asserted, verdicts)
     )
+    unstated_rows = tuple(ReportRow(q, v, None, None)
+                          for q, v in zip(unstated, verdicts[len(asserted):]))
+    return KnowledgeReport(ens.kb_digest, n, asserted_rows, unstated_rows)

@@ -187,21 +187,24 @@ def train(
     points = start.entity_array.copy()
     vectors = start.relation_array.copy()
     gamma = cfg.gamma
-    err, g_points, g_vectors = problem.loss_and_grads(points, vectors, gamma)
     rate = tcfg.learning_rate
     epochs = 0
-    while err > cfg.eps_fit and epochs < tcfg.max_epochs:
-        epochs += 1
-        new_points = points - rate * g_points
-        new_vectors = vectors - rate * g_vectors
-        new_err, new_gp, new_gv = problem.loss_and_grads(new_points, new_vectors, gamma)
-        if not (new_err <= err and np.isfinite(new_err)):
-            rate *= 0.5
-            if rate < _MIN_LEARNING_RATE:
-                break
-            continue
-        points, vectors = new_points, new_vectors
-        err, g_points, g_vectors = new_err, new_gp, new_gv
+    # Overflow gives a non-finite error, and the guard below rejects such a
+    # step, so numpy's overflow warnings would only report what it handles.
+    with np.errstate(over="ignore", invalid="ignore"):
+        err, g_points, g_vectors = problem.loss_and_grads(points, vectors, gamma)
+        while err > cfg.eps_fit and epochs < tcfg.max_epochs:
+            epochs += 1
+            new_points = points - rate * g_points
+            new_vectors = vectors - rate * g_vectors
+            new_err, new_gp, new_gv = problem.loss_and_grads(new_points, new_vectors, gamma)
+            if not (new_err <= err and np.isfinite(new_err)):
+                rate *= 0.5
+                if rate < _MIN_LEARNING_RATE:
+                    break
+                continue
+            points, vectors = new_points, new_vectors
+            err, g_points, g_vectors = new_err, new_gp, new_gv
     fitted = Embedding(
         entity_names=start.entity_names,
         relation_names=start.relation_names,

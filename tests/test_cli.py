@@ -244,6 +244,24 @@ class TestEnsembleFileChecks:
 
         assert "reports" in self._query_mutant(fitted, tmp_path, capsys, cut)
 
+    def test_top_level_config_differs_from_members(self, fitted, tmp_path, capsys):
+        def reconfigure(doc):
+            doc["config"].update(dimension=9, tau_pos=0.05)
+
+        assert "top-level config" in self._query_mutant(fitted, tmp_path, capsys, reconfigure)
+
+    def test_report_seed_differs_from_member_seed(self, fitted, tmp_path, capsys):
+        def reseed(doc):
+            doc["reports"][1]["seed"] = 999
+
+        assert "seed 999" in self._query_mutant(fitted, tmp_path, capsys, reseed)
+
+    def test_report_not_converged(self, fitted, tmp_path, capsys):
+        def unconverge(doc):
+            doc["reports"][2]["converged"] = False
+
+        assert "non-converged" in self._query_mutant(fitted, tmp_path, capsys, unconverge)
+
 
 class TestVersion:
     def test_version_mentions_rng(self, capsys):
