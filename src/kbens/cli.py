@@ -70,7 +70,9 @@ def _load_ensemble(path: str) -> Ensemble:
     try:
         ensemble = Ensemble.from_json(text)
         ensemble.check_frame()
-    except (KeyError, ValueError, TypeError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"invalid ensemble file {path!r}: missing field {exc}") from exc
+    except (ValueError, TypeError) as exc:
         raise ValueError(f"invalid ensemble file {path!r}: {exc}") from exc
     return ensemble
 

@@ -1,8 +1,12 @@
-"""Fitting one embedding to a store by seeded full-batch gradient descent.
+"""Fitting embeddings to a store by seeded full-batch gradient descent.
 
-Includes the analytic gradients of the cumulative error, a linear-algebra
-check for whether zero error is attainable at all, and a search for the
-smallest dimension at which training reaches it.
+Members descend as one batch: the cumulative error and its analytic
+gradients are evaluated for a stack of members at once, each member keeps
+its own rate and accept mask, and each one's fit is bit-identical to
+training it alone.  ``train`` is the one-seed call, and
+``train_with_retries`` trains its reseeded attempts as one batch.  Also
+includes a linear-algebra check for whether zero error is attainable at
+all, and a search for the smallest dimension at which training reaches it.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -101,55 +105,107 @@ def init_embedding(
 
 
 class _Problem:
-    """Index arrays for vectorized loss and gradient evaluation."""
+    """Index arrays for evaluating the loss and gradients of a stack of
+    members that share one store and one dimension."""
 
-    def __init__(self, kb: KnowledgeBase, e: Embedding, seed: int):
-        if e.entity_names != kb.entities or e.relation_names != kb.relations:
-            raise ValueError("embedding vocabulary differs from the knowledge base's")
+    def __init__(self, kb: KnowledgeBase):
         subjects, objects, relations, positive = kb.triple_index
-        negative = ~positive
-        self.ps, self.po, self.pr = subjects[positive], objects[positive], relations[positive]
-        self.ns, self.no, self.nr = subjects[negative], objects[negative], relations[negative]
-        # Deterministic unit directions used as the subgradient when a
-        # negative residual sits exactly at the kink ||eps|| = 0.
+        # Triples positives first, each group in store order.
+        pos, neg = np.flatnonzero(positive), np.flatnonzero(~positive)
+        order = np.concatenate([pos, neg])
+        self.subjects, self.objects, self.relations = (
+            subjects[order], objects[order], relations[order]
+        )
+        self.n_positive = pos.size
+        self.negatives = [t for t in kb.triples if not t.positive]
+        self.n_entities, self.n_relations = len(kb.entities), len(kb.relations)
+        # A triple pulls its subject by its gradient term and pushes its
+        # object and relation by the opposite.  Point terms are summed in the
+        # order positive subjects, positive objects, negative subjects,
+        # negative objects, each in store order; vector terms in triple order.
+        at_pos, at_neg = np.arange(pos.size), np.arange(pos.size, order.size)
+        self.point_terms = np.concatenate([at_pos, at_pos, at_neg, at_neg])
+        self.point_signs = np.repeat(
+            [1.0, -1.0, 1.0, -1.0], [pos.size, pos.size, neg.size, neg.size]
+        )[:, None]
+        self.point_rows = np.concatenate(
+            [subjects[pos], objects[pos], subjects[neg], objects[neg]]
+        )
+        self._layouts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def _layout(self, m: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Flat bincount indices of every point and vector term of m members
+        # in d dimensions, and the member numbers; computed once per shape.
+        if (m, d) not in self._layouts:
+            members = np.arange(m)
+
+            def flat(rows: np.ndarray, n_rows: int) -> np.ndarray:
+                return ((members[:, None] * n_rows + rows)[:, :, None] * d + np.arange(d)).ravel()
+
+            self._layouts[m, d] = (
+                flat(self.point_rows, self.n_entities),
+                flat(self.relations, self.n_relations),
+                members,
+            )
+        return self._layouts[m, d]
+
+    def kink_dirs(self, seed: int, dimension: int) -> np.ndarray:
+        """Deterministic unit directions, one per negative triple, used as the
+        subgradient when a negative residual sits exactly at the kink
+        ||eps|| = 0."""
         dirs = []
-        for t in kb.triples:
-            if t.positive:
-                continue
+        for t in self.negatives:
             rng = _term_rng(seed, f"{t.relation}\x1f{t.subject}\x1f{t.object}\x1fkink")
-            v = rng.normal(size=e.dimension)
+            v = rng.normal(size=dimension)
             dirs.append(v / np.linalg.norm(v))
-        self.kink_dirs = np.array(dirs) if dirs else np.zeros((0, e.dimension))
+        return np.array(dirs) if dirs else np.zeros((0, dimension))
 
     def loss_and_grads(
-        self, points: np.ndarray, vectors: np.ndarray, gamma: float
-    ) -> tuple[float, np.ndarray, np.ndarray]:
-        g_points = np.zeros_like(points)
-        g_vectors = np.zeros_like(vectors)
-        total = 0.0
-        if self.ps.size:
-            eps = points[self.ps] - points[self.po] - vectors[self.pr]
-            total += float(np.sum(eps * eps))
-            np.add.at(g_points, self.ps, 2.0 * eps)
-            np.add.at(g_points, self.po, -2.0 * eps)
-            np.add.at(g_vectors, self.pr, -2.0 * eps)
-        if self.ns.size:
-            eps = points[self.ns] - points[self.no] - vectors[self.nr]
-            norms = np.sqrt(np.sum(eps * eps, axis=1))
-            active = norms < gamma
-            if np.any(active):
-                gaps = gamma - norms[active]
-                total += float(np.sum(gaps * gaps))
-                unit = np.where(
-                    (norms[active] > 0.0)[:, None],
-                    eps[active] / np.maximum(norms[active], 1e-300)[:, None],
-                    self.kink_dirs[active],
-                )
-                contrib = -2.0 * gaps[:, None] * unit
-                np.add.at(g_points, self.ns[active], contrib)
-                np.add.at(g_points, self.no[active], -contrib)
-                np.add.at(g_vectors, self.nr[active], -contrib)
-        return total, g_points, g_vectors
+        self, points: np.ndarray, vectors: np.ndarray, kinks: np.ndarray, gamma: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cumulative error ``(M,)`` and its gradients ``(M, E, d)`` /
+        ``(M, R, d)`` of M members, from their points ``(M, E, d)``, vectors
+        ``(M, R, d)`` and kink directions ``(M, N, d)``.
+
+        Each member's numbers are bit-identical to evaluating it alone: every
+        sum keeps the order of a one-member ``np.sum``, and the gradients add
+        the triples' terms in a fixed order, one at a time.
+        """
+        m, n_entities, d = points.shape
+        p = self.n_positive
+        point_index, vector_index, members = self._layout(m, d)
+        # take() gives C-ordered arrays, so each member's squares reduce in
+        # the order a single (P, d) array would.
+        eps = (
+            points.take(self.subjects, axis=1) - points.take(self.objects, axis=1)
+            - vectors.take(self.relations, axis=1)
+        )
+        squares = eps * eps
+        totals = squares[:, :p].reshape(m, -1).sum(axis=1)
+        pull = 2.0 * eps  # each triple's gradient at its subject
+        pull[:, p:] = 0.0  # an inactive hinge adds nothing
+        norms = np.sqrt(squares[:, p:].sum(axis=2))
+        hit, rows = (norms < gamma).nonzero()
+        if hit.size:
+            cols = rows + p
+            active = norms[hit, rows]
+            gaps = gamma - active
+            unit = np.where(
+                (active > 0.0)[:, None],
+                eps[hit, cols] / np.maximum(active, 1e-300)[:, None],
+                kinks[hit, rows],
+            )
+            pull[hit, cols] = -2.0 * gaps[:, None] * unit
+            # One segment per member, led by a zero: reduceat starts each sum
+            # from its segment's first entry, so this adds the active squares
+            # exactly as np.sum over them alone would.
+            led = np.zeros(m + hit.size)
+            led[np.arange(1, hit.size + 1) + hit] = gaps * gaps
+            totals += np.add.reduceat(led, members + hit.searchsorted(members))
+        weights = pull.take(self.point_terms, axis=1) * self.point_signs
+        g_points = np.bincount(point_index, weights.ravel(), minlength=m * n_entities * d)
+        g_vectors = np.bincount(vector_index, (-pull).ravel(), minlength=m * self.n_relations * d)
+        return totals, g_points.reshape(points.shape), g_vectors.reshape(vectors.shape)
 
 
 def gradients(e: Embedding, kb: KnowledgeBase) -> dict[str, np.ndarray]:
@@ -160,81 +216,145 @@ def gradients(e: Embedding, kb: KnowledgeBase) -> dict[str, np.ndarray]:
     and relation; an active negative hinge contributes -2*(gamma-||eps||) *
     eps/||eps|| to the subject, negated for object and relation.  At the
     kink ||eps|| = 0 a deterministic pseudo-random unit direction keyed by
-    the triple and the embedding seed stands in for eps/||eps||.
+    the triple and the embedding seed stands in for eps/||eps||.  This is a
+    one-member call of the loss the trainer descends.
     """
-    problem = _Problem(kb, e, e.seed)
+    if e.entity_names != kb.entities or e.relation_names != kb.relations:
+        raise ValueError("embedding vocabulary differs from the knowledge base's")
+    problem = _Problem(kb)
     _, g_points, g_vectors = problem.loss_and_grads(
-        e.entity_array, e.relation_array, e.config.gamma
+        e.entity_array[None],
+        e.relation_array[None],
+        problem.kink_dirs(e.seed, e.dimension)[None],
+        e.config.gamma,
     )
-    out = {t: g_points[i] for i, t in enumerate(e.entity_names)}
-    out.update({t: g_vectors[i] for i, t in enumerate(e.relation_names)})
+    out = {t: g_points[0, i] for i, t in enumerate(e.entity_names)}
+    out.update({t: g_vectors[0, i] for i, t in enumerate(e.relation_names)})
     return out
+
+
+def _descend(
+    kb: KnowledgeBase, cfg: EmbeddingConfig, tcfg: TrainConfig, seeds: Sequence[int]
+) -> Iterator[tuple[int, tuple[Embedding, FitReport]]]:
+    """Descend from every seed at once, yielding ``(index, fit)`` for each
+    member as it leaves the batch: converged, out of epochs, or with its rate
+    underflowed.  Members leaving together come in index order; a caller
+    that stops iterating stops the descent."""
+    seeds = [int(seed) for seed in seeds]
+    starts = [init_embedding(kb, cfg, tcfg, seed) for seed in seeds]
+    if not kb.triples or not seeds:
+        for i, start in enumerate(starts):
+            yield i, (start, FitReport(0.0, 0, True, seeds[i], tcfg.rng_algorithm_id))
+        return
+    problem = _Problem(kb)
+    live = np.arange(len(seeds))
+    points = np.array([e.entity_array for e in starts])
+    vectors = np.array([e.relation_array for e in starts])
+    kinks = np.array([problem.kink_dirs(seed, cfg.dimension) for seed in seeds])
+    rates = np.full(len(seeds), tcfg.learning_rate)
+    gamma = cfg.gamma
+    epoch = 0
+    # Overflow gives a non-finite error, and the guard below rejects such a
+    # step, so numpy's overflow warnings would only report what it handles.
+    with np.errstate(over="ignore", invalid="ignore"):
+        err, g_points, g_vectors = problem.loss_and_grads(points, vectors, kinks, gamma)
+    while live.size:
+        underflow = np.zeros(live.size, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while epoch < tcfg.max_epochs and (err > cfg.eps_fit).all():
+                epoch += 1
+                step = rates[:, None, None]
+                new_points = points - step * g_points
+                new_vectors = vectors - step * g_vectors
+                new_err, new_gp, new_gv = problem.loss_and_grads(
+                    new_points, new_vectors, kinks, gamma
+                )
+                accepted = (new_err <= err) & np.isfinite(new_err)
+                if accepted.all():  # the common case, without the merges below
+                    points, vectors = new_points, new_vectors
+                    err, g_points, g_vectors = new_err, new_gp, new_gv
+                    continue
+                # A rejected step halves that member's rate and keeps its state.
+                keep = accepted[:, None, None]
+                points = np.where(keep, new_points, points)
+                vectors = np.where(keep, new_vectors, vectors)
+                g_points = np.where(keep, new_gp, g_points)
+                g_vectors = np.where(keep, new_gv, g_vectors)
+                err = np.where(accepted, new_err, err)
+                rates = np.where(accepted, rates, 0.5 * rates)
+                underflow = ~accepted & (rates < _MIN_LEARNING_RATE)
+                if underflow.any():
+                    break
+        leaving = underflow | ~(err > cfg.eps_fit) | (epoch >= tcfg.max_epochs)
+        for j in np.flatnonzero(leaving):
+            i = int(live[j])
+            fitted = Embedding(
+                entity_names=starts[i].entity_names,
+                relation_names=starts[i].relation_names,
+                entity_array=points[j].copy(),
+                relation_array=vectors[j].copy(),
+                config=cfg,
+                seed=seeds[i],
+            )
+            report = FitReport(
+                final_error=float(err[j]),
+                epochs_used=epoch,
+                converged=bool(err[j] <= cfg.eps_fit),
+                seed=seeds[i],
+                rng_algorithm_id=tcfg.rng_algorithm_id,
+            )
+            yield i, (fitted, report)
+        stay = ~leaving
+        live, points, vectors, kinks = live[stay], points[stay], vectors[stay], kinks[stay]
+        rates, err, g_points, g_vectors = rates[stay], err[stay], g_points[stay], g_vectors[stay]
+
+
+def train_members(
+    kb: KnowledgeBase, cfg: EmbeddingConfig, tcfg: TrainConfig, seeds: Sequence[int]
+) -> list[tuple[Embedding, FitReport]]:
+    """Train one member per seed, all in one batched descent.
+
+    Each member has its own rate and accept mask and leaves the batch when it
+    converges, runs out of epochs, or its rate underflows, so its fit is
+    bit-identical to training it alone.
+    """
+    fits = dict(_descend(kb, cfg, tcfg, seeds))
+    return [fits[i] for i in range(len(fits))]
 
 
 def train(
     kb: KnowledgeBase, cfg: EmbeddingConfig, tcfg: TrainConfig, seed: int
 ) -> tuple[Embedding, FitReport]:
     """Full-batch guarded gradient descent until the cumulative error drops
-    to eps_fit or the epoch budget runs out.
+    to eps_fit, the epoch budget runs out, or the guarded rate underflows.
 
-    Pure in all arguments: repeated calls are bit-identical.  The embedding
-    is returned even when the fit does not converge.
+    The one-seed call of :func:`train_members`.  Pure in all arguments:
+    repeated calls are bit-identical.  The embedding is returned even when
+    the fit does not converge.
     """
-    start = init_embedding(kb, cfg, tcfg, seed)
-    if not kb.triples:
-        return start, FitReport(0.0, 0, True, int(seed), tcfg.rng_algorithm_id)
-    problem = _Problem(kb, start, seed)
-    points = start.entity_array.copy()
-    vectors = start.relation_array.copy()
-    gamma = cfg.gamma
-    rate = tcfg.learning_rate
-    epochs = 0
-    # Overflow gives a non-finite error, and the guard below rejects such a
-    # step, so numpy's overflow warnings would only report what it handles.
-    with np.errstate(over="ignore", invalid="ignore"):
-        err, g_points, g_vectors = problem.loss_and_grads(points, vectors, gamma)
-        while err > cfg.eps_fit and epochs < tcfg.max_epochs:
-            epochs += 1
-            new_points = points - rate * g_points
-            new_vectors = vectors - rate * g_vectors
-            new_err, new_gp, new_gv = problem.loss_and_grads(new_points, new_vectors, gamma)
-            if not (new_err <= err and np.isfinite(new_err)):
-                rate *= 0.5
-                if rate < _MIN_LEARNING_RATE:
-                    break
-                continue
-            points, vectors = new_points, new_vectors
-            err, g_points, g_vectors = new_err, new_gp, new_gv
-    fitted = Embedding(
-        entity_names=start.entity_names,
-        relation_names=start.relation_names,
-        entity_array=points,
-        relation_array=vectors,
-        config=cfg,
-        seed=int(seed),
-    )
-    report = FitReport(
-        final_error=float(err),
-        epochs_used=epochs,
-        converged=bool(err <= cfg.eps_fit),
-        seed=int(seed),
-        rng_algorithm_id=tcfg.rng_algorithm_id,
-    )
-    return fitted, report
+    return train_members(kb, cfg, tcfg, [seed])[0]
 
 
 def train_with_retries(
     kb: KnowledgeBase, cfg: EmbeddingConfig, tcfg: TrainConfig, seed: int
 ) -> tuple[Embedding, FitReport]:
     """Train with up to retry_budget extra reseeded attempts (seed XOR
-    attempt index); returns the first converged fit, else the last attempt."""
-    best: Optional[tuple[Embedding, FitReport]] = None
-    for attempt in range(tcfg.retry_budget + 1):
-        best = train(kb, cfg, tcfg, seed ^ attempt)
-        if best[1].converged:
-            return best
-    assert best is not None
-    return best
+    attempt index); returns the first converged fit, else the last attempt.
+
+    All attempts descend as one batch, which stops as soon as the first
+    converged attempt is known (every earlier one has finished without
+    converging).  The result equals training the attempts one after another.
+    """
+    attempts = [seed ^ a for a in range(tcfg.retry_budget + 1)]
+    finished: dict[int, tuple[Embedding, FitReport]] = {}
+    first = 0  # lowest attempt not yet known to have failed
+    for i, fit in _descend(kb, cfg, tcfg, attempts):
+        finished[i] = fit
+        while first in finished:
+            if finished[first][1].converged:
+                return finished[first]
+            first += 1
+    return finished[len(attempts) - 1]
 
 
 class Satisfiability(Enum):

@@ -262,6 +262,17 @@ class TestEnsembleFileChecks:
 
         assert "non-converged" in self._query_mutant(fitted, tmp_path, capsys, unconverge)
 
+    def test_missing_digest_is_named(self, fitted, tmp_path, capsys):
+        err = self._query_mutant(fitted, tmp_path, capsys, lambda d: d.pop("kb_digest"))
+        assert "missing field 'kb_digest'" in err
+
+    def test_member_without_entities_is_named(self, fitted, tmp_path, capsys):
+        def drop_entities(doc):
+            del doc["members"][1]["entities"]
+
+        err = self._query_mutant(fitted, tmp_path, capsys, drop_entities)
+        assert "missing field 'entities'" in err
+
 
 class TestVersion:
     def test_version_mentions_rng(self, capsys):

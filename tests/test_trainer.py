@@ -1,8 +1,12 @@
 """Seeded initialization, analytic gradients vs finite differences, guarded
-descent, the zero-error attainability check, and the dimension search."""
+descent, batched descent vs one-member descent, the zero-error attainability
+check, and the dimension search."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kbens import (
     Embedding,
@@ -18,8 +22,10 @@ from kbens import (
     parse_kb,
     satisfiability_oracle,
     train,
+    train_members,
     train_with_retries,
 )
+from kbens.trainer import _Problem
 
 from conftest import (
     FRIEND_KB_TEXT,
@@ -243,6 +249,210 @@ class TestTrainWithRetries:
             friend_kb, cfg, TrainConfig(retry_budget=0), seed=7
         )
         assert report.seed == 7
+
+
+def reference_loss_and_grads(kb, e):
+    """One member's loss and gradients, one triple group at a time with
+    np.add.at: the order of summation the batched loss must reproduce."""
+    subjects, objects, relations, positive = kb.triple_index
+    points, vectors, gamma = e.entity_array, e.relation_array, e.config.gamma
+    kinks = _Problem(kb).kink_dirs(e.seed, e.dimension)
+    g_points, g_vectors = np.zeros_like(points), np.zeros_like(vectors)
+    total = 0.0
+    ps, po, pr = subjects[positive], objects[positive], relations[positive]
+    ns, no, nr = subjects[~positive], objects[~positive], relations[~positive]
+    if ps.size:
+        eps = points[ps] - points[po] - vectors[pr]
+        total += float(np.sum(eps * eps))
+        np.add.at(g_points, ps, 2.0 * eps)
+        np.add.at(g_points, po, -2.0 * eps)
+        np.add.at(g_vectors, pr, -2.0 * eps)
+    if ns.size:
+        eps = points[ns] - points[no] - vectors[nr]
+        norms = np.sqrt(np.sum(eps * eps, axis=1))
+        active = norms < gamma
+        if np.any(active):
+            gaps = gamma - norms[active]
+            total += float(np.sum(gaps * gaps))
+            unit = np.where(
+                (norms[active] > 0.0)[:, None],
+                eps[active] / np.maximum(norms[active], 1e-300)[:, None],
+                kinks[active],
+            )
+            contrib = -2.0 * gaps[:, None] * unit
+            np.add.at(g_points, ns[active], contrib)
+            np.add.at(g_points, no[active], -contrib)
+            np.add.at(g_vectors, nr[active], -contrib)
+    return total, g_points, g_vectors
+
+
+def assert_same_fit(a, b):
+    (ea, ra), (eb, rb) = a, b
+    assert ea.entity_array.tobytes() == eb.entity_array.tobytes()
+    assert ea.relation_array.tobytes() == eb.relation_array.tobytes()
+    assert (ea.entity_names, ea.relation_names) == (eb.entity_names, eb.relation_names)
+    assert ea.seed == eb.seed
+    # repr tells every float apart and reads the same for two NaNs.
+    assert repr(ra) == repr(rb)
+
+
+@st.composite
+def signed_stores(draw, max_negatives=12):
+    """Stores with up to ``max_negatives`` negatives over few entities, so
+    more than 8 hinges can be active at once; empty and negative-only stores
+    included."""
+    n_ent, n_rel = draw(st.integers(1, 5)), draw(st.integers(1, 2))
+    key = st.tuples(st.integers(0, n_rel - 1), st.integers(0, n_ent - 1), st.integers(0, n_ent - 1))
+    negatives = draw(st.lists(key, max_size=max_negatives, unique=True))
+    positives = draw(st.lists(key.filter(lambda k: k not in negatives), max_size=10, unique=True))
+    return KnowledgeBase.from_triples(
+        [SignedTriple(f"r{r}", f"e{s}", f"e{o}", False) for r, s, o in negatives]
+        + [SignedTriple(f"r{r}", f"e{s}", f"e{o}", True) for r, s, o in positives]
+    )
+
+
+# Huge scales and rates force rejected steps, non-finite steps and rate
+# underflow (57 halvings from 0.1); small epoch budgets stop members in the
+# middle of a batch.
+TRAIN_CONFIGS = st.builds(
+    TrainConfig,
+    learning_rate=st.sampled_from([0.1, 0.5, 1e10]),
+    max_epochs=st.integers(1, 120),
+    init_scale=st.sampled_from([1.0, 3.0, 1e154, 2e154, 1e200]),
+    retry_budget=st.integers(0, 3),
+)
+
+# Grid values give residuals exactly at the kink (zero) and at the margin.
+COORDINATES = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-2.0, 2.0))
+
+
+class TestBatchedDescent:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kb=signed_stores(),
+        d=st.integers(1, 4),
+        tcfg=TRAIN_CONFIGS,
+        seeds=st.lists(st.integers(0, 1 << 40), min_size=1, max_size=5),
+    )
+    def test_every_member_equals_its_one_seed_fit(self, kb, d, tcfg, seeds):
+        cfg = EmbeddingConfig(dimension=d)
+        batch = train_members(kb, cfg, tcfg, seeds)
+        assert len(batch) == len(seeds)
+        for seed, fit in zip(seeds, batch):
+            assert_same_fit(fit, train(kb, cfg, tcfg, seed))
+
+    @settings(max_examples=200, deadline=None)
+    @given(kb=signed_stores(max_negatives=24), d=st.integers(1, 4), data=st.data())
+    def test_batched_loss_equals_one_group_at_a_time(self, kb, d, data):
+        m = data.draw(st.integers(1, 4))
+        seeds = data.draw(st.lists(st.integers(0, 1 << 40), min_size=m, max_size=m, unique=True))
+        points = data.draw(arrays(np.float64, (m, len(kb.entities), d), elements=COORDINATES))
+        vectors = data.draw(arrays(np.float64, (m, len(kb.relations), d), elements=COORDINATES))
+        cfg = EmbeddingConfig(dimension=d)
+        problem = _Problem(kb)
+        totals, g_points, g_vectors = problem.loss_and_grads(
+            points, vectors, np.array([problem.kink_dirs(s, d) for s in seeds]), cfg.gamma
+        )
+        for i, seed in enumerate(seeds):
+            e = Embedding(kb.entities, kb.relations, points[i], vectors[i], cfg, seed)
+            total, gp, gv = reference_loss_and_grads(kb, e)
+            assert totals[i] == total
+            assert g_points[i].tobytes() == gp.tobytes()
+            assert g_vectors[i].tobytes() == gv.tobytes()
+
+    def test_more_than_eight_active_hinges(self):
+        # Every ordered pair of four entities denied: twelve negatives, of
+        # which more than eight, but not all, are inside the margin.
+        kb = KnowledgeBase.from_triples(
+            [
+                SignedTriple("r", f"e{s}", f"e{o}", False)
+                for s in range(4) for o in range(4) if s != o
+            ]
+        )
+        cfg = EmbeddingConfig(dimension=2)
+        tcfg = TrainConfig(init_scale=0.5, max_epochs=40)
+        seeds = list(range(1, 9))
+        members = [init_embedding(kb, cfg, tcfg, s) for s in seeds]
+        problem = _Problem(kb)
+        totals, _, _ = problem.loss_and_grads(
+            np.array([e.entity_array for e in members]),
+            np.array([e.relation_array for e in members]),
+            np.array([problem.kink_dirs(s, 2) for s in seeds]),
+            cfg.gamma,
+        )
+        active = [
+            sum(np.linalg.norm(e.residual(t)) < cfg.gamma for t in kb.triples) for e in members
+        ]
+        assert any(8 < a < 12 for a in active)
+        for total, e in zip(totals, members):
+            assert total == reference_loss_and_grads(kb, e)[0]
+        for seed, fit in zip(seeds, train_members(kb, cfg, tcfg, seeds)):
+            assert_same_fit(fit, train(kb, cfg, tcfg, seed))
+
+    def test_members_leave_the_batch_at_different_epochs(self, friend_kb):
+        # At this scale seed 1 starts with an infinite error, so every step is
+        # rejected until its rate underflows (epoch 57); seed 4 converges at
+        # epoch 74; the rest run out of epochs.
+        cfg = EmbeddingConfig(dimension=1)
+        tcfg = TrainConfig(init_scale=2e154, max_epochs=120)
+        seeds = list(range(1, 7))
+        batch = train_members(friend_kb, cfg, tcfg, seeds)
+        assert [r.epochs_used for _, r in batch] == [57, 120, 120, 74, 120, 120]
+        assert [r.converged for _, r in batch] == [False, False, False, True, False, False]
+        for seed, fit in zip(seeds, batch):
+            assert_same_fit(fit, train(friend_kb, cfg, tcfg, seed))
+
+    @pytest.mark.parametrize("text", ["", "r\ta\tb\t-\nr\tb\ta\t-\n"])
+    def test_empty_and_negative_only_stores(self, text):
+        kb = parse_kb(text)
+        cfg = EmbeddingConfig(dimension=2)
+        tcfg = TrainConfig(max_epochs=30)
+        for seed, fit in zip([1, 2], train_members(kb, cfg, tcfg, [1, 2])):
+            assert_same_fit(fit, train(kb, cfg, tcfg, seed))
+
+    def test_no_seeds(self, friend_kb):
+        assert train_members(friend_kb, EmbeddingConfig(dimension=1), TrainConfig(), []) == []
+
+
+def sequential_retries(kb, cfg, tcfg, seed):
+    """Attempts one after another, the first converged one returned."""
+    for attempt in range(tcfg.retry_budget + 1):
+        fit = train(kb, cfg, tcfg, seed ^ attempt)
+        if fit[1].converged:
+            return fit
+    return fit
+
+
+class TestRetriesEqualSequentialAttempts:
+    @pytest.mark.parametrize(
+        "dimension, max_epochs, seed, attempt",
+        [
+            (2, 5000, 7, 0),  # attempt 0 converges
+            (1, 10, 10, 3),  # only the last attempt converges
+            (2, 12, 1, 1),  # attempts 1 and 2 converge; 1 is returned
+        ],
+    )
+    def test_converging_attempt(self, friend_kb, dimension, max_epochs, seed, attempt):
+        cfg = EmbeddingConfig(dimension=dimension)
+        tcfg = TrainConfig(max_epochs=max_epochs)
+        fit = train_with_retries(friend_kb, cfg, tcfg, seed)
+        assert fit[1].converged and fit[1].seed == seed ^ attempt
+        assert_same_fit(fit, sequential_retries(friend_kb, cfg, tcfg, seed))
+
+    def test_none_converge_returns_last_attempt(self):
+        kb = KnowledgeBase.from_triples(
+            [
+                SignedTriple("r", "a", "b", True),
+                SignedTriple("r", "b", "a", True),
+                SignedTriple("r", "c", "d", True),
+                SignedTriple("r", "d", "c", False),
+            ]
+        )
+        cfg = EmbeddingConfig(dimension=2)
+        tcfg = TrainConfig(max_epochs=200)
+        fit = train_with_retries(kb, cfg, tcfg, 5)
+        assert not fit[1].converged and fit[1].seed == 5 ^ 3
+        assert_same_fit(fit, sequential_retries(kb, cfg, tcfg, 5))
 
 
 class TestSatisfiabilityOracle:
