@@ -88,7 +88,9 @@ def is_affine_duplicate(
 @dataclass(frozen=True)
 class AggregateModel:
     """Clouds of corresponding points for every term, one point per retained
-    member, expressed in the reference member's frame.
+    member, expressed in the reference member's frame.  The clouds are
+    read-only views of one ``(members, entities + relations, dimension)``
+    stack, entity points first.
 
     ``members`` keeps the retained embeddings in their native frames; truth
     evaluation uses those directly so alignment noise never affects verdicts.
@@ -149,69 +151,54 @@ def build_aggregate(
     """Greedy member selection in ensemble order.
 
     A member is rejected if it is an affine duplicate of any retained one,
-    or (when ``max_cloud_diameter`` is set) if mapping it into the reference
-    frame would push some term's cloud diameter past the bound.  Raises
+    or (when ``max_cloud_diameter`` is set) if its image in the reference
+    frame lies farther than the bound from a retained member's image of the
+    same term.  Each retained member is mapped once, into one row of a stack
+    whose read-only views are the clouds.  Raises
     :class:`DegenerateAggregateError` when fewer than two members survive.
     """
     if not ens.members:
         raise DegenerateAggregateError("ensemble has no members")
-    retained: list[tuple[int, Embedding, Alignment]] = []
+    reference = ens.members[0]
+    n = reference.dimension
+    identity = Alignment(linear_map=np.eye(n), translation=np.zeros(n), residual=0.0)
+    n_entities = len(reference.entity_names)
+    stack = np.empty((len(ens.members), n_entities + len(reference.relation_names), n))
+    retained: list[tuple[int, Embedding]] = []
     for idx, member in enumerate(ens.members):
-        if not retained:
-            identity = Alignment(
-                linear_map=np.eye(member.dimension),
-                translation=np.zeros(member.dimension),
-                residual=0.0,
-            )
-            retained.append((idx, member, identity))
+        if any(is_affine_duplicate(member, kept, dedup_tolerance) for _, kept in retained):
             continue
-        if any(is_affine_duplicate(member, kept, dedup_tolerance) for _, kept, _ in retained):
-            continue
-        reference = retained[0][1]
-        alignment = align(member, reference)
-        if max_cloud_diameter is not None:
-            candidate = retained + [(idx, member, alignment)]
-            ent_clouds, rel_clouds = _pool_clouds(candidate)
-            worst = max(
-                (_max_pairwise_distance(c) for c in list(ent_clouds.values()) + list(rel_clouds.values())),
-                default=0.0,
-            )
-            if worst > max_cloud_diameter:
+        a = align(member, reference) if retained else identity
+        image = np.concatenate([
+            member.entity_array @ a.linear_map.T + a.translation,
+            member.relation_array @ a.linear_map.T,
+        ])
+        if retained and max_cloud_diameter is not None:
+            # Retained pairs already meet the bound, so only the new pairs
+            # can push a cloud's diameter past it.
+            diff = stack[:len(retained)] - image
+            if np.sqrt(np.max(np.sum(diff * diff, axis=2), initial=0.0)) > max_cloud_diameter:
                 continue
-        retained.append((idx, member, alignment))
+        stack[len(retained)] = image
+        retained.append((idx, member))
     if len(retained) < 2:
         raise DegenerateAggregateError(
             f"only {len(retained)} member(s) retained; aggregate needs at least 2"
         )
-    entity_clouds, relation_clouds = _pool_clouds(retained)
-    diameters = {t: _max_pairwise_distance(c) for t, c in entity_clouds.items()}
-    diameters.update({t: _max_pairwise_distance(c) for t, c in relation_clouds.items()})
-    for cloud in list(entity_clouds.values()) + list(relation_clouds.values()):
-        cloud.flags.writeable = False
+    stack = stack[:len(retained)]
+    stack.flags.writeable = False
+    entity_clouds = {t: stack[:, j] for j, t in enumerate(reference.entity_names)}
+    relation_clouds = {t: stack[:, n_entities + j] for j, t in enumerate(reference.relation_names)}
+    diameters = {
+        t: _max_pairwise_distance(c) for t, c in {**entity_clouds, **relation_clouds}.items()
+    }
     return AggregateModel(
-        member_indices=tuple(idx for idx, _, _ in retained),
-        members=tuple(member for _, member, _ in retained),
+        member_indices=tuple(idx for idx, _ in retained),
+        members=tuple(member for _, member in retained),
         entity_clouds=entity_clouds,
         relation_clouds=relation_clouds,
         diameters=diameters,
     )
-
-
-def _pool_clouds(
-    retained: list[tuple[int, Embedding, Alignment]],
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    first = retained[0][1]
-    entity_clouds: dict[str, np.ndarray] = {}
-    relation_clouds: dict[str, np.ndarray] = {}
-    ent_stack = np.array(
-        [m.entity_array @ a.linear_map.T + a.translation for _, m, a in retained]
-    )  # (k, n_ent, dim)
-    rel_stack = np.array([m.relation_array @ a.linear_map.T for _, m, a in retained])
-    for j, term in enumerate(first.entity_names):
-        entity_clouds[term] = ent_stack[:, j, :].copy()
-    for j, term in enumerate(first.relation_names):
-        relation_clouds[term] = rel_stack[:, j, :].copy()
-    return entity_clouds, relation_clouds
 
 
 def aggregate_query(

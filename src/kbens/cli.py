@@ -27,14 +27,13 @@ from .embedding import (
 )
 from .ensemble import (
     DEFAULT_MEMBERS,
-    DigestMismatchError,
     Ensemble,
     EnsembleFitError,
     fit_ensemble,
     knowledge_report,
     query_truth,
 )
-from .kb import KBError, KnowledgeBase, Query, UnknownTermError, parse_kb
+from .kb import KnowledgeBase, Query, parse_kb
 from .trainer import (
     RNG_ALGORITHM_ID,
     NoConvergentDimensionError,
@@ -72,7 +71,7 @@ def _load_ensemble(path: str) -> Ensemble:
         ensemble.check_frame()
     except KeyError as exc:
         raise ValueError(f"invalid ensemble file {path!r}: missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"invalid ensemble file {path!r}: {exc}") from exc
     return ensemble
 
@@ -105,9 +104,9 @@ def _emit_manifest(
 def cmd_fit(args) -> int:
     started = time.monotonic()
     if args.members < 1:
-        raise UsageError("--members must be at least 1")
+        raise ValueError("--members must be at least 1")
     if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
+        raise ValueError("--jobs must be at least 1")
     kb = _load_kb(args.kb)
     tcfg = TrainConfig(
         learning_rate=args.lr,
@@ -145,21 +144,15 @@ def cmd_fit(args) -> int:
 def cmd_query(args) -> int:
     started = time.monotonic()
     ensemble = _load_ensemble(args.ensemble)
-    kb_digest = None
     if args.kb is not None:
-        kb = _load_kb(args.kb)
-        kb_digest = kb.digest()
-        if kb_digest != ensemble.kb_digest:
-            raise DigestMismatchError(
-                "ensemble digest does not match the given knowledge base"
-            )
+        ensemble.check_digest(_load_kb(args.kb))
     verdict = query_truth(
         ensemble,
         Query(args.relation, args.subject, args.object),
         quorum_slack=args.delta,
     )
     print(f"{verdict.value}\t{verdict.satisfied_fraction:.6f}")
-    _emit_manifest(args, kb_digest or ensemble.kb_digest, started)
+    _emit_manifest(args, ensemble.kb_digest, started)
     return EXIT_OK
 
 
@@ -197,10 +190,6 @@ def cmd_aggregate(args) -> int:
         file=sys.stderr,
     )
     return EXIT_OK
-
-
-class UsageError(ValueError):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,8 +254,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, KBError, UnknownTermError, DigestMismatchError,
-            UsageError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"kbens {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (EnsembleFitError, NoConvergentDimensionError, DegenerateAggregateError) as exc:

@@ -61,8 +61,10 @@ class EmbeddingConfig:
             raise ValueError(
                 f"gamma must exceed tau_pos: gamma={self.gamma!r} tau_pos={self.tau_pos!r}"
             )
-        if not self.eps_fit >= 0.0:
-            raise ValueError(f"eps_fit must be non-negative: {self.eps_fit!r}")
+        if not self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite: {self.gamma!r}")
+        if not 0.0 <= self.eps_fit < math.inf:
+            raise ValueError(f"eps_fit must be non-negative and finite: {self.eps_fit!r}")
 
     def to_doc(self) -> dict:
         return {"tau_pos": self.tau_pos, "gamma": self.gamma, "eps_fit": self.eps_fit}

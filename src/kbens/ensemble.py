@@ -63,7 +63,8 @@ class Ensemble:
 
     def check_frame(self) -> None:
         """Every member shares one vocabulary and config and carries one
-        converged report of its seed; cheap enough for every file load."""
+        converged report of its seed, with a final error within eps_fit;
+        cheap enough for every file load."""
         if not self.members:
             raise ValueError("an ensemble needs at least one member")
         if len(self.reports) != len(self.members):
@@ -78,6 +79,14 @@ class Ensemble:
                 raise ValueError(f"report {i} has seed {r.seed} but member {i} has seed {m.seed}")
             if not r.converged:
                 raise ValueError(f"member seed={m.seed} carries a non-converged report")
+            if not r.final_error <= m.config.eps_fit:
+                raise ValueError(f"report {i} has final error {r.final_error!r} not within eps_fit")
+
+    def check_digest(self, kb: KnowledgeBase) -> None:
+        """Raise :class:`DigestMismatchError` unless the ensemble was fitted
+        from ``kb``."""
+        if kb.digest() != self.kb_digest:
+            raise DigestMismatchError("ensemble digest does not match the given knowledge base")
 
     def validate(self, kb: Optional[KnowledgeBase] = None) -> None:
         self.check_frame()
@@ -85,8 +94,7 @@ class Ensemble:
         if len(set(seeds)) != len(seeds):
             raise ValueError(f"member seeds are not pairwise distinct: {seeds}")
         if kb is not None:
-            if kb.digest() != self.kb_digest:
-                raise DigestMismatchError("ensemble digest does not match the given knowledge base")
+            self.check_digest(kb)
             for m in self.members:
                 err = m.cumulative_error(kb)
                 if err > self.config.eps_fit:
@@ -303,8 +311,7 @@ def knowledge_report(
     rows carry a consistency flag against the assertion oracle; unstated
     rows default to distinct-pair facts only.
     """
-    if ens.kb_digest != kb.digest():
-        raise DigestMismatchError("ensemble digest does not match the given knowledge base")
+    ens.check_digest(kb)
     n = len(ens.members)
     asserted = [t.as_query() for t in kb.triples]
     unstated = unstated_queries(kb, include_self_pairs=include_self_pairs)

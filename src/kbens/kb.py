@@ -123,7 +123,6 @@ class KnowledgeBase:
         terms that no triple mentions.
         """
         triples = tuple(sorted(triples))
-        seen: dict[tuple[str, str, str, bool], SignedTriple] = {}
         polarity_of: dict[tuple[str, str, str], bool] = {}
         entities: set[str] = set(check_term_name(e) for e in extra_entities)
         relations: set[str] = set(check_term_name(r) for r in extra_relations)
@@ -131,11 +130,9 @@ class KnowledgeBase:
             check_term_name(t.relation)
             check_term_name(t.subject)
             check_term_name(t.object)
-            full = (t.relation, t.subject, t.object, t.positive)
-            if full in seen:
-                raise DuplicateTripleError(f"duplicate triple: {t.as_line()!r}")
-            seen[full] = t
-            if t.key in polarity_of and polarity_of[t.key] != t.positive:
+            if t.key in polarity_of:
+                if polarity_of[t.key] == t.positive:
+                    raise DuplicateTripleError(f"duplicate triple: {t.as_line()!r}")
                 raise ContradictionError(
                     f"{t.relation}({t.subject}, {t.object}) asserted with both polarities"
                 )
@@ -223,7 +220,6 @@ def parse_kb(text: str) -> KnowledgeBase:
     number), :class:`DuplicateTripleError`, or :class:`ContradictionError`.
     """
     triples: list[SignedTriple] = []
-    seen_lines: dict[tuple[str, str, str, bool], int] = {}
     polarity_at: dict[tuple[str, str, str], tuple[bool, int]] = {}
     for line_number, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -247,16 +243,15 @@ def parse_kb(text: str) -> KnowledgeBase:
         except KBError as exc:
             raise KBSyntaxError(str(exc), line_number) from exc
         triple = SignedTriple(relation, subject, object_, polarity == POSITIVE)
-        full = (relation, subject, object_, triple.positive)
-        if full in seen_lines:
-            raise DuplicateTripleError(
-                f"line {line_number}: duplicate of line {seen_lines[full]}: {raw!r}"
-            )
-        seen_lines[full] = line_number
-        if triple.key in polarity_at and polarity_at[triple.key][0] != triple.positive:
+        if triple.key in polarity_at:
+            positive, first = polarity_at[triple.key]
+            if positive == triple.positive:
+                raise DuplicateTripleError(
+                    f"line {line_number}: duplicate of line {first}: {raw!r}"
+                )
             raise ContradictionError(
                 f"line {line_number}: {relation}({subject}, {object_}) "
-                f"contradicts line {polarity_at[triple.key][1]}"
+                f"contradicts line {first}"
             )
         polarity_at[triple.key] = (triple.positive, line_number)
         triples.append(triple)

@@ -46,15 +46,15 @@ class TrainConfig:
     max_epochs: int = 5000
     init_scale: float = 1.0
     retry_budget: int = 3
-    rng_algorithm_id: str = RNG_ALGORITHM_ID
 
     def __post_init__(self) -> None:
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be positive: {self.learning_rate!r}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite: {self.learning_rate!r}")
         if not isinstance(self.max_epochs, int) or self.max_epochs < 1:
             raise ValueError(f"max_epochs must be a positive integer: {self.max_epochs!r}")
-        if not self.init_scale > 0.0:
-            raise ValueError(f"init_scale must be positive: {self.init_scale!r}")
+        # The initial draw spans 2 * init_scale, which must itself be finite.
+        if not 0.0 < self.init_scale <= np.finfo(float).max / 2:
+            raise ValueError(f"init_scale must be positive with a finite span: {self.init_scale!r}")
         if self.retry_budget < 0:
             raise ValueError(f"retry_budget must be non-negative: {self.retry_budget!r}")
 
@@ -241,11 +241,9 @@ def _descend(
     underflowed.  Members leaving together come in index order; a caller
     that stops iterating stops the descent."""
     seeds = [int(seed) for seed in seeds]
-    starts = [init_embedding(kb, cfg, tcfg, seed) for seed in seeds]
-    if not kb.triples or not seeds:
-        for i, start in enumerate(starts):
-            yield i, (start, FitReport(0.0, 0, True, seeds[i], tcfg.rng_algorithm_id))
+    if not seeds:
         return
+    starts = [init_embedding(kb, cfg, tcfg, seed) for seed in seeds]
     problem = _Problem(kb)
     live = np.arange(len(seeds))
     points = np.array([e.entity_array for e in starts])
@@ -301,7 +299,6 @@ def _descend(
                 epochs_used=epoch,
                 converged=bool(err[j] <= cfg.eps_fit),
                 seed=seeds[i],
-                rng_algorithm_id=tcfg.rng_algorithm_id,
             )
             yield i, (fitted, report)
         stay = ~leaving
@@ -367,9 +364,6 @@ class Satisfiability(Enum):
 class SatisfiabilityResult:
     status: Satisfiability
     certificate: Optional[Embedding]
-
-    def __bool__(self) -> bool:
-        return self.status is Satisfiability.SATISFIABLE
 
 
 def satisfiability_oracle(
@@ -444,18 +438,12 @@ def _certificate(kb: KnowledgeBase, cfg: EmbeddingConfig, coords: np.ndarray) ->
 
 
 def min_dimension_search(
-    kb: KnowledgeBase,
-    cfg_template: EmbeddingConfig,
-    tcfg: TrainConfig,
-    seed: int,
-    n_max: Optional[int] = None,
+    kb: KnowledgeBase, cfg_template: EmbeddingConfig, tcfg: TrainConfig, seed: int
 ) -> tuple[int, Embedding]:
     """Smallest dimension at which training converges within the retry
     budget: double upward from 1 until a fit succeeds, then binary search
-    down.  The search bound defaults to |entities| + |relations|."""
-    if n_max is None:
-        n_max = max(1, len(kb.entities) + len(kb.relations))
-
+    down.  The search is bounded by |entities| + |relations|."""
+    n_max = max(1, len(kb.entities) + len(kb.relations))
     fits: dict[int, Embedding] = {}
 
     def attempt(n: int) -> bool:

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbens import (
     AggregateModel,
+    Alignment,
     DegenerateAggregateError,
     Embedding,
     EmbeddingConfig,
@@ -274,3 +277,167 @@ def _toy_aggregate(cloud: np.ndarray) -> AggregateModel:
         relation_clouds={},
         diameters={"e": diameter},
     )
+
+
+def reference_build_aggregate(ens, dedup_tolerance=1e-6, max_cloud_diameter=None):
+    """Member selection as it was first written: (index, member, alignment)
+    triples, every cloud pooled again for each candidate under a diameter
+    bound, and the candidate rejected when the worst diameter over all terms
+    exceeds the bound."""
+    if not ens.members:
+        raise DegenerateAggregateError("ensemble has no members")
+    retained = []
+    for idx, member in enumerate(ens.members):
+        if not retained:
+            identity = Alignment(
+                linear_map=np.eye(member.dimension),
+                translation=np.zeros(member.dimension),
+                residual=0.0,
+            )
+            retained.append((idx, member, identity))
+            continue
+        if any(is_affine_duplicate(member, kept, dedup_tolerance) for _, kept, _ in retained):
+            continue
+        alignment = align(member, retained[0][1])
+        if max_cloud_diameter is not None:
+            ent_clouds, rel_clouds = _reference_pool(retained + [(idx, member, alignment)])
+            worst = max(
+                (_reference_diameter(c) for c in [*ent_clouds.values(), *rel_clouds.values()]),
+                default=0.0,
+            )
+            if worst > max_cloud_diameter:
+                continue
+        retained.append((idx, member, alignment))
+    if len(retained) < 2:
+        raise DegenerateAggregateError(
+            f"only {len(retained)} member(s) retained; aggregate needs at least 2"
+        )
+    entity_clouds, relation_clouds = _reference_pool(retained)
+    diameters = {t: _reference_diameter(c) for t, c in entity_clouds.items()}
+    diameters.update({t: _reference_diameter(c) for t, c in relation_clouds.items()})
+    return AggregateModel(
+        member_indices=tuple(idx for idx, _, _ in retained),
+        members=tuple(member for _, member, _ in retained),
+        entity_clouds=entity_clouds,
+        relation_clouds=relation_clouds,
+        diameters=diameters,
+    )
+
+
+def _reference_pool(retained):
+    first = retained[0][1]
+    ent_stack = np.array(
+        [m.entity_array @ a.linear_map.T + a.translation for _, m, a in retained]
+    )
+    rel_stack = np.array([m.relation_array @ a.linear_map.T for _, m, a in retained])
+    entity_clouds = {t: ent_stack[:, j, :].copy() for j, t in enumerate(first.entity_names)}
+    relation_clouds = {t: rel_stack[:, j, :].copy() for j, t in enumerate(first.relation_names)}
+    return entity_clouds, relation_clouds
+
+
+def _reference_diameter(points):
+    if points.shape[0] < 2:
+        return 0.0
+    diff = points[:, None, :] - points[None, :, :]
+    return float(np.sqrt(np.max(np.sum(diff * diff, axis=2))))
+
+
+def assert_matches_reference(ens, **options):
+    """``build_aggregate`` equals the reference bit for bit, or both raise
+    the same degenerate error.  Returns the reference model, or None."""
+    try:
+        expected = reference_build_aggregate(ens, **options)
+    except DegenerateAggregateError as exc:
+        with pytest.raises(DegenerateAggregateError) as got:
+            build_aggregate(ens, **options)
+        assert str(got.value) == str(exc)
+        return None
+    agg = build_aggregate(ens, **options)
+    assert agg.member_indices == expected.member_indices
+    assert agg.members == expected.members
+    for field in ("entity_clouds", "relation_clouds"):
+        clouds, reference = getattr(agg, field), getattr(expected, field)
+        assert list(clouds) == list(reference)
+        for term, cloud in reference.items():
+            assert clouds[term].shape == cloud.shape
+            assert clouds[term].tobytes() == cloud.tobytes()
+            assert not clouds[term].flags.writeable
+    assert list(agg.diameters.items()) == list(expected.diameters.items())
+    return expected
+
+
+def pairwise_distances(agg):
+    """Every distinct distance between two points of one cloud."""
+    out = set()
+    for cloud in [*agg.entity_clouds.values(), *agg.relation_clouds.values()]:
+        for i in range(len(cloud)):
+            for j in range(i + 1, len(cloud)):
+                diff = cloud[i] - cloud[j]
+                out.add(float(np.sqrt(np.sum(diff * diff))))
+    return sorted(out)
+
+
+def pair_residuals(members):
+    return sorted({align(a, b).residual for a in members for b in members if a is not b})
+
+
+def on_both_sides(values):
+    """Each value and its two floating-point neighbours."""
+    return [b for v in values for b in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))]
+
+
+@st.composite
+def hypothesis_ensembles(draw):
+    """2-6 members of random geometry in d = 1-3; some are affine images of
+    an earlier member, and coordinates may sit on a coarse grid so that
+    cloud distances tie."""
+    d = draw(st.integers(1, 3))
+    n_ent, n_rel = draw(st.integers(1, 5)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.booleans())
+    cfg = EmbeddingConfig(dimension=d)
+
+    def coords(rows):
+        x = rng.uniform(-2.0, 2.0, (rows, d))
+        return np.round(x * 2.0) / 2.0 if grid else x
+
+    members = []
+    for seed in range(draw(st.integers(2, 6))):
+        if members and rng.random() < 0.3:
+            base = members[int(rng.integers(len(members)))]
+            linear = coords(d) if grid else rng.normal(size=(d, d))
+            ents = base.entity_array @ linear.T + coords(1)
+            rels = base.relation_array @ linear.T
+        else:
+            ents, rels = coords(n_ent), coords(n_rel)
+        members.append(Embedding(
+            tuple(f"e{i}" for i in range(n_ent)), tuple(f"r{i}" for i in range(n_rel)),
+            ents, rels, cfg, seed,
+        ))
+    return Ensemble(members=tuple(members), kb_digest="", reports=())
+
+
+class TestMatchesReference:
+    def test_friend_ensemble(self, friend_ensemble):
+        unbounded = assert_matches_reference(friend_ensemble)
+        distances = pairwise_distances(unbounded)
+        picked = [distances[i] for i in np.linspace(0, len(distances) - 1, 6).astype(int)]
+        for bound in [0.5, 2.0] + on_both_sides(picked):
+            assert_matches_reference(friend_ensemble, max_cloud_diameter=bound)
+        residuals = pair_residuals(friend_ensemble.members[:6])
+        for tol in [0.3] + on_both_sides(residuals[::5]):
+            assert_matches_reference(friend_ensemble, dedup_tolerance=tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ens=hypothesis_ensembles(), data=st.data())
+    def test_hypothesis_ensembles(self, ens, data):
+        unbounded = assert_matches_reference(ens)
+        if unbounded is not None:
+            distances = pairwise_distances(unbounded)
+            picked = data.draw(st.lists(st.sampled_from(distances), max_size=6)) if distances else []
+            for bound in on_both_sides([0.0, *picked]):
+                assert_matches_reference(ens, max_cloud_diameter=bound)
+        residuals = pair_residuals(ens.members)
+        for tol in on_both_sides(data.draw(st.lists(st.sampled_from(residuals), max_size=4))):
+            assert_matches_reference(ens, dedup_tolerance=tol)
+            assert_matches_reference(ens, dedup_tolerance=tol, max_cloud_diameter=1.0)

@@ -217,8 +217,11 @@ class TestEnsembleFileChecks:
     def _query_mutant(self, fitted, tmp_path, capsys, mutate):
         doc = json.loads(fitted.read_text())
         mutate(doc)
+        return self._query_text(tmp_path, capsys, json.dumps(doc))
+
+    def _query_text(self, tmp_path, capsys, text):
         path = tmp_path / "mutant.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         code = main(["query", str(path), "friend", "Joe", "Bob"])
         captured = capsys.readouterr()
         assert code == 1
@@ -273,6 +276,50 @@ class TestEnsembleFileChecks:
         err = self._query_mutant(fitted, tmp_path, capsys, drop_entities)
         assert "missing field 'entities'" in err
 
+    @pytest.mark.parametrize("block, field", [
+        ("members", "dimension"), ("members", "seed"), ("reports", "epochs_used"),
+    ])
+    def test_overflowing_integer_field(self, fitted, tmp_path, capsys, block, field):
+        doc = json.loads(fitted.read_text())
+        doc[block][0][field] = "BIG"
+        text = json.dumps(doc).replace('"BIG"', "1e999")
+        assert "cannot convert float infinity to integer" in self._query_text(tmp_path, capsys, text)
+
+    def test_deeply_nested_file(self, tmp_path, capsys):
+        err = self._query_text(tmp_path, capsys, "[" * 100_000 + "]" * 100_000)
+        assert "recursion" in err
+
+    def test_report_with_nan_error(self, fitted, tmp_path, capsys):
+        def nan_error(doc):
+            doc["reports"][0]["final_error"] = float("nan")
+
+        assert "final error nan" in self._query_mutant(fitted, tmp_path, capsys, nan_error)
+
+    def test_report_error_above_eps_fit(self, fitted, tmp_path, capsys):
+        def large_error(doc):
+            doc["reports"][3]["final_error"] = 2 * doc["config"]["eps_fit"]
+
+        err = self._query_mutant(fitted, tmp_path, capsys, large_error)
+        assert "report 3 has final error" in err
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--init-scale", "1e308", "init_scale"),
+        ("--init-scale", "inf", "init_scale"),
+        ("--lr", "inf", "learning_rate"),
+        ("--gamma", "inf", "gamma"),
+        ("--fit-tol", "inf", "eps_fit"),
+    ])
+    def test_exits_1_in_one_line(self, tmp_path, kb_file, capsys, flag, value, field):
+        out = tmp_path / "ens.json"
+        code = main(["fit", str(kb_file), "-o", str(out), "--seed", "7", "--members", "2",
+                     flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and not out.exists()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"kbens fit: {field} must be")
 
 class TestVersion:
     def test_version_mentions_rng(self, capsys):

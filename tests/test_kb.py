@@ -89,6 +89,44 @@ class TestParse:
         assert other.digest() != friend_kb.digest()
 
 
+
+class TestStoreErrorMessages:
+    """Exact classes and texts of the duplicate and contradiction errors."""
+
+    PLUS = SignedTriple("r", "a", "b", True)
+    MINUS = SignedTriple("r", "a", "b", False)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("r\ta\tb\t+\nr\ta\tb\t+\n", DuplicateTripleError,
+         "line 2: duplicate of line 1: 'r\\ta\\tb\\t+'"),
+        ("# note\nr\ta\tb\t-\n\nr\ta\tb\t-\n", DuplicateTripleError,
+         "line 4: duplicate of line 2: 'r\\ta\\tb\\t-'"),
+        ("r\ta\tb\t+\nr\ta\tb\t-\n", ContradictionError,
+         "line 2: r(a, b) contradicts line 1"),
+        ("r\ta\tb\t-\nx\ty\tz\t+\nr\ta\tb\t+\n", ContradictionError,
+         "line 3: r(a, b) contradicts line 1"),
+        ("r\ta\tb\t+\nr\ta\tb\t+\nr\ta\tb\t-\n", DuplicateTripleError,
+         "line 2: duplicate of line 1: 'r\\ta\\tb\\t+'"),
+    ])
+    def test_parse_kb(self, text, error, message):
+        with pytest.raises(KBError) as exc:
+            parse_kb(text)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("triples, error, message", [
+        ([PLUS, PLUS], DuplicateTripleError, "duplicate triple: 'r\\ta\\tb\\t+'"),
+        ([MINUS, MINUS], DuplicateTripleError, "duplicate triple: 'r\\ta\\tb\\t-'"),
+        ([PLUS, MINUS], ContradictionError, "r(a, b) asserted with both polarities"),
+        # Sorted first, the negative leads, so the first positive contradicts it.
+        ([PLUS, PLUS, MINUS], ContradictionError, "r(a, b) asserted with both polarities"),
+    ])
+    def test_from_triples(self, triples, error, message):
+        with pytest.raises(KBError) as exc:
+            KnowledgeBase.from_triples(triples)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
 class TestUnstatedQueries:
     def test_friend_kb_without_self_pairs(self, friend_kb):
         queries = unstated_queries(friend_kb, include_self_pairs=False)

@@ -68,6 +68,14 @@ class TestInitEmbedding:
         assert np.all(np.abs(e.relation_array) <= 0.25)
 
 
+    def test_init_scale_up_to_a_finite_span(self, friend_kb):
+        widest = np.finfo(float).max / 2
+        e = init_embedding(friend_kb, EmbeddingConfig(dimension=3), TrainConfig(init_scale=widest), 7)
+        assert np.all(np.abs(e.entity_array) <= widest)
+        for scale in (np.nextafter(widest, np.inf), np.inf, np.nan, 0.0):
+            with pytest.raises(ValueError, match="init_scale"):
+                TrainConfig(init_scale=scale)
+
 class TestGradients:
     def test_zero_at_global_minimum(self, friend_kb):
         cfg = EmbeddingConfig(dimension=2, tau_pos=0.1, gamma=0.5)
