@@ -11,8 +11,9 @@ cloud whose diameter measures how underdetermined that term is.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +23,20 @@ from .kb import Query, UnknownTermError
 from .verdict import TernaryVerdict
 
 DEFAULT_DEDUP_TOLERANCE = 1e-6
+
+# Largest temporary of the residual screen and of the cloud diameters, in
+# float64 elements (64 KiB, as the batched vote's).
+_CHUNK_ELEMENTS = 2**13
+
+# A source design with a singular value within this factor of lstsq's rank
+# cutoff may be given another rank by lstsq than by the screen's SVD.
+_CUTOFF_MARGIN = 1e3
+
+# Multiple of eps * condition number * coordinate scale allowed between a
+# screened and an exact residual; in randomized probes (d = 1-4, condition
+# numbers up to 1e12, coordinates up to 1e6) the gap stayed under 10 times
+# that product.
+_SLACK_FACTOR = 1e3
 
 
 class DegenerateAggregateError(RuntimeError):
@@ -73,6 +88,40 @@ def align(source: Embedding, reference: Embedding) -> Alignment:
     count = x.shape[0] + source.relation_array.shape[0]
     residual = float(np.sqrt(total / count)) if count else 0.0
     return Alignment(linear_map=linear, translation=translation, residual=residual)
+
+
+def _residual_screen(members: Sequence[Embedding]) -> tuple[np.ndarray, np.ndarray]:
+    """``align(s, r).residual`` for every ordered pair of ``members``, from
+    one batched pseudo-inverse of the source designs with lstsq's rank
+    cutoff, and a per-source slack: for every reference r, screened <=
+    2 * exact + slack[s] and exact <= 2 * screened + slack[s].  The slack is
+    infinite where a singular value of the source design lies near the
+    cutoff, so that only :func:`align` can settle its pairs."""
+    ents = np.array([m.entity_array for m in members])  # (M, E, n)
+    rels = np.array([m.relation_array for m in members])  # (M, R, n)
+    count, n_entities, n = ents.shape
+    design = np.concatenate([ents, np.ones((count, n_entities, 1))], axis=2)
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    eps = np.finfo(np.float64).eps
+    cutoff = max(n_entities, n + 1) * eps * sv[:, :1]  # lstsq(rcond=None)
+    kept = sv > cutoff
+    inverse = np.divide(1.0, sv, out=np.zeros_like(sv), where=kept)
+    pinv = (vt.transpose(0, 2, 1) * inverse[:, None, :]) @ u.transpose(0, 2, 1)
+    # Per source, the map from a reference's entity points to the source's
+    # fitted entity images and mapped relation vectors.
+    fitted = np.concatenate([design, np.pad(rels, ((0, 0), (0, 0), (0, 1)))], axis=1) @ pinv
+    targets = np.concatenate([ents, rels], axis=1)  # (M, E+R, n)
+    total = np.empty((count, count))
+    step = max(1, _CHUNK_ELEMENTS // targets.size)
+    for start in range(0, count, step):
+        mismatch = fitted[start:start + step, None] @ ents - targets
+        total[start:start + step] = np.sum(mismatch * mismatch, axis=(2, 3))
+    residual = np.sqrt(total / targets.shape[1])
+    condition = sv[:, 0] / np.min(sv, axis=1, where=kept, initial=np.inf)
+    slack = _SLACK_FACTOR * eps * condition * np.max(np.abs(targets))
+    near_cutoff = (sv >= cutoff / _CUTOFF_MARGIN) & (sv < cutoff * _CUTOFF_MARGIN)
+    slack[np.any(near_cutoff, axis=1)] = np.inf
+    return residual, slack
 
 
 def is_affine_duplicate(
@@ -136,13 +185,6 @@ class AggregateModel:
         return "\n".join(lines) + "\n"
 
 
-def _max_pairwise_distance(points: np.ndarray) -> float:
-    if points.shape[0] < 2:
-        return 0.0
-    diff = points[:, None, :] - points[None, :, :]
-    return float(np.sqrt(np.max(np.sum(diff * diff, axis=2))))
-
-
 def build_aggregate(
     ens: Ensemble,
     dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE,
@@ -153,20 +195,41 @@ def build_aggregate(
     A member is rejected if it is an affine duplicate of any retained one,
     or (when ``max_cloud_diameter`` is set) if its image in the reference
     frame lies farther than the bound from a retained member's image of the
-    same term.  Each retained member is mapped once, into one row of a stack
-    whose read-only views are the clouds.  Raises
-    :class:`DegenerateAggregateError` when fewer than two members survive.
+    same term.  Duplicates are decided from one batched matrix of screened
+    residuals over all ordered member pairs; :func:`is_affine_duplicate`
+    settles each pair whose screened residual lies near the tolerance, so
+    the decisions, and the output bytes, are those of :func:`align`.  Each
+    retained member is mapped once, by :func:`align`, into one row of a
+    stack whose read-only views are the clouds.  Raises ``ValueError`` on a
+    NaN bound and :class:`DegenerateAggregateError` when fewer than two
+    members survive.
     """
+    if math.isnan(dedup_tolerance):
+        raise ValueError("dedup tolerance must not be NaN")
+    if max_cloud_diameter is not None and math.isnan(max_cloud_diameter):
+        raise ValueError("max cloud diameter must not be NaN")
     if not ens.members:
         raise DegenerateAggregateError("ensemble has no members")
     reference = ens.members[0]
+    for member in ens.members[1:]:
+        _check_same_frame(member, reference)
+    residual, slack = _residual_screen(ens.members)
+    # A direction whose screened residual exceeds this band is certainly
+    # above the tolerance; a pair that is not above it in either direction
+    # (NaN included) is settled by align.
+    near = ~(residual > 2.0 * dedup_tolerance + slack[:, None])
+    unsettled = (near | near.T).tolist()
     n = reference.dimension
     identity = Alignment(linear_map=np.eye(n), translation=np.zeros(n), residual=0.0)
     n_entities = len(reference.entity_names)
     stack = np.empty((len(ens.members), n_entities + len(reference.relation_names), n))
-    retained: list[tuple[int, Embedding]] = []
+    retained: list[int] = []
     for idx, member in enumerate(ens.members):
-        if any(is_affine_duplicate(member, kept, dedup_tolerance) for _, kept in retained):
+        if any(
+            unsettled[idx][kept]
+            and is_affine_duplicate(member, ens.members[kept], dedup_tolerance)
+            for kept in retained
+        ):
             continue
         a = align(member, reference) if retained else identity
         image = np.concatenate([
@@ -180,25 +243,35 @@ def build_aggregate(
             if np.sqrt(np.max(np.sum(diff * diff, axis=2), initial=0.0)) > max_cloud_diameter:
                 continue
         stack[len(retained)] = image
-        retained.append((idx, member))
+        retained.append(idx)
     if len(retained) < 2:
         raise DegenerateAggregateError(
             f"only {len(retained)} member(s) retained; aggregate needs at least 2"
         )
     stack = stack[:len(retained)]
     stack.flags.writeable = False
-    entity_clouds = {t: stack[:, j] for j, t in enumerate(reference.entity_names)}
-    relation_clouds = {t: stack[:, n_entities + j] for j, t in enumerate(reference.relation_names)}
-    diameters = {
-        t: _max_pairwise_distance(c) for t, c in {**entity_clouds, **relation_clouds}.items()
-    }
+    terms = reference.entity_names + reference.relation_names
     return AggregateModel(
-        member_indices=tuple(idx for idx, _ in retained),
-        members=tuple(member for _, member in retained),
-        entity_clouds=entity_clouds,
-        relation_clouds=relation_clouds,
-        diameters=diameters,
+        member_indices=tuple(retained),
+        members=tuple(ens.members[idx] for idx in retained),
+        entity_clouds={t: stack[:, j] for j, t in enumerate(reference.entity_names)},
+        relation_clouds={t: stack[:, n_entities + j] for j, t in enumerate(reference.relation_names)},
+        diameters=dict(zip(terms, _cloud_diameters(stack))),
     )
+
+
+def _cloud_diameters(stack: np.ndarray) -> list[float]:
+    """Largest pairwise distance within each term's cloud of a ``(k, terms,
+    d)`` stack, over pairs ``i < j`` (a pair's squared distance is the same
+    in either order), one chunk of terms at a time."""
+    first, second = np.triu_indices(stack.shape[0], 1)
+    diameters: list[float] = []
+    step = max(1, _CHUNK_ELEMENTS // (len(first) * stack.shape[2]))
+    for start in range(0, stack.shape[1], step):
+        diff = stack[first, start:start + step] - stack[second, start:start + step]
+        squared = np.max(np.sum(diff * diff, axis=2), axis=0, initial=0.0)
+        diameters.extend(float(v) for v in np.sqrt(squared))
+    return diameters
 
 
 def aggregate_query(

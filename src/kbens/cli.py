@@ -170,6 +170,9 @@ def cmd_report(args) -> int:
 
 def cmd_aggregate(args) -> int:
     started = time.monotonic()
+    for flag, bound in (("--dedup-tol", args.dedup_tol), ("--max-diameter", args.max_diameter)):
+        if bound is not None and not bound >= 0.0:
+            raise ValueError(f"{flag} must be a non-negative number: {bound!r}")
     ensemble = _load_ensemble(args.ensemble)
     aggregate = build_aggregate(
         ensemble,

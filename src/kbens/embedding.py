@@ -28,6 +28,24 @@ DEFAULT_GAMMA = 1.0
 DEFAULT_EPS_FIT = 1e-4
 
 
+_FIELD_KINDS = {bool: "a boolean", int: "an integer", float: "a number"}
+
+
+def read_field(doc: Mapping, key: str, kind: type) -> Union[bool, int, float]:
+    """``doc[key]`` from a parsed JSON file, checked instead of coerced:
+    ``bool`` wants a JSON boolean, ``int`` a number with an integral value,
+    ``float`` any number; a boolean is never a number."""
+    value = doc[key]
+    if type(value) is kind:
+        return value
+    if kind is not bool and type(value) in (int, float):
+        if kind is float:
+            return float(value)
+        if int(value) == value:  # int() rejects inf and NaN
+            return int(value)
+    raise ValueError(f"field {key!r} must be {_FIELD_KINDS[kind]}, not {value!r}")
+
+
 def _squared_norm(eps: np.ndarray) -> float:
     # The trainer's and the batched vote's reduction, so all paths agree bit
     # for bit.  An overflowing square is +inf, outside every radius and margin.
@@ -92,7 +110,7 @@ class Embedding:
         rels = np.ascontiguousarray(np.asarray(self.relation_array, dtype=np.float64))
         ents = ents.reshape(len(self.entity_names), n)
         rels = rels.reshape(len(self.relation_names), n)
-        if not (np.all(np.isfinite(ents)) and np.all(np.isfinite(rels))):
+        if not (np.isfinite(ents).all() and np.isfinite(rels).all()):
             raise ValueError("embedding coordinates must all be finite")
         ents.flags.writeable = False
         rels.flags.writeable = False
@@ -189,5 +207,18 @@ class Embedding:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Embedding":
-        config = EmbeddingConfig(dimension=int(doc["dimension"]), **doc["config"])
-        return cls.from_points(doc["entities"], doc["relations"], config, seed=int(doc["seed"]))
+        """Inverse of :meth:`to_doc`, with every scalar field checked by
+        :func:`read_field` and every coordinate array by its dtype."""
+        settings = doc["config"]
+        config = EmbeddingConfig(
+            dimension=read_field(doc, "dimension", int),
+            **{key: read_field(settings, key, float) for key in settings},
+        )
+        ents, rels = doc["entities"], doc["relations"]
+        ent_names, rel_names = tuple(sorted(ents)), tuple(sorted(rels))
+        ent_array = np.asarray([ents[t] for t in ent_names])
+        rel_array = np.asarray([rels[t] for t in rel_names])
+        if ent_array.dtype.kind not in "iuf" or rel_array.dtype.kind not in "iuf":
+            raise ValueError("coordinates must be numbers")
+        seed = read_field(doc, "seed", int)
+        return cls(ent_names, rel_names, ent_array, rel_array, config, seed)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .embedding import Embedding, EmbeddingConfig
+from .embedding import Embedding, EmbeddingConfig, read_field
 from .kb import KnowledgeBase, Query, assertion_oracle, unstated_queries
 from .trainer import FitReport, TrainConfig, train
 from .verdict import TernaryVerdict, Truth
@@ -118,10 +118,10 @@ class Ensemble:
         members = tuple(Embedding.from_doc(d) for d in doc["members"])
         reports = tuple(
             FitReport(
-                final_error=float(r["final_error"]),
-                epochs_used=int(r["epochs_used"]),
-                converged=bool(r["converged"]),
-                seed=int(r["seed"]),
+                final_error=read_field(r, "final_error", float),
+                epochs_used=read_field(r, "epochs_used", int),
+                converged=read_field(r, "converged", bool),
+                seed=read_field(r, "seed", int),
                 rng_algorithm_id=str(r["rng_algorithm_id"]),
             )
             for r in doc["reports"]

@@ -25,6 +25,9 @@ from kbens import (
     query_truth,
 )
 
+from kbens import aggregate
+from kbens.aggregate import _residual_screen
+
 from conftest import all_queries
 
 
@@ -178,6 +181,33 @@ class TestBuildAggregate:
         bounded = build_aggregate(friend_ensemble, max_cloud_diameter=worst / 4)
         assert 2 <= len(bounded.member_indices) <= len(unbounded.member_indices)
         assert max(bounded.diameters.values()) <= worst / 4
+
+    @pytest.mark.parametrize("options", [
+        {"dedup_tolerance": float("nan")}, {"max_cloud_diameter": float("nan")},
+    ])
+    def test_nan_bound_is_rejected(self, friend_ensemble, options):
+        with pytest.raises(ValueError, match="NaN"):
+            build_aggregate(friend_ensemble, **options)
+
+    def test_align_calls_grow_with_retained_members_only(self, friend_ensemble, monkeypatch):
+        calls = {"align": 0, "duplicate": 0}
+
+        def counted_align(*args):
+            calls["align"] += 1
+            return align(*args)
+
+        def counted_duplicate(*args):
+            calls["duplicate"] += 1
+            return is_affine_duplicate(*args)
+
+        monkeypatch.setattr(aggregate, "align", counted_align)
+        monkeypatch.setattr(aggregate, "is_affine_duplicate", counted_duplicate)
+        agg = build_aggregate(friend_ensemble)
+        # One alignment per retained member after the reference, plus at
+        # most two per pair the screen left to align; the per-pair loop
+        # made 1,023 on this ensemble.
+        assert calls["align"] <= len(agg.member_indices) - 1 + 2 * calls["duplicate"]
+        assert calls["duplicate"] == 0
 
     def test_reference_frame_is_first_retained(self, friend_ensemble):
         agg = build_aggregate(friend_ensemble)
@@ -441,3 +471,80 @@ class TestMatchesReference:
         for tol in on_both_sides(data.draw(st.lists(st.sampled_from(residuals), max_size=4))):
             assert_matches_reference(ens, dedup_tolerance=tol)
             assert_matches_reference(ens, dedup_tolerance=tol, max_cloud_diameter=1.0)
+
+
+@st.composite
+def degenerate_members(draw):
+    """2-5 members in d = 1-3 whose entity designs are often rank deficient:
+    fewer entities than d + 1, all points equal, or all points on one line,
+    with or without relations; some members are affine images of another."""
+    d = draw(st.integers(1, 3))
+    n_ent, n_rel = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = EmbeddingConfig(dimension=d)
+    members = []
+    for seed in range(draw(st.integers(2, 5))):
+        shape = draw(st.sampled_from(["general", "equal", "line", "image"]))
+        rels = rng.uniform(-2.0, 2.0, (n_rel, d))
+        if shape == "equal":
+            ents = np.repeat(rng.uniform(-2.0, 2.0, (1, d)), n_ent, axis=0)
+        elif shape == "line":
+            ents = rng.uniform(-2.0, 2.0, (n_ent, 1)) * rng.uniform(-2.0, 2.0, (1, d))
+            ents = ents + rng.uniform(-2.0, 2.0, (1, d))
+        elif shape == "image" and members:
+            base = members[int(rng.integers(len(members)))]
+            linear = rng.normal(size=(d, d))
+            ents = base.entity_array @ linear.T + rng.uniform(-2.0, 2.0, (1, d))
+            rels = base.relation_array @ linear.T
+        else:
+            ents = rng.uniform(-2.0, 2.0, (n_ent, d))
+        members.append(Embedding(
+            tuple(f"e{i}" for i in range(n_ent)), tuple(f"r{i}" for i in range(n_rel)),
+            ents, rels, cfg, seed,
+        ))
+    return tuple(members)
+
+
+class TestResidualScreen:
+    @settings(max_examples=150, deadline=None)
+    @given(members=degenerate_members())
+    def test_brackets_align_for_every_ordered_pair(self, members):
+        residual, slack = _residual_screen(members)
+        assert residual.shape == slack.shape * 2
+        for s, source in enumerate(members):
+            for r, reference in enumerate(members):
+                exact = align(source, reference).residual
+                assert residual[s, r] <= 2.0 * exact + slack[s]
+                assert exact <= 2.0 * residual[s, r] + slack[s]
+
+    def test_general_position_is_settled_by_the_screen(self, friend_ensemble):
+        residual, slack = _residual_screen(friend_ensemble.members)
+        assert np.all(slack < 1e-9)
+        for s in (0, 5):
+            for r in (1, 7):
+                exact = align(friend_ensemble.members[s], friend_ensemble.members[r]).residual
+                assert residual[s, r] == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("offset, settled", [
+        (1e-15, False), (3e-15, False), (1e-14, False), (1e-13, False), (1e-9, True),
+    ])
+    def test_singular_value_near_the_cutoff_is_left_to_align(self, offset, settled):
+        # The last singular value of the first design is about 0.74 times
+        # the offset; lstsq's rank cutoff for it is about 2.4e-15.
+        cfg = EmbeddingConfig(dimension=2)
+        names, none = ("a", "b", "c", "d"), np.empty((0, 2))
+        near = Embedding(names, (), [[0, 0], [1, 0], [2, 0], [0, offset]], none, cfg, 0)
+        other = Embedding(names, (), [[0, 1], [1, 0], [2, 2], [1, 1]], none, cfg, 1)
+        _, slack = _residual_screen((near, other))
+        assert np.isfinite(slack[0]) == settled and np.isfinite(slack[1])
+        ens = Ensemble(members=(near, other), kb_digest="", reports=())
+        for tol in on_both_sides(pair_residuals((near, other))):
+            assert_matches_reference(ens, dedup_tolerance=tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(members=degenerate_members(), data=st.data())
+    def test_rank_deficient_ensembles_match_reference(self, members, data):
+        ens = Ensemble(members=members, kb_digest="", reports=())
+        residuals = pair_residuals(members)
+        for tol in on_both_sides(data.draw(st.lists(st.sampled_from(residuals), max_size=4))):
+            assert_matches_reference(ens, dedup_tolerance=tol)

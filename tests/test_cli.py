@@ -285,6 +285,37 @@ class TestEnsembleFileChecks:
         text = json.dumps(doc).replace('"BIG"', "1e999")
         assert "cannot convert float infinity to integer" in self._query_text(tmp_path, capsys, text)
 
+    @pytest.mark.parametrize("block, field, value", [
+        ("members", "dimension", 1.9), ("members", "dimension", True), ("members", "seed", "7"),
+        ("reports", "converged", "false"), ("reports", "converged", 1),
+        ("reports", "epochs_used", 2.5), ("reports", "seed", None),
+        ("reports", "final_error", "0"),
+    ])
+    def test_scalar_field_of_wrong_type(self, fitted, tmp_path, capsys, block, field, value):
+        def retype(doc):
+            doc[block][0][field] = value
+
+        err = self._query_mutant(fitted, tmp_path, capsys, retype)
+        assert f"field {field!r} must be" in err
+
+    def test_config_field_of_wrong_type(self, fitted, tmp_path, capsys):
+        def retype(doc):
+            doc["members"][0]["config"]["tau_pos"] = True
+
+        assert "field 'tau_pos' must be a number" in self._query_mutant(
+            fitted, tmp_path, capsys, retype
+        )
+
+    @pytest.mark.parametrize("coordinate", ["0.5", True, None])
+    def test_coordinates_that_are_not_numbers(self, fitted, tmp_path, capsys, coordinate):
+        def retype(doc):
+            points = doc["members"][1]["entities"]
+            points.update({t: [coordinate] for t in points})
+
+        assert "coordinates must be numbers" in self._query_mutant(
+            fitted, tmp_path, capsys, retype
+        )
+
     def test_deeply_nested_file(self, tmp_path, capsys):
         err = self._query_text(tmp_path, capsys, "[" * 100_000 + "]" * 100_000)
         assert "recursion" in err
@@ -320,6 +351,22 @@ class TestNonFiniteSettings:
         assert captured.out == "" and not out.exists()
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"kbens fit: {field} must be")
+
+class TestAggregateBounds:
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-diameter", "nan"), ("--dedup-tol", "nan"),
+        ("--dedup-tol", "-0.001"), ("--max-diameter", "-0.5"),
+    ])
+    def test_exits_1_in_one_line(self, fitted, tmp_path, capsys, flag, value):
+        out = tmp_path / "agg.json"
+        code = main(["aggregate", str(fitted), "-o", str(out), flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            f"kbens aggregate: {flag} must be a non-negative number: {float(value)!r}\n"
+        )
+
 
 class TestVersion:
     def test_version_mentions_rng(self, capsys):
