@@ -178,9 +178,8 @@ class AggregateModel:
         """Rows ``term member_index x1 ... xN`` for external plotting."""
         lines = []
         for term in sorted(self.entity_clouds) + sorted(self.relation_clouds):
-            points = self.cloud(term)
-            for idx, point in zip(self.member_indices, points):
-                coords = "\t".join(repr(float(v)) for v in point)
+            for idx, point in zip(self.member_indices, self.cloud(term).tolist()):
+                coords = "\t".join(map(repr, point))
                 lines.append(f"{term}\t{idx}\t{coords}")
         return "\n".join(lines) + "\n"
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .aggregate import DegenerateAggregateError, build_aggregate
+from .aggregate import DEFAULT_DEDUP_TOLERANCE, DegenerateAggregateError, build_aggregate
 from .embedding import (
     DEFAULT_EPS_FIT,
     DEFAULT_GAMMA,
@@ -67,13 +67,11 @@ def _load_kb(path: str) -> KnowledgeBase:
 def _load_ensemble(path: str) -> Ensemble:
     text = _read_text(path)
     try:
-        ensemble = Ensemble.from_json(text)
-        ensemble.check_frame()
+        return Ensemble.from_json(text)
     except KeyError as exc:
         raise ValueError(f"invalid ensemble file {path!r}: missing field {exc}") from exc
     except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"invalid ensemble file {path!r}: {exc}") from exc
-    return ensemble
 
 
 def _emit_manifest(
@@ -209,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         version=f"kbens {__version__} (rng: {RNG_ALGORITHM_ID})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    train_defaults = TrainConfig()
 
     fit = sub.add_parser("fit", help="fit an ensemble from a KB file")
     fit.add_argument("kb", help="KB file (relation<TAB>subject<TAB>object<TAB>+/-)")
@@ -219,10 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--tau", type=float, default=DEFAULT_TAU_POS, help="satisfaction radius")
     fit.add_argument("--gamma", type=float, default=DEFAULT_GAMMA, help="negative margin")
     fit.add_argument("--fit-tol", type=float, default=DEFAULT_EPS_FIT, help="convergence threshold on cumulative error")
-    fit.add_argument("--lr", type=float, default=0.1)
-    fit.add_argument("--init-scale", type=float, default=1.0)
-    fit.add_argument("--max-epochs", type=int, default=5000)
-    fit.add_argument("--retry-budget", type=int, default=3)
+    fit.add_argument("--lr", type=float, default=train_defaults.learning_rate)
+    fit.add_argument("--init-scale", type=float, default=train_defaults.init_scale)
+    fit.add_argument("--max-epochs", type=int, default=train_defaults.max_epochs)
+    fit.add_argument("--retry-budget", type=int, default=train_defaults.retry_budget)
     fit.add_argument("--jobs", type=int, default=1, help="parallel member fitting; output is identical for any value")
     fit.set_defaults(func=cmd_fit)
 
@@ -245,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     aggregate = sub.add_parser("aggregate", help="build the cloud model from an ensemble")
     aggregate.add_argument("ensemble")
     aggregate.add_argument("-o", "--out", required=True, help="aggregate JSON output path")
-    aggregate.add_argument("--dedup-tol", type=float, default=1e-6)
+    aggregate.add_argument("--dedup-tol", type=float, default=DEFAULT_DEDUP_TOLERANCE)
     aggregate.add_argument("--max-diameter", type=float, default=None)
     aggregate.add_argument("--clouds-tsv", default=None, help="also dump clouds as TSV")
     aggregate.set_defaults(func=cmd_aggregate)

@@ -28,17 +28,17 @@ DEFAULT_GAMMA = 1.0
 DEFAULT_EPS_FIT = 1e-4
 
 
-_FIELD_KINDS = {bool: "a boolean", int: "an integer", float: "a number"}
+_FIELD_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
-def read_field(doc: Mapping, key: str, kind: type) -> Union[bool, int, float]:
+def read_field(doc: Mapping, key: str, kind: type) -> Union[bool, int, float, str]:
     """``doc[key]`` from a parsed JSON file, checked instead of coerced:
-    ``bool`` wants a JSON boolean, ``int`` a number with an integral value,
-    ``float`` any number; a boolean is never a number."""
+    ``bool`` and ``str`` want that JSON type, ``int`` a number with an
+    integral value, ``float`` any number; a boolean is never a number."""
     value = doc[key]
     if type(value) is kind:
         return value
-    if kind is not bool and type(value) in (int, float):
+    if kind in (int, float) and type(value) in (int, float):
         if kind is float:
             return float(value)
         if int(value) == value:  # int() rejects inf and NaN
@@ -201,14 +201,14 @@ class Embedding:
             "dimension": self.config.dimension,
             "seed": int(self.seed),
             "config": self.config.to_doc(),
-            "entities": {t: [float(x) for x in self.entity_point(t)] for t in self.entity_names},
-            "relations": {t: [float(x) for x in self.relation_vector(t)] for t in self.relation_names},
+            "entities": dict(zip(self.entity_names, self.entity_array.tolist())),
+            "relations": dict(zip(self.relation_names, self.relation_array.tolist())),
         }
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Embedding":
-        """Inverse of :meth:`to_doc`, with every scalar field checked by
-        :func:`read_field` and every coordinate array by its dtype."""
+        """Inverse of :meth:`to_doc`, fields checked by :func:`read_field` and
+        coordinates by dtype (``Ensemble.from_doc`` also finds booleans)."""
         settings = doc["config"]
         config = EmbeddingConfig(
             dimension=read_field(doc, "dimension", int),

@@ -42,8 +42,8 @@ class DigestMismatchError(ValueError):
 class Ensemble:
     """Converged members plus the digest of the store they model.
 
-    Use :func:`fit_ensemble` to build a validated value; ``validate``
-    re-checks the invariants against a store when needed.
+    :func:`fit_ensemble` builds a validated value, :meth:`from_json` a
+    frame-checked one; ``validate`` re-checks them against a store.
     """
 
     members: tuple[Embedding, ...]
@@ -115,6 +115,7 @@ class Ensemble:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Ensemble":
+        """Inverse of :meth:`to_doc`, checked by :func:`read_field` and :meth:`check_frame`."""
         members = tuple(Embedding.from_doc(d) for d in doc["members"])
         reports = tuple(
             FitReport(
@@ -122,14 +123,24 @@ class Ensemble:
                 epochs_used=read_field(r, "epochs_used", int),
                 converged=read_field(r, "converged", bool),
                 seed=read_field(r, "seed", int),
-                rng_algorithm_id=str(r["rng_algorithm_id"]),
+                rng_algorithm_id=read_field(r, "rng_algorithm_id", str),
             )
             for r in doc["reports"]
         )
         # The top-level block restates the members' config; a mismatch means an edited file.
         if members and doc["config"] != asdict(members[0].config):
             raise ValueError(f"top-level config {doc['config']} differs from the members' config")
-        return cls(members=members, kb_digest=str(doc["kb_digest"]), reports=reports)
+        ensemble = cls(members, read_field(doc, "kb_digest", str), reports)
+        ensemble.check_frame()
+        # np.asarray reads a JSON true or false among numbers as 1 or 0: look only there.
+        arrays = [a for m in members for a in (m.entity_array, m.relation_array)]
+        coords = np.concatenate(arrays)  # check_frame gave them one width
+        if ((coords == 0) | (coords == 1)).any() and any(
+            type(x) is bool for d in doc["members"] for key in ("entities", "relations")
+            for x in np.array(list(d[key].values()), dtype=object).flat
+        ):
+            raise ValueError("coordinates must be numbers")
+        return ensemble
 
     @classmethod
     def from_json(cls, text: str) -> "Ensemble":

@@ -88,17 +88,11 @@ def init_embedding(
     from a per-term stream derived from (seed, term name)."""
     n = cfg.dimension
     s = tcfg.init_scale
-
-    def draw(names: tuple[str, ...]) -> np.ndarray:
-        if not names:
-            return np.zeros((0, n))
-        return np.stack([_term_rng(seed, t).uniform(-s, s, n) for t in names])
-
     return Embedding(
         entity_names=kb.entities,
         relation_names=kb.relations,
-        entity_array=draw(kb.entities),
-        relation_array=draw(kb.relations),
+        entity_array=np.array([_term_rng(seed, t).uniform(-s, s, n) for t in kb.entities]),
+        relation_array=np.array([_term_rng(seed, t).uniform(-s, s, n) for t in kb.relations]),
         config=cfg,
         seed=int(seed),
     )
@@ -158,7 +152,7 @@ class _Problem:
             rng = _term_rng(seed, f"{t.relation}\x1f{t.subject}\x1f{t.object}\x1fkink")
             v = rng.normal(size=dimension)
             dirs.append(v / np.linalg.norm(v))
-        return np.array(dirs) if dirs else np.zeros((0, dimension))
+        return np.array(dirs).reshape(-1, dimension)
 
     def loss_and_grads(
         self, points: np.ndarray, vectors: np.ndarray, kinks: np.ndarray, gamma: float
@@ -381,9 +375,6 @@ def satisfiability_oracle(
     n_ent, n_rel = len(kb.entities), len(kb.relations)
     n_terms = n_ent + n_rel
     cfg = EmbeddingConfig(dimension=dimension, gamma=gamma, tau_pos=min(0.8, gamma / 2.0))
-    if n_terms == 0:
-        empty = Embedding((), (), np.zeros((0, dimension)), np.zeros((0, dimension)), cfg, 0)
-        return SatisfiabilityResult(Satisfiability.SATISFIABLE, empty)
     subjects, objects, relations, positive = kb.triple_index
     rows = np.zeros((len(kb.triples), n_terms))
     triple = np.arange(len(kb.triples))

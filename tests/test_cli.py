@@ -289,7 +289,7 @@ class TestEnsembleFileChecks:
         ("members", "dimension", 1.9), ("members", "dimension", True), ("members", "seed", "7"),
         ("reports", "converged", "false"), ("reports", "converged", 1),
         ("reports", "epochs_used", 2.5), ("reports", "seed", None),
-        ("reports", "final_error", "0"),
+        ("reports", "final_error", "0"), ("reports", "rng_algorithm_id", None),
     ])
     def test_scalar_field_of_wrong_type(self, fitted, tmp_path, capsys, block, field, value):
         def retype(doc):
@@ -311,6 +311,22 @@ class TestEnsembleFileChecks:
         def retype(doc):
             points = doc["members"][1]["entities"]
             points.update({t: [coordinate] for t in points})
+
+        assert "coordinates must be numbers" in self._query_mutant(
+            fitted, tmp_path, capsys, retype
+        )
+
+    def test_numeric_digest(self, fitted, tmp_path, capsys):
+        def retype(doc):
+            doc["kb_digest"] = 5
+
+        err = self._query_mutant(fitted, tmp_path, capsys, retype)
+        assert "field 'kb_digest' must be a string, not 5" in err
+
+    @pytest.mark.parametrize("coordinate", [True, False])
+    def test_one_boolean_among_numbers(self, fitted, tmp_path, capsys, coordinate):
+        def retype(doc):
+            doc["members"][1]["entities"]["Bob"] = [coordinate]
 
         assert "coordinates must be numbers" in self._query_mutant(
             fitted, tmp_path, capsys, retype
@@ -366,6 +382,28 @@ class TestAggregateBounds:
         assert captured.err == (
             f"kbens aggregate: {flag} must be a non-negative number: {float(value)!r}\n"
         )
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "friends.kb", "-o", "ens.json"], "the following arguments are required: --seed"),
+        (["fit", "friends.kb", "-o", "ens.json", "--seed", "7", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["fit", "friends.kb", "-o", "ens.json", "--seed", "7", "--members", "abc"],
+         "argument --members: invalid int value: 'abc'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_exits_1_with_usage_and_one_error_line(self, capsys, argv, message):
+        # argparse's own exit code 2 would read as a computational failure.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: kbens")
+        assert all(line.startswith(" ") for line in lines[1:-1])
+        assert lines[-1].endswith(f": error: {message}")
 
 
 class TestVersion:

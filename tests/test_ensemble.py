@@ -1,9 +1,12 @@
 """Ensemble fitting, ternary query answering, reports, and serialization."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbens import (
     DigestMismatchError,
@@ -18,12 +21,13 @@ from kbens import (
     knowledge_report,
     parse_kb,
     query_truth,
+    train,
     unstated_queries,
 )
 from kbens import ensemble as ensemble_module
 from kbens.kb import KnowledgeBase, SignedTriple
 
-from conftest import all_queries, random_satisfiable_kb
+from conftest import FRIEND_KB_TEXT, all_queries, random_kb, random_satisfiable_kb
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +106,70 @@ class TestFitEnsemble:
         monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", refuse)
         ens = fit_ensemble(friend_kb_m, EmbeddingConfig(dimension=1), TrainConfig(), 7, members=3)
         assert len(ens) == 3
+
+
+def per_seed_fit(kb, cfg, tcfg, base_seed, members):
+    """``fit_ensemble`` as a loop of one-seed ``train`` calls: the first
+    ``members`` converged seeds in seed order, within 4 x ``members`` seeds."""
+    cap = 4 * members
+    kept = []
+    for seed in range(base_seed, base_seed + cap):
+        fit = train(kb, cfg, tcfg, seed)
+        if fit[1].converged:
+            kept.append(fit)
+            if len(kept) == members:
+                return kept
+    raise EnsembleFitError(
+        f"only {len(kept)} of {members} members converged within {cap} candidate seeds"
+    )
+
+
+def assert_fits_like_per_seed_loop(kb, cfg, tcfg, base_seed, members, jobs):
+    try:
+        expected = per_seed_fit(kb, cfg, tcfg, base_seed, members)
+    except EnsembleFitError as exc:
+        with pytest.raises(EnsembleFitError) as raised:
+            fit_ensemble(kb, cfg, tcfg, base_seed, members=members, jobs=jobs)
+        assert str(raised.value) == str(exc)
+        return
+    ens = fit_ensemble(kb, cfg, tcfg, base_seed, members=members, jobs=jobs)
+    assert ens.kb_digest == kb.digest()
+    assert len(ens) == members
+    for member, report, (emb, rep) in zip(ens.members, ens.reports, expected):
+        assert member.entity_array.tobytes() == emb.entity_array.tobytes()
+        assert member.relation_array.tobytes() == emb.relation_array.tobytes()
+        assert (member.seed, member.config) == (emb.seed, emb.config)
+        assert repr(report) == repr(rep)
+
+
+class TestFitMatchesPerSeedLoop:
+    # Budgets of 1 to 40 epochs leave some seeds of most small stores
+    # unconverged, and unsatisfiable draws spend the whole attempt cap.
+    @settings(max_examples=80, deadline=None)
+    @given(
+        store_seed=st.integers(0, 1 << 32),
+        d=st.integers(1, 3),
+        max_epochs=st.integers(1, 40),
+        members=st.integers(1, 4),
+        base_seed=st.integers(0, 1 << 40),
+    )
+    def test_one_job(self, store_seed, d, max_epochs, members, base_seed):
+        kb = random_kb(np.random.default_rng(store_seed), max_entities=5, max_triples=6)
+        assert_fits_like_per_seed_loop(
+            kb, EmbeddingConfig(dimension=d), TrainConfig(max_epochs=max_epochs),
+            base_seed, members, jobs=1,
+        )
+
+    @pytest.mark.parametrize("text, max_epochs, members", [
+        (FRIEND_KB_TEXT, 15, 4),  # several waves of candidate seeds
+        (FRIEND_KB_TEXT, 7, 4),  # 3 of 4 members within the attempt cap
+        ("r\ta\tb\t+\nr\tb\ta\t+\nr\tc\td\t+\nr\td\tc\t-\n", 30, 2),  # unsatisfiable
+    ], ids=["waves", "partial", "unsatisfiable"])
+    def test_two_jobs(self, text, max_epochs, members):
+        assert_fits_like_per_seed_loop(
+            parse_kb(text), EmbeddingConfig(dimension=1), TrainConfig(max_epochs=max_epochs),
+            7, members, jobs=2,
+        )
 
 
 class TestQueryTruth:
@@ -238,6 +306,16 @@ class TestSerialization:
     def test_json_roundtrip_is_byte_identical(self, friend_ensemble):
         text = friend_ensemble.to_json()
         assert Ensemble.from_json(text).to_json() == text
+
+    def test_from_json_checks_the_frame(self, friend_ensemble):
+        doc = friend_ensemble.to_doc()
+        doc["reports"] = doc["reports"][:1]
+        with pytest.raises(ValueError, match="1 reports for 32 members"):
+            Ensemble.from_json(json.dumps(doc))
+        doc = friend_ensemble.to_doc()
+        doc["reports"][5]["converged"] = False
+        with pytest.raises(ValueError, match="non-converged report"):
+            Ensemble.from_doc(doc)
 
     def test_repeated_fits_are_byte_identical(self, friend_kb_m):
         cfg = EmbeddingConfig(dimension=1)

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from kbens import (
     Embedding,
     EmbeddingConfig,
+    FitReport,
     KnowledgeBase,
     NoConvergentDimensionError,
     Satisfiability,
@@ -25,6 +26,7 @@ from kbens import (
     train_members,
     train_with_retries,
 )
+from kbens import trainer
 from kbens.trainer import _Problem
 
 from conftest import (
@@ -537,3 +539,49 @@ class TestMinDimensionSearch:
         tcfg = TrainConfig(max_epochs=300, retry_budget=1)
         with pytest.raises(NoConvergentDimensionError):
             min_dimension_search(kb, EmbeddingConfig(dimension=1), tcfg, 7)
+
+
+class TestMinDimensionProbes:
+    # A chain of 10 entities over one relation: the search is bounded by 11.
+    KB = KnowledgeBase.from_triples(
+        [SignedTriple("r", f"e{i}", f"e{i + 1}", True) for i in range(9)]
+    )
+    N_MAX = 11
+
+    def fake_fits(self, monkeypatch, converges):
+        """Make every fit converge iff ``converges(dimension)``; returns the
+        list the dimensions probed are appended to, in order."""
+        probes = []
+
+        def fake(kb, cfg, tcfg, seed):
+            probes.append(cfg.dimension)
+            ok = converges(cfg.dimension)
+            return init_embedding(kb, cfg, tcfg, seed), FitReport(0.0 if ok else 1.0, 1, ok, seed)
+
+        monkeypatch.setattr(trainer, "train_with_retries", fake)
+        return probes
+
+    def search(self):
+        return min_dimension_search(self.KB, EmbeddingConfig(dimension=1), TrainConfig(), 7)
+
+    @pytest.mark.parametrize("k", range(1, N_MAX + 1))
+    def test_doubles_then_bisects_to_the_smallest(self, monkeypatch, k):
+        probes = self.fake_fits(monkeypatch, lambda d: d >= k)
+        n, emb = self.search()
+        assert n == k and emb.dimension == k
+        assert len(set(probes)) == len(probes)
+        doubling = [1]
+        while doubling[-1] < k:
+            doubling.append(min(2 * doubling[-1], self.N_MAX))
+        assert probes[:len(doubling)] == doubling
+        lo, hi = (doubling[-2] if len(doubling) > 1 else 0), doubling[-1]
+        for probe in probes[len(doubling):]:
+            assert probe == (lo + hi) // 2
+            lo, hi = (lo, probe) if probe >= k else (probe, hi)
+        assert (lo, hi) == (k - 1, k)
+
+    def test_no_dimension_converges(self, monkeypatch):
+        probes = self.fake_fits(monkeypatch, lambda d: False)
+        with pytest.raises(NoConvergentDimensionError):
+            self.search()
+        assert probes == [1, 2, 4, 8, 11]
