@@ -112,13 +112,15 @@ def _residual_screen(members: Sequence[Embedding]) -> tuple[np.ndarray, np.ndarr
     fitted = np.concatenate([design, np.pad(rels, ((0, 0), (0, 0), (0, 1)))], axis=1) @ pinv
     targets = np.concatenate([ents, rels], axis=1)  # (M, E+R, n)
     total = np.empty((count, count))
-    step = max(1, _CHUNK_ELEMENTS // targets.size)
+    step = max(1, _CHUNK_ELEMENTS // max(1, targets.size))
     for start in range(0, count, step):
         mismatch = fitted[start:start + step, None] @ ents - targets
         total[start:start + step] = np.sum(mismatch * mismatch, axis=(2, 3))
-    residual = np.sqrt(total / targets.shape[1])
-    condition = sv[:, 0] / np.min(sv, axis=1, where=kept, initial=np.inf)
-    slack = _SLACK_FACTOR * eps * condition * np.max(np.abs(targets))
+    # With no terms every total is 0, and align's residual is 0 as well.
+    residual = np.sqrt(total / max(1, targets.shape[1]))
+    largest = np.max(sv, axis=1, initial=0.0)  # sv[:, 0] unless there are no entities
+    condition = largest / np.min(sv, axis=1, where=kept, initial=np.inf)
+    slack = _SLACK_FACTOR * eps * condition * np.max(np.abs(targets), initial=0.0)
     near_cutoff = (sv >= cutoff / _CUTOFF_MARGIN) & (sv < cutoff * _CUTOFF_MARGIN)
     slack[np.any(near_cutoff, axis=1)] = np.inf
     return residual, slack

@@ -58,6 +58,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FileNotFoundError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc}") from exc
 
 
 def _load_kb(path: str) -> KnowledgeBase:

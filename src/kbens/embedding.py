@@ -208,7 +208,8 @@ class Embedding:
     @classmethod
     def from_doc(cls, doc: dict) -> "Embedding":
         """Inverse of :meth:`to_doc`, fields checked by :func:`read_field` and
-        coordinates by dtype (``Ensemble.from_doc`` also finds booleans)."""
+        coordinates by dtype and row shape (``Ensemble.from_doc`` also finds
+        booleans)."""
         settings = doc["config"]
         config = EmbeddingConfig(
             dimension=read_field(doc, "dimension", int),
@@ -218,7 +219,10 @@ class Embedding:
         ent_names, rel_names = tuple(sorted(ents)), tuple(sorted(rels))
         ent_array = np.asarray([ents[t] for t in ent_names])
         rel_array = np.asarray([rels[t] for t in rel_names])
-        if ent_array.dtype.kind not in "iuf" or rel_array.dtype.kind not in "iuf":
-            raise ValueError("coordinates must be numbers")
+        for array in (ent_array, rel_array):
+            if array.dtype.kind not in "iuf":
+                raise ValueError("coordinates must be numbers")
+            if len(array) and array.shape[1:] != (config.dimension,):
+                raise ValueError(f"coordinate rows must be lists of {config.dimension} number(s)")
         seed = read_field(doc, "seed", int)
         return cls(ent_names, rel_names, ent_array, rel_array, config, seed)

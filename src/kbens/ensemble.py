@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .embedding import Embedding, EmbeddingConfig, read_field
-from .kb import KnowledgeBase, Query, assertion_oracle, unstated_queries
+from .kb import KnowledgeBase, Query, unstated_queries
 from .trainer import FitReport, TrainConfig, train
 from .verdict import TernaryVerdict, Truth
 
@@ -56,10 +56,6 @@ class Ensemble:
     @property
     def config(self) -> EmbeddingConfig:
         return self.members[0].config
-
-    @property
-    def dimension(self) -> int:
-        return self.members[0].dimension
 
     def check_frame(self) -> None:
         """Every member shares one vocabulary and config and carries one
@@ -172,7 +168,9 @@ def fit_ensemble(
     attempted = 0
     # A wave is exactly the number of members still missing, so it never
     # trains a seed that one-at-a-time fitting would have skipped.
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    # No wave is larger than ``members``, so more workers would only idle.
+    workers = min(jobs, members)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         while len(kept) < members and attempted < cap:
             wave = min(members - len(kept), cap - attempted)
@@ -256,7 +254,7 @@ class ReportRow:
     query: Query
     verdict: TernaryVerdict
     asserted: Optional[bool]  # polarity when asserted, None for unstated rows
-    consistent: Optional[bool]  # vs the assertion oracle; None for unstated rows
+    consistent: Optional[bool]  # verdict matches the polarity; None for unstated rows
 
 
 @dataclass(frozen=True)
@@ -318,9 +316,9 @@ def knowledge_report(
 ) -> KnowledgeReport:
     """Evaluate every asserted triple and every unstated query.
 
-    The ensemble must have been fitted from ``kb`` (digest check).  Asserted
-    rows carry a consistency flag against the assertion oracle; unstated
-    rows default to distinct-pair facts only.
+    The ensemble must have been fitted from ``kb`` (digest check).  An
+    asserted row is consistent when its verdict is its polarity, TRUE or
+    FALSE; unstated rows default to distinct-pair facts only.
     """
     ens.check_digest(kb)
     n = len(ens.members)
@@ -329,7 +327,7 @@ def knowledge_report(
     counts = satisfied_counts(ens.members, asserted + unstated, tau).tolist()
     verdicts = [TernaryVerdict.from_fraction(c / n, n, quorum_slack) for c in counts]
     asserted_rows = tuple(
-        ReportRow(q, v, t.positive, v.value == assertion_oracle(kb, q).value)
+        ReportRow(q, v, t.positive, v.value is (Truth.TRUE if t.positive else Truth.FALSE))
         for t, q, v in zip(kb.triples, asserted, verdicts)
     )
     unstated_rows = tuple(ReportRow(q, v, None, None)

@@ -28,11 +28,9 @@ class KBError(ValueError):
 
 
 class KBSyntaxError(KBError):
-    def __init__(self, message: str, line_number: Optional[int] = None):
+    def __init__(self, message: str, line_number: int):
         self.line_number = line_number
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line_number}: {message}")
 
 
 class DuplicateTripleError(KBError):

@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .embedding import Embedding, EmbeddingConfig
+from .embedding import DEFAULT_GAMMA, DEFAULT_TAU_POS, Embedding, EmbeddingConfig
 from .kb import KnowledgeBase
 
 RNG_ALGORITHM_ID = "numpy-pcg64/per-term-sha256-stream"
@@ -361,7 +361,7 @@ class SatisfiabilityResult:
 
 
 def satisfiability_oracle(
-    kb: KnowledgeBase, dimension: int, gamma: float = 1.0
+    kb: KnowledgeBase, dimension: int, gamma: float = DEFAULT_GAMMA
 ) -> SatisfiabilityResult:
     """Linear-algebra check that zero cumulative error is attainable.
 
@@ -374,7 +374,8 @@ def satisfiability_oracle(
     """
     n_ent, n_rel = len(kb.entities), len(kb.relations)
     n_terms = n_ent + n_rel
-    cfg = EmbeddingConfig(dimension=dimension, gamma=gamma, tau_pos=min(0.8, gamma / 2.0))
+    tau_pos = min(DEFAULT_TAU_POS, gamma / 2.0)
+    cfg = EmbeddingConfig(dimension=dimension, gamma=gamma, tau_pos=tau_pos)
     subjects, objects, relations, positive = kb.triple_index
     rows = np.zeros((len(kb.triples), n_terms))
     triple = np.arange(len(kb.triples))
@@ -382,21 +383,15 @@ def satisfiability_oracle(
     np.add.at(rows, (triple, objects), -1.0)
     np.add.at(rows, (triple, n_ent + relations), -1.0)
     positives, negatives = rows[positive], rows[~positive]
-    if positives.size:
-        _, svals, vt = np.linalg.svd(positives, full_matrices=True)
-        tol = max(positives.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-        rank = int(np.sum(svals > tol))
-        basis = vt[rank:].T  # (n_terms, k) null-space basis
-    else:
-        basis = np.eye(n_terms)
+    _, svals, vt = np.linalg.svd(positives, full_matrices=True)
+    tol = max(positives.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
+    rank = int(np.sum(svals > tol))
+    basis = vt[rank:].T  # (n_terms, k) null-space basis; the identity with no positives
     if not negatives.size:
         coords = np.zeros(n_terms)
         return SatisfiabilityResult(
             Satisfiability.SATISFIABLE, _certificate(kb, cfg, coords)
         )
-    if basis.shape[1] == 0:
-        # Positives pin every coordinate to zero, so negatives cannot escape.
-        return SatisfiabilityResult(Satisfiability.UNSATISFIABLE, None)
     projected = negatives @ basis  # (n_neg, k)
     norms = np.linalg.norm(projected, axis=1)
     if np.any(norms < 1e-9):

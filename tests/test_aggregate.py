@@ -209,12 +209,29 @@ class TestBuildAggregate:
         assert calls["align"] <= len(agg.member_indices) - 1 + 2 * calls["duplicate"]
         assert calls["duplicate"] == 0
 
+    def test_ensemble_without_members_is_degenerate(self):
+        with pytest.raises(DegenerateAggregateError, match="no members"):
+            build_aggregate(Ensemble(members=(), kb_digest="", reports=()))
+
+    def test_empty_store_keeps_one_member_and_is_degenerate(self):
+        # With no terms every member is an affine image of the first.
+        ens = fit_ensemble(parse_kb(""), EmbeddingConfig(dimension=2), TrainConfig(), 1, members=4)
+        with pytest.raises(DegenerateAggregateError, match="only 1 member"):
+            build_aggregate(ens)
+
     def test_reference_frame_is_first_retained(self, friend_ensemble):
         agg = build_aggregate(friend_ensemble)
         assert agg.reference_index == 0
         m0 = friend_ensemble.members[0]
         for term in m0.entity_names:
             np.testing.assert_allclose(agg.entity_clouds[term][0], m0.entity_point(term))
+
+
+    def test_cloud_of_unknown_term(self, friend_ensemble):
+        agg = build_aggregate(friend_ensemble)
+        np.testing.assert_array_equal(agg.cloud("friend"), agg.relation_clouds["friend"])
+        with pytest.raises(UnknownTermError, match="nobody"):
+            agg.cloud("nobody")
 
 
 class TestAggregateQuery:
@@ -540,6 +557,20 @@ class TestResidualScreen:
         ens = Ensemble(members=(near, other), kb_digest="", reports=())
         for tol in on_both_sides(pair_residuals((near, other))):
             assert_matches_reference(ens, dedup_tolerance=tol)
+
+    @pytest.mark.parametrize("n_rel", [0, 2])
+    def test_members_without_entities(self, n_rel):
+        cfg = EmbeddingConfig(dimension=2)
+        rng = np.random.default_rng(n_rel)
+        names = tuple(f"r{i}" for i in range(n_rel))
+        members = [
+            Embedding((), names, np.empty((0, 2)), rng.uniform(-2.0, 2.0, (n_rel, 2)), cfg, seed)
+            for seed in range(3)
+        ]
+        residual, slack = _residual_screen(members)
+        exact = [[align(s, r).residual for r in members] for s in members]
+        np.testing.assert_array_equal(residual, exact)
+        np.testing.assert_array_equal(slack, np.zeros(3))
 
     @settings(max_examples=60, deadline=None)
     @given(members=degenerate_members(), data=st.data())

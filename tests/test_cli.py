@@ -170,6 +170,18 @@ class TestAggregate:
                      "--dedup-tol", "1e9"])
         assert code == 2
 
+    def test_empty_store_exits_2(self, tmp_path, capsys):
+        # With no terms every member is an affine image of the first.
+        empty = tmp_path / "empty.kb"
+        empty.write_text("", encoding="utf-8")
+        ens = tmp_path / "e.json"
+        assert main(["fit", str(empty), "-o", str(ens), "--seed", "1", "--members", "4"]) == 0
+        capsys.readouterr()
+        assert main(["aggregate", str(ens), "-o", str(tmp_path / "agg.json")]) == 2
+        assert capsys.readouterr().err == (
+            "kbens aggregate: only 1 member(s) retained; aggregate needs at least 2\n"
+        )
+
     def test_duplicated_member_file_exits_2(self, fitted, tmp_path, capsys):
         doc = json.loads(fitted.read_text())
         doc["members"] = [doc["members"][0], doc["members"][0]]
@@ -316,6 +328,25 @@ class TestEnsembleFileChecks:
             fitted, tmp_path, capsys, retype
         )
 
+    @pytest.mark.parametrize("row", [0.3, [[0.3]]])
+    def test_coordinate_rows_of_the_wrong_shape(self, fitted, tmp_path, capsys, row):
+        def reshape(doc):
+            points = doc["members"][1]["entities"]
+            points.update({t: row for t in points})
+
+        assert "coordinate rows must be lists of 1 number(s)" in self._query_mutant(
+            fitted, tmp_path, capsys, reshape
+        )
+
+    def test_integral_numbers_load_with_the_same_answer(self, fitted, tmp_path, capsys):
+        doc = json.loads(fitted.read_text())
+        doc["members"][0]["dimension"] = 1.0
+        doc["members"][0]["config"]["gamma"] = 1
+        path = tmp_path / "retyped.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["query", str(path), "friend", "Joe", "Bob"]) == 0
+        assert capsys.readouterr().out == "TRUE\t1.000000\n"
+
     def test_numeric_digest(self, fitted, tmp_path, capsys):
         def retype(doc):
             doc["kb_digest"] = 5
@@ -367,6 +398,54 @@ class TestNonFiniteSettings:
         assert captured.out == "" and not out.exists()
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"kbens fit: {field} must be")
+
+class TestOutOfRangeSettings:
+    @pytest.mark.parametrize("argv, message", [
+        (["query", "{ens}", "friend", "Joe", "Bob", "--delta", "0.5"],
+         "kbens query: quorum slack must lie in [0, 0.5): 0.5"),
+        (["query", "{ens}", "friend", "Joe", "Bob", "--delta", "-0.1"],
+         "kbens query: quorum slack must lie in [0, 0.5): -0.1"),
+        (["query", "{ens}", "friend", "Joe", "Bob", "--delta", "nan"],
+         "kbens query: quorum slack must lie in [0, 0.5): nan"),
+        (["report", "{ens}", "{kb}", "--delta", "0.7"],
+         "kbens report: quorum slack must lie in [0, 0.5): 0.7"),
+        (["fit", "{kb}", "-o", "{out}", "--seed", "7", "--max-epochs", "0"],
+         "kbens fit: max_epochs must be a positive integer: 0"),
+        (["fit", "{kb}", "-o", "{out}", "--seed", "7", "--retry-budget", "-1"],
+         "kbens fit: retry_budget must be non-negative: -1"),
+        (["fit", "{kb}", "-o", "{out}", "--seed", "7", "--jobs", "0"],
+         "kbens fit: --jobs must be at least 1"),
+    ])
+    def test_exits_1_in_one_line(self, fitted, kb_file, tmp_path, capsys, argv, message):
+        out = tmp_path / "new.json"
+        paths = {"ens": str(fitted), "kb": str(kb_file), "out": str(out)}
+        code = main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and not out.exists()
+        assert captured.err == message + "\n"
+
+
+class TestFileThatIsNotUtf8:
+    @pytest.mark.parametrize("argv", [
+        ["query", "{bad}", "friend", "Joe", "Bob"],
+        ["query", "{ens}", "friend", "Joe", "Bob", "--kb", "{bad}"],
+        ["report", "{bad}", "{kb}"],
+        ["report", "{ens}", "{bad}"],
+    ])
+    def test_exits_1_naming_the_file(self, fitted, kb_file, tmp_path, capsys, argv):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"\xff\xfe")
+        paths = {"bad": str(bad), "ens": str(fitted), "kb": str(kb_file)}
+        code = main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"kbens {argv[0]}: cannot read {str(bad)!r}: 'utf-8' codec can't decode"
+            " byte 0xff in position 0: invalid start byte\n"
+        )
+
 
 class TestAggregateBounds:
     @pytest.mark.parametrize("flag, value", [

@@ -215,6 +215,30 @@ class TestSerialization:
             e = _random_embedding(kb, rng)
             assert Embedding.from_doc(e.to_doc()).to_doc() == e.to_doc()
 
+    def test_integral_numbers_are_read_as_their_field_kind(self, friend_embedding):
+        doc = friend_embedding.to_doc()
+        doc["dimension"], doc["config"]["gamma"] = 2.0, 1
+        loaded = Embedding.from_doc(doc)
+        assert type(loaded.dimension) is int and type(loaded.config.gamma) is float
+        assert loaded.config == EmbeddingConfig(dimension=2, tau_pos=0.1, gamma=1.0)
+        np.testing.assert_array_equal(loaded.entity_array, friend_embedding.entity_array)
+
+    @pytest.mark.parametrize("rows", [
+        {"a": 0.5, "b": 1.5}, {"a": [[0.5]], "b": [[1.5]]}, {"a": [0.5, 1.0], "b": [1.5, 2.0]},
+        {"a": [], "b": []},
+    ])
+    def test_coordinate_rows_must_hold_dimension_numbers(self, rows):
+        doc = make_embedding({"a": (0.0,), "b": (1.0,)}, {"r": (1.0,)}).to_doc()
+        doc["entities"] = rows
+        with pytest.raises(ValueError, match=r"coordinate rows must be lists of 1 number\(s\)"):
+            Embedding.from_doc(doc)
+
+    def test_store_without_terms_loads(self):
+        doc = make_embedding({"a": (0.0,)}, {"r": (1.0,)}).to_doc()
+        doc["entities"], doc["relations"] = {}, {}
+        loaded = Embedding.from_doc(doc)
+        assert loaded.entity_array.shape == (0, 1) and loaded.relation_array.shape == (0, 1)
+
     def test_doc_carries_schema_fields(self, friend_embedding):
         doc = friend_embedding.to_doc()
         assert set(doc) == {"dimension", "seed", "config", "entities", "relations"}

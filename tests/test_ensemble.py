@@ -107,6 +107,36 @@ class TestFitEnsemble:
         ens = fit_ensemble(friend_kb_m, EmbeddingConfig(dimension=1), TrainConfig(), 7, members=3)
         assert len(ens) == 3
 
+    @pytest.mark.parametrize("members, jobs, workers", [(2, 64, [2]), (1, 4, []), (3, 2, [2])])
+    def test_pool_has_at_most_one_worker_per_member(
+        self, friend_kb_m, monkeypatch, members, jobs, workers
+    ):
+        # A fork start method forks every worker at the first map, however
+        # few seeds a wave has; this stand-in records the count and forks none.
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", RecordingPool)
+        cfg = EmbeddingConfig(dimension=1)
+        ens = fit_ensemble(friend_kb_m, cfg, TrainConfig(), 7, members=members, jobs=jobs)
+        assert started == workers
+        assert ens.to_json() == fit_ensemble(friend_kb_m, cfg, TrainConfig(), 7, members).to_json()
+
+    def test_job_count_validated(self, friend_kb_m):
+        with pytest.raises(ValueError, match="jobs must be at least 1: 0"):
+            fit_ensemble(friend_kb_m, EmbeddingConfig(dimension=1), TrainConfig(), 7, jobs=0)
+
 
 def per_seed_fit(kb, cfg, tcfg, base_seed, members):
     """``fit_ensemble`` as a loop of one-seed ``train`` calls: the first
@@ -337,6 +367,23 @@ class TestSerialization:
         )
         with pytest.raises(ValueError):
             forced.validate()
+
+    def test_validate_rejects_member_above_eps_fit(self, friend_kb_m, friend_ensemble):
+        # The frame holds (the report still says converged); only the
+        # store's own triples show that Bob moved away from Joe.
+        second = friend_ensemble.members[1]
+        moved = Embedding.from_points(
+            {**second.entity_points, "Bob": second.entity_point("Bob") + 0.5},
+            second.relation_vectors, second.config, second.seed,
+        )
+        forced = Ensemble(
+            members=(friend_ensemble.members[0], moved),
+            kb_digest=friend_ensemble.kb_digest,
+            reports=friend_ensemble.reports[:2],
+        )
+        forced.validate()
+        with pytest.raises(ValueError, match=f"seed={second.seed} has error .* above eps_fit"):
+            forced.validate(friend_kb_m)
 
     def test_check_frame_rejects_mismatched_members(self, friend_ensemble):
         first, second = friend_ensemble.members[:2]

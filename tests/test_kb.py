@@ -56,6 +56,11 @@ class TestParse:
             parse_kb("friend\tJoe\tBob\t+\nbroken line\n")
         assert exc.value.line_number == 2
 
+    def test_bad_term_name_reports_line_number(self):
+        with pytest.raises(KBSyntaxError, match=r"^line 1: ") as exc:
+            parse_kb("friend\t Joe\tBob\t+\n")
+        assert exc.value.line_number == 1
+
     def test_bad_polarity(self):
         with pytest.raises(KBSyntaxError):
             parse_kb("friend\tJoe\tBob\t*\n")

@@ -156,13 +156,26 @@ def scalar_report(ens, kb, include_self_pairs=False, tau=None, quorum_slack=0.0)
 class TestReportMatchesScalarRebuild:
     @pytest.mark.parametrize(
         "options",
-        [{}, {"include_self_pairs": True, "tau": 0.5, "quorum_slack": 0.1}],
+        [{}, {"include_self_pairs": True, "tau": 0.5, "quorum_slack": 0.1},
+         {"tau": 0.0}, {"tau": 10.0}],
     )
     def test_friend_store(self, options):
         kb = parse_kb(FRIEND_KB_TEXT)
         ens = fit_ensemble(kb, EmbeddingConfig(dimension=1), TrainConfig(), 7, members=16)
         expected = scalar_report(ens, kb, **options).to_tsv()
         assert knowledge_report(ens, kb, **options).to_tsv() == expected
+
+    @pytest.mark.parametrize("tau, mismatched", [(0.0, "+"), (10.0, "-")])
+    def test_mismatch_follows_the_triple_polarity(self, tau, mismatched):
+        # No fitted positive residual is exactly 0, and every negative one
+        # lies within 10, so one polarity's rows all turn MISMATCH.
+        kb = parse_kb(FRIEND_KB_TEXT)
+        ens = fit_ensemble(kb, EmbeddingConfig(dimension=1), TrainConfig(), 7, members=16)
+        lines = knowledge_report(ens, kb, tau=tau).to_tsv().splitlines()
+        rows = [line.split("\t") for line in lines if not line.startswith("#")]
+        flags = {(row[5], row[6]) for row in rows if row[5] != "unstated"}
+        kept = "-" if mismatched == "+" else "+"
+        assert flags == {(mismatched, "MISMATCH"), (kept, "ok")}
 
     def test_random_certified_store(self):
         kb = random_satisfiable_kb(np.random.default_rng(2024), max_entities=6)
