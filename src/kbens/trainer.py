@@ -6,7 +6,8 @@ its own rate and accept mask, and each one's fit is bit-identical to
 training it alone.  ``train`` is the one-seed call, and
 ``train_with_retries`` trains its reseeded attempts as one batch.  Also
 includes a linear-algebra check for whether zero error is attainable at
-all, and a search for the smallest dimension at which training reaches it.
+all, with a lower bound on the error when it is not, and a search for the
+smallest dimension at which training reaches it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .embedding import DEFAULT_GAMMA, DEFAULT_TAU_POS, Embedding, EmbeddingConfig
-from .kb import KnowledgeBase
+from .kb import KnowledgeBase, SignedTriple
 
 RNG_ALGORITHM_ID = "numpy-pcg64/per-term-sha256-stream"
 
@@ -30,6 +31,11 @@ _MIN_LEARNING_RATE = 1e-18
 
 class NoConvergentDimensionError(RuntimeError):
     """No dimension up to the search bound produced a converged fit."""
+
+
+class UnsatisfiableStoreError(RuntimeError):
+    """The store's error floor (see :func:`satisfiability_oracle`) lies above
+    the fit tolerance, so no embedding of any dimension can converge."""
 
 
 @dataclass(frozen=True)
@@ -356,8 +362,19 @@ class Satisfiability(Enum):
 
 @dataclass(frozen=True)
 class SatisfiabilityResult:
+    """What :func:`satisfiability_oracle` proved about a store.
+
+    ``certificate`` is a zero-error embedding when SATISFIABLE.  When
+    UNSATISFIABLE, ``error_floor`` is a lower bound on the cumulative error
+    of every embedding, and ``pinned`` the negative triple, pinned inside
+    the margin by the positive facts, that sets it; otherwise they are 0
+    and ``None``.
+    """
+
     status: Satisfiability
     certificate: Optional[Embedding]
+    error_floor: float = 0.0
+    pinned: Optional[SignedTriple] = None
 
 
 def satisfiability_oracle(
@@ -371,6 +388,20 @@ def satisfiability_oracle(
     for a point keeping every negative residual at norm >= gamma; because the
     space is linear, such a point exists iff no negative residual functional
     vanishes identically on it.  Returns a certificate embedding when found.
+
+    A negative row n that vanishes on the solution space lies in the span of
+    the positive rows p_i: n = sum_i c_i p_i, and its residual in any
+    embedding is eps_n = sum_i c_i eps_i.  By the triangle and
+    Cauchy-Schwarz inequalities ||eps_n|| <= ||c|| sqrt(P), where P =
+    sum_i ||eps_i||^2 is the positives' error, so the cumulative error is at
+    least P + (gamma - ||c|| sqrt(P))_+^2.  With t = sqrt(P), on t < gamma /
+    ||c|| this is smallest at t = ||c|| gamma / (1 + ||c||^2), where it
+    equals gamma^2 / (1 + ||c||^2); beyond, it is t^2 >= gamma^2 / ||c||^2,
+    larger still (||c|| > 0, since n has a relation coefficient).  The min-norm multipliers make
+    the bound tightest: from the SVD of the positive rows, ||c||^2 =
+    sum_{k < rank} ((vt_k . n) / s_k)^2.  The result's ``error_floor`` is the
+    largest such bound over the pinned negatives, and ``pinned`` the first
+    negative in store order that attains it.
     """
     n_ent, n_rel = len(kb.entities), len(kb.relations)
     n_terms = n_ent + n_rel
@@ -394,8 +425,15 @@ def satisfiability_oracle(
         )
     projected = negatives @ basis  # (n_neg, k)
     norms = np.linalg.norm(projected, axis=1)
-    if np.any(norms < 1e-9):
-        return SatisfiabilityResult(Satisfiability.UNSATISFIABLE, None)
+    pinned = norms < 1e-9
+    if pinned.any():
+        multipliers = (negatives[pinned] @ vt[:rank].T) / svals[:rank]
+        floors = gamma * gamma / (1.0 + np.sum(multipliers * multipliers, axis=1))
+        worst = int(np.argmax(floors))
+        triple = np.flatnonzero(~positive)[np.flatnonzero(pinned)[worst]]
+        return SatisfiabilityResult(
+            Satisfiability.UNSATISFIABLE, None, float(floors[worst]), kb.triples[triple]
+        )
     if np.any(norms < 1e-6):
         return SatisfiabilityResult(Satisfiability.INCONCLUSIVE, None)
     # A generic direction keeps every (nonzero) functional away from zero;

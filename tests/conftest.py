@@ -21,6 +21,10 @@ FRIEND_KB_TEXT = (
     "friend\tMary\tJohn\t-\n"
 )
 
+# friend(Joe, Joe)+ forces the relation to zero, which pins friend(Bob, Joe)-
+# onto the asserted friend(Joe, Bob)+: every embedding has error >= 1/6.
+FRIEND_UNSAT_KB_TEXT = FRIEND_KB_TEXT + "friend\tJoe\tJoe\t+\nfriend\tBob\tJoe\t-\n"
+
 
 @pytest.fixture
 def friend_kb() -> KnowledgeBase:

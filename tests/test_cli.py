@@ -1,13 +1,19 @@
 """Exit codes, output formats, manifests, and byte-level determinism of the
 command-line surface."""
 
+import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kbens import Satisfiability, SatisfiabilityResult, cli, trainer
 from kbens.cli import main
 
-from conftest import FRIEND_KB_TEXT
+from conftest import FRIEND_KB_TEXT, FRIEND_UNSAT_KB_TEXT
 
 
 @pytest.fixture
@@ -91,6 +97,66 @@ class TestFit:
              "--dim", "2", "--members", "1", "--init-scale", "1e154", "--lr", "1e10"]
         )
         assert code == 0
+
+
+class TestUnsatisfiableStore:
+    @pytest.fixture
+    def unsat_file(self, tmp_path):
+        path = tmp_path / "unsat.kb"
+        path.write_text(FRIEND_UNSAT_KB_TEXT, encoding="utf-8")
+        return path
+
+    def fit(self, tmp_path, unsat_file, capsys, options, name="ens.json"):
+        out = tmp_path / name
+        code = main(["fit", str(unsat_file), "-o", str(out), "--seed", "7", *options])
+        captured = capsys.readouterr()
+        return code, captured, out
+
+    @pytest.mark.parametrize("options, floor, tol", [
+        ([], "0.166667", "0.0001"),
+        (["--dim", "2"], "0.166667", "0.0001"),
+        (["--fit-tol", "0.16"], "0.166667", "0.16"),
+        (["--fit-tol", "0.1666"], "0.166667", "0.1666"),
+        (["--gamma", "2", "--fit-tol", "0.5"], "0.666667", "0.5"),
+    ])
+    def test_rejected_before_training(self, tmp_path, unsat_file, capsys, monkeypatch,
+                                      options, floor, tol):
+        monkeypatch.setattr(cli, "min_dimension_search", None)
+        monkeypatch.setattr(cli, "fit_ensemble", None)
+        code, captured, _ = self.fit(tmp_path, unsat_file, capsys, options)
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "kbens fit: unsatisfiable store: the positive facts pin friend(Bob, Joe)- inside"
+            f" the margin; every embedding has cumulative error >= {floor} > --fit-tol {tol}\n"
+        )
+        assert list(tmp_path.iterdir()) == [unsat_file]
+
+    def test_input_errors_come_first(self, tmp_path, unsat_file, capsys):
+        code, captured, _ = self.fit(tmp_path, unsat_file, capsys, ["--max-epochs", "0"])
+        assert code == 1
+        assert captured.err == "kbens fit: max_epochs must be a positive integer: 0\n"
+
+    @pytest.mark.parametrize("options, code, message", [
+        (["--fit-tol", "0.16666666666666666"], 0, "fitted 4 members at dimension 1"),
+        (["--fit-tol", "0.1666666666666666"], 2,
+         "kbens fit: only 1 of 4 members converged within 16 candidate seeds"),
+        (["--gamma", "2", "--fit-tol", "0.7"], 0, "fitted 4 members at dimension 1"),
+    ])
+    def test_tolerance_at_the_floor_runs_the_descent(self, tmp_path, unsat_file, capsys,
+                                                     monkeypatch, options, code, message):
+        options = [*options, "--members", "4", "--max-epochs", "500"]
+        checked = self.fit(tmp_path, unsat_file, capsys, options, "checked.json")
+        monkeypatch.setattr(
+            trainer, "satisfiability_oracle",
+            lambda *a: SatisfiabilityResult(Satisfiability.INCONCLUSIVE, None),
+        )
+        unchecked = self.fit(tmp_path, unsat_file, capsys, options, "unchecked.json")
+        assert checked[0] == unchecked[0] == code
+        assert checked[1].out == unchecked[1].out
+        assert message in checked[1].err and message in unchecked[1].err
+        if code == 0:
+            assert checked[2].read_bytes() == unchecked[2].read_bytes()
 
 
 class TestQuery:
@@ -379,6 +445,80 @@ class TestEnsembleFileChecks:
 
         err = self._query_mutant(fitted, tmp_path, capsys, large_error)
         assert "report 3 has final error" in err
+
+
+def json_paths(node, prefix=()):
+    """Every path to a value below the root of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+MUTANT_VALUES = st.sampled_from([
+    None, True, False, 2**70, float("nan"), float("inf"), float("-inf"),
+    "x", [], [0.5], {}, {"a": 1},
+])
+
+
+@st.composite
+def ensemble_mutants(draw, doc):
+    """``doc`` with one key deleted, one key added, or one field replaced."""
+    doc = copy.deepcopy(doc)
+    paths = list(json_paths(doc))
+    kind = draw(st.sampled_from(["delete", "add", "set"]))
+    if kind == "add":
+        path = draw(st.sampled_from([()] + [p for p in paths if isinstance(at(doc, p), dict)]))
+        at(doc, path)[draw(st.text("abZ_", min_size=1, max_size=3))] = draw(MUTANT_VALUES)
+    elif kind == "delete":
+        path = draw(st.sampled_from([p for p in paths if isinstance(p[-1], str)]))
+        del at(doc, path[:-1])[path[-1]]
+    else:
+        path = draw(st.sampled_from(paths))
+        at(doc, path[:-1])[path[-1]] = draw(MUTANT_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def friend_ensemble(tmp_path_factory):
+    work = tmp_path_factory.mktemp("mutants")
+    kb = work / "friends.kb"
+    kb.write_text(FRIEND_KB_TEXT, encoding="utf-8")
+    ens = work / "ens.json"
+    fit = ["fit", str(kb), "-o", str(ens), "--seed", "7", "--members", "4", "--dim", "2"]
+    assert main(fit) == 0
+    return work, kb, json.loads(ens.read_text())
+
+
+class TestEnsembleFileMutants:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exit_0_or_one_line_exit_1(self, friend_ensemble, data):
+        work, kb, doc = friend_ensemble
+        mutant = work / "mutant.json"
+        mutant.write_text(json.dumps(data.draw(ensemble_mutants(doc))), encoding="utf-8")
+        for argv in (
+            ["query", str(mutant), "friend", "Joe", "Bob"],
+            ["report", str(mutant), str(kb)],
+            ["aggregate", str(mutant), "-o", str(work / "agg.json")],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code == 0 or (
+                code == 1 and out.getvalue() == "" and err.getvalue().count("\n") == 1
+            ), (argv[0], code, err.getvalue())
 
 
 class TestNonFiniteSettings:

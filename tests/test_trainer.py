@@ -31,10 +31,12 @@ from kbens.trainer import _Problem
 
 from conftest import (
     FRIEND_KB_TEXT,
+    FRIEND_UNSAT_KB_TEXT,
     away_from_hinge_kinks,
     forced_unsatisfiable_kb,
     numerical_gradients,
     random_kb,
+    random_satisfiable_kb,
 )
 
 
@@ -505,6 +507,105 @@ class TestSatisfiabilityOracle:
             if any(not t.positive for t in kb.triples):
                 continue
             assert satisfiability_oracle(kb, 1).status is Satisfiability.SATISFIABLE
+
+
+def contradicted(kb):
+    """``kb`` plus a self-loop ``r(x, x)+`` and the reverse ``r(b, a)-`` of
+    its first asserted ``r(a, b)+`` that allows both, or None."""
+    asserted = {t.key for t in kb.triples}
+    for t in kb.triples:
+        if not t.positive or t.subject == t.object or (t.relation, t.object, t.subject) in asserted:
+            continue
+        loops = [e for e in kb.entities if (t.relation, e, e) not in asserted]
+        if loops:
+            return KnowledgeBase.from_triples(kb.triples + (
+                SignedTriple(t.relation, loops[0], loops[0], True),
+                SignedTriple(t.relation, t.object, t.subject, False),
+            ))
+    return None
+
+
+def unsatisfiable_stores():
+    rng = np.random.default_rng(13)
+    stores = [forced_unsatisfiable_kb(rng) for _ in range(20)]
+    rng = np.random.default_rng(5)
+    while len(stores) < 40:
+        kb = contradicted(random_satisfiable_kb(rng))
+        if kb is not None:
+            stores.append(kb)
+    return stores
+
+
+def reference_floor(kb, gamma):
+    """Largest gamma^2 / (1 + ||c||^2) over the negatives n that are exact
+    combinations n = sum_i c_i p_i of the positive rows, with c the lstsq
+    min-norm multipliers; rows built term by term."""
+    terms = {t: i for i, t in enumerate(kb.entities + kb.relations)}
+
+    def row(t):
+        r = np.zeros(len(terms))
+        r[terms[t.subject]] += 1.0
+        r[terms[t.object]] -= 1.0
+        r[terms[t.relation]] -= 1.0
+        return r
+
+    positives = np.array([row(t) for t in kb.triples if t.positive])
+    floors = []
+    for t in kb.triples:
+        if not t.positive:
+            c = np.linalg.lstsq(positives.T, row(t), rcond=None)[0]
+            if np.linalg.norm(positives.T @ c - row(t)) < 1e-9:
+                floors.append(gamma * gamma / (1.0 + c @ c))
+    return max(floors)
+
+
+UNSATISFIABLE_STORES = unsatisfiable_stores()
+
+
+class TestErrorFloor:
+    def test_friend_store_with_a_contradiction(self):
+        result = satisfiability_oracle(parse_kb(FRIEND_UNSAT_KB_TEXT), 1)
+        assert result.status is Satisfiability.UNSATISFIABLE
+        assert result.pinned == SignedTriple("friend", "Bob", "Joe", False)
+        assert result.error_floor == pytest.approx(1 / 6, rel=1e-12)
+
+    def test_matches_min_norm_reference(self):
+        for kb in UNSATISFIABLE_STORES:
+            result = satisfiability_oracle(kb, 2)
+            assert result.status is Satisfiability.UNSATISFIABLE
+            assert result.error_floor == pytest.approx(reference_floor(kb, 1.0), rel=1e-12)
+            assert result.pinned in kb.triples and not result.pinned.positive
+
+    @pytest.mark.parametrize("gamma", [0.25, 2.0, 3.0])
+    def test_scales_as_gamma_squared(self, gamma):
+        for kb in UNSATISFIABLE_STORES[::4]:
+            unit, scaled = satisfiability_oracle(kb, 1), satisfiability_oracle(kb, 1, gamma)
+            assert scaled.error_floor == pytest.approx(unit.error_floor * gamma**2, rel=1e-12)
+            assert scaled.pinned == unit.pinned
+
+    def test_bounds_every_trained_error(self):
+        for i, kb in enumerate(UNSATISFIABLE_STORES):
+            floor = satisfiability_oracle(kb, 2).error_floor
+            _, report = train_with_retries(
+                kb, EmbeddingConfig(dimension=2), TrainConfig(max_epochs=300), i
+            )
+            assert report.final_error >= (1 - 1e-6) * floor
+            if i < 20:  # forced_unsatisfiable_kb stores: descent reaches the floor
+                assert report.final_error <= (1 + 1e-9) * floor
+
+    def test_satisfiable_carries_none(self, friend_kb):
+        result = satisfiability_oracle(friend_kb, 2)
+        assert result.status is Satisfiability.SATISFIABLE
+        assert (result.error_floor, result.pinned) == (0.0, None)
+
+    def test_inconclusive_carries_none(self, friend_kb, monkeypatch):
+        # Stand in for a negative 1e-7 away from the positives' span, which
+        # no store of a few triples reaches.
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: 1e-7 * norm(*a, **k))
+        result = satisfiability_oracle(friend_kb, 2)
+        assert result.status is Satisfiability.INCONCLUSIVE
+        assert (result.certificate, result.error_floor, result.pinned) == (None, 0.0, None)
 
 
 class TestMinDimensionSearch:
