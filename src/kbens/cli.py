@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from . import __version__, trainer
+from . import __version__
 from .aggregate import DEFAULT_DEDUP_TOLERANCE, DegenerateAggregateError, build_aggregate
 from .embedding import (
     DEFAULT_EPS_FIT,
@@ -38,17 +38,13 @@ from .trainer import (
     RNG_ALGORITHM_ID,
     NoConvergentDimensionError,
     TrainConfig,
-    UnsatisfiableStoreError,
     min_dimension_search,
+    reject_unsatisfiable,
 )
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_COMPUTE = 2
-
-# Descent can round to just below a store's exact error floor, so a fit is
-# refused only when the tolerance lies below the floor by more than this share.
-_FLOOR_SLACK = 1e-6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,19 +119,13 @@ def cmd_fit(args) -> int:
         dimension=1 if args.dim is None else args.dim,
         tau_pos=args.tau, gamma=args.gamma, eps_fit=args.fit_tol,
     )
-    # Looked up on the module, so that a wrapper installed there sees the call.
-    oracle = trainer.satisfiability_oracle(kb, cfg.dimension, cfg.gamma)
-    if cfg.eps_fit < (1.0 - _FLOOR_SLACK) * oracle.error_floor:
-        t = oracle.pinned
-        raise UnsatisfiableStoreError(
-            f"unsatisfiable store: the positive facts pin"
-            f" {t.relation}({t.subject}, {t.object}){t.polarity} inside the margin;"
-            f" every embedding has cumulative error >= {oracle.error_floor:.6g}"
-            f" > --fit-tol {cfg.eps_fit!r}"
-        )
+    # Both paths reject a store whose error floor lies above --fit-tol
+    # before any training.
     if args.dim is None:
         dimension, _ = min_dimension_search(kb, cfg, tcfg, args.seed)
         cfg = replace(cfg, dimension=dimension)
+    else:
+        reject_unsatisfiable(kb, cfg)
     ensemble = fit_ensemble(
         kb, cfg, tcfg, args.seed, members=args.members, jobs=args.jobs
     )
@@ -276,10 +266,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (FileNotFoundError, ValueError) as exc:
         print(f"kbens {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (
-        UnsatisfiableStoreError, EnsembleFitError, NoConvergentDimensionError,
-        DegenerateAggregateError,
-    ) as exc:
+    except (EnsembleFitError, NoConvergentDimensionError, DegenerateAggregateError) as exc:
         print(f"kbens {args.command}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -27,15 +27,19 @@ RNG_ALGORITHM_ID = "numpy-pcg64/per-term-sha256-stream"
 # Step rejection stops once the guarded rate underflows this floor; at that
 # point the fit is stuck at a non-zero stationary value.
 _MIN_LEARNING_RATE = 1e-18
+# Descent can round to just below a store's exact error floor, so a store is
+# rejected only when the tolerance lies below the floor by more than this share.
+_FLOOR_SLACK = 1e-6
 
 
 class NoConvergentDimensionError(RuntimeError):
     """No dimension up to the search bound produced a converged fit."""
 
 
-class UnsatisfiableStoreError(RuntimeError):
+class UnsatisfiableStoreError(NoConvergentDimensionError):
     """The store's error floor (see :func:`satisfiability_oracle`) lies above
-    the fit tolerance, so no embedding of any dimension can converge."""
+    the fit tolerance, so no embedding of any dimension can converge: the
+    answer of a dimension search that gives up, proven before any training."""
 
 
 @dataclass(frozen=True)
@@ -461,12 +465,30 @@ def _certificate(kb: KnowledgeBase, cfg: EmbeddingConfig, coords: np.ndarray) ->
     return Embedding(kb.entities, kb.relations, ents, rels, cfg, 0)
 
 
+def reject_unsatisfiable(kb: KnowledgeBase, cfg: EmbeddingConfig) -> None:
+    """Raise :class:`UnsatisfiableStoreError` when the store's error floor at
+    ``cfg.gamma`` lies above ``cfg.eps_fit`` by more than descent's rounding
+    can account for; return otherwise, also when the oracle is inconclusive."""
+    oracle = satisfiability_oracle(kb, cfg.dimension, cfg.gamma)
+    if cfg.eps_fit < (1.0 - _FLOOR_SLACK) * oracle.error_floor:
+        t = oracle.pinned
+        raise UnsatisfiableStoreError(
+            f"unsatisfiable store: the positive facts pin"
+            f" {t.relation}({t.subject}, {t.object}){t.polarity} inside the margin;"
+            f" every embedding has cumulative error >= {oracle.error_floor:.6g}"
+            f" > eps_fit {cfg.eps_fit!r}"
+        )
+
+
 def min_dimension_search(
     kb: KnowledgeBase, cfg_template: EmbeddingConfig, tcfg: TrainConfig, seed: int
 ) -> tuple[int, Embedding]:
     """Smallest dimension at which training converges within the retry
     budget: double upward from 1 until a fit succeeds, then binary search
-    down.  The search is bounded by |entities| + |relations|."""
+    down.  The search is bounded by |entities| + |relations|.  A store whose
+    error floor rules out every dimension is rejected before any training
+    (see :func:`reject_unsatisfiable`)."""
+    reject_unsatisfiable(kb, cfg_template)
     n_max = max(1, len(kb.entities) + len(kb.relations))
     fits: dict[int, Embedding] = {}
 

@@ -121,14 +121,14 @@ class TestUnsatisfiableStore:
     ])
     def test_rejected_before_training(self, tmp_path, unsat_file, capsys, monkeypatch,
                                       options, floor, tol):
-        monkeypatch.setattr(cli, "min_dimension_search", None)
+        monkeypatch.setattr(trainer, "train_with_retries", None)
         monkeypatch.setattr(cli, "fit_ensemble", None)
         code, captured, _ = self.fit(tmp_path, unsat_file, capsys, options)
         assert code == 2
         assert captured.out == ""
         assert captured.err == (
             "kbens fit: unsatisfiable store: the positive facts pin friend(Bob, Joe)- inside"
-            f" the margin; every embedding has cumulative error >= {floor} > --fit-tol {tol}\n"
+            f" the margin; every embedding has cumulative error >= {floor} > eps_fit {tol}\n"
         )
         assert list(tmp_path.iterdir()) == [unsat_file]
 

@@ -2,6 +2,8 @@
 descent, batched descent vs one-member descent, the zero-error attainability
 check, and the dimension search."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from kbens import (
     Satisfiability,
     SignedTriple,
     TrainConfig,
+    UnsatisfiableStoreError,
     gradients,
     init_embedding,
     min_dimension_search,
@@ -628,18 +631,38 @@ class TestMinDimensionSearch:
         assert n <= 2
         assert emb.cumulative_error(friend_kb) <= emb.config.eps_fit
 
+    UNSAT_KB = KnowledgeBase.from_triples(
+        [
+            SignedTriple("r", "a", "b", True),
+            SignedTriple("r", "b", "a", True),
+            SignedTriple("r", "c", "d", True),
+            SignedTriple("r", "d", "c", False),
+        ]
+    )
+
     def test_unsatisfiable_kb_exhausts_search(self):
-        kb = KnowledgeBase.from_triples(
-            [
-                SignedTriple("r", "a", "b", True),
-                SignedTriple("r", "b", "a", True),
-                SignedTriple("r", "c", "d", True),
-                SignedTriple("r", "d", "c", False),
-            ]
-        )
+        kb = self.UNSAT_KB
         tcfg = TrainConfig(max_epochs=300, retry_budget=1)
         with pytest.raises(NoConvergentDimensionError):
             min_dimension_search(kb, EmbeddingConfig(dimension=1), tcfg, 7)
+
+    @pytest.mark.parametrize("text, pinned", [
+        (FRIEND_UNSAT_KB_TEXT, "friend(Bob, Joe)-"), (None, "r(d, c)-"),
+    ])
+    def test_error_floor_rejects_before_training(self, monkeypatch, text, pinned):
+        monkeypatch.setattr(trainer, "train_with_retries", None)
+        kb = self.UNSAT_KB if text is None else parse_kb(text)
+        with pytest.raises(UnsatisfiableStoreError, match=re.escape(f"pin {pinned} inside")):
+            min_dimension_search(kb, EmbeddingConfig(dimension=1), TrainConfig(), 7)
+        assert issubclass(UnsatisfiableStoreError, NoConvergentDimensionError)
+
+    def test_floor_within_the_slack_runs_the_search(self):
+        floor = satisfiability_oracle(self.UNSAT_KB, 1).error_floor
+        cfg = EmbeddingConfig(dimension=1, eps_fit=(1 - 1e-7) * floor)
+        tcfg = TrainConfig(max_epochs=300, retry_budget=1)
+        with pytest.raises(NoConvergentDimensionError) as raised:
+            min_dimension_search(self.UNSAT_KB, cfg, tcfg, 7)
+        assert type(raised.value) is NoConvergentDimensionError
 
 
 class TestMinDimensionProbes:
