@@ -35,6 +35,7 @@ from .ensemble import (
 )
 from .kb import KnowledgeBase, Query, parse_kb
 from .trainer import (
+    OPTIMIZER_ID,
     RNG_ALGORITHM_ID,
     NoConvergentDimensionError,
     TrainConfig,
@@ -52,6 +53,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+class _Version(argparse.Action):
+    # argparse's own version action wraps its line to the terminal width.
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"kbens {__version__} (rng: {RNG_ALGORITHM_ID}; optimizer: {OPTIMIZER_ID})")
+        parser.exit()
 
 
 def _read_text(path: str) -> str:
@@ -92,6 +100,7 @@ def _emit_manifest(
             "kb_digest": kb_digest,
             "tool_version": __version__,
             "rng_algorithm_id": RNG_ALGORITHM_ID,
+            "optimizer_id": OPTIMIZER_ID,
             "duration_seconds": time.monotonic() - started,
         },
         sort_keys=True,
@@ -209,9 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--version",
-        action="version",
-        version=f"kbens {__version__} (rng: {RNG_ALGORITHM_ID})",
+        "--version", action=_Version, nargs=0, default=argparse.SUPPRESS,
+        help="show the version and the fit algorithms, and exit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     train_defaults = TrainConfig()

@@ -120,6 +120,7 @@ class Ensemble:
                 converged=read_field(r, "converged", bool),
                 seed=read_field(r, "seed", int),
                 rng_algorithm_id=read_field(r, "rng_algorithm_id", str),
+                optimizer_id=read_field(r, "optimizer_id", str),
             )
             for r in doc["reports"]
         )

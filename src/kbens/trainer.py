@@ -23,6 +23,9 @@ from .embedding import DEFAULT_GAMMA, DEFAULT_TAU_POS, Embedding, EmbeddingConfi
 from .kb import KnowledgeBase, SignedTriple
 
 RNG_ALGORITHM_ID = "numpy-pcg64/per-term-sha256-stream"
+# The descent rule members are fitted with; a different rule gives different
+# member bytes from the same seeds.
+OPTIMIZER_ID = "guarded-gd/incidence-preconditioned"
 
 # Step rejection stops once the guarded rate underflows this floor; at that
 # point the fit is stuck at a non-zero stationary value.
@@ -48,11 +51,13 @@ class TrainConfig:
 
     Descent is full batch with a guarded constant rate: any step that
     increases the cumulative error is rejected and the rate is halved, so the
-    error trace is non-increasing.  ``retry_budget`` counts additional
-    reseeded attempts (seed XOR attempt index) granted to non-convex fits.
+    error trace is non-increasing.  Each term's step is its gradient divided
+    by the number of triples the term appears in, so one rate suits terms of
+    every degree.  ``retry_budget`` counts additional reseeded attempts (seed
+    XOR attempt index) granted to non-convex fits.
     """
 
-    learning_rate: float = 0.1
+    learning_rate: float = 0.3
     max_epochs: int = 5000
     init_scale: float = 1.0
     retry_budget: int = 3
@@ -78,6 +83,7 @@ class FitReport:
     converged: bool
     seed: int
     rng_algorithm_id: str = RNG_ALGORITHM_ID
+    optimizer_id: str = OPTIMIZER_ID
 
 
 def _term_rng(seed: int, name: str) -> np.random.Generator:
@@ -134,6 +140,13 @@ class _Problem:
         )[:, None]
         self.point_rows = np.concatenate(
             [subjects[pos], objects[pos], subjects[neg], objects[neg]]
+        )
+        # Triples each term appears in, as (E, 1) and (R, 1) columns: an entity
+        # once per role (a self-loop twice), a relation once per triple.  A term
+        # in no triple has a zero gradient; it counts 1.
+        self.point_counts, self.vector_counts = (
+            np.maximum(np.bincount(rows, minlength=n), 1)[:, None]
+            for rows, n in ((self.point_rows, self.n_entities), (self.relations, self.n_relations))
         )
         self._layouts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -265,9 +278,13 @@ def _descend(
         with np.errstate(over="ignore", invalid="ignore"):
             while epoch < tcfg.max_epochs and (err > cfg.eps_fit).all():
                 epoch += 1
+                # A term's gradient sums one contribution per triple it is in,
+                # so dividing by that count keeps a rate that is safe for a
+                # relation shared by many triples from being slow for an
+                # entity in a few.
                 step = rates[:, None, None]
-                new_points = points - step * g_points
-                new_vectors = vectors - step * g_vectors
+                new_points = points - step * (g_points / problem.point_counts)
+                new_vectors = vectors - step * (g_vectors / problem.vector_counts)
                 new_err, new_gp, new_gv = problem.loss_and_grads(
                     new_points, new_vectors, kinks, gamma
                 )

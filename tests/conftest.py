@@ -89,6 +89,36 @@ def forced_unsatisfiable_kb(rng: np.random.Generator) -> KnowledgeBase:
     return KnowledgeBase.from_triples(triples)
 
 
+def cluster_kb(rng: np.random.Generator, clusters: int) -> KnowledgeBase:
+    """Clusters of five fresh entities over two shared relations, certified
+    satisfiable.
+
+    A cluster's positive facts form a random tree over its entities, so every
+    entity is in the store and no cycle of positives forces a relation vector
+    to zero; two more facts deny other pairs of the cluster.  A drawn cluster
+    is kept only while the oracle still certifies the whole store.
+    """
+    triples: list[SignedTriple] = []
+    kept = 0
+    for index in range(4 * clusters):
+        names = [f"c{index}_{i}" for i in rng.permutation(5)]
+        tree = [(names[i], names[int(rng.integers(i))]) for i in range(1, 5)]
+        tree = [pair if rng.random() < 0.5 else pair[::-1] for pair in tree]
+        others = [(s, o) for s in names for o in names if s != o and (s, o) not in tree]
+        denied = [others[int(i)] for i in rng.choice(len(others), 2, replace=False)]
+        candidate = triples + [
+            SignedTriple(f"r{int(rng.integers(2))}", s, o, positive)
+            for pairs, positive in ((tree, True), (denied, False))
+            for s, o in pairs
+        ]
+        kb = KnowledgeBase.from_triples(candidate)
+        if satisfiability_oracle(kb, len(kb.entities)).status is Satisfiability.SATISFIABLE:
+            triples, kept = candidate, kept + 1
+            if kept == clusters:
+                return kb
+    raise RuntimeError(f"fewer than {clusters} clusters kept in {4 * clusters} draws")
+
+
 def all_queries(kb: KnowledgeBase, include_self_pairs: bool = False):
     """Every (relation, subject, object) combination over the vocabulary."""
     from kbens import Query

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from kbens import Satisfiability, SatisfiabilityResult, cli, trainer
 from kbens.cli import main
+from kbens.trainer import OPTIMIZER_ID
 
 from conftest import FRIEND_KB_TEXT, FRIEND_UNSAT_KB_TEXT
 
@@ -48,6 +49,8 @@ class TestFit:
         assert manifest["parameters"]["seed"] == 7
         assert manifest["kb_digest"] == doc["kb_digest"]
         assert "rng_algorithm_id" in manifest
+        assert manifest["optimizer_id"] == OPTIMIZER_ID
+        assert {r["optimizer_id"] for r in doc["reports"]} == {OPTIMIZER_ID}
         lines = captured.out.strip().split("\n")
         assert lines[0].startswith("dimension\t")
         assert lines[1] == "members\t4"
@@ -106,9 +109,9 @@ class TestUnsatisfiableStore:
         path.write_text(FRIEND_UNSAT_KB_TEXT, encoding="utf-8")
         return path
 
-    def fit(self, tmp_path, unsat_file, capsys, options, name="ens.json"):
+    def fit(self, tmp_path, unsat_file, capsys, options, name="ens.json", seed="7"):
         out = tmp_path / name
-        code = main(["fit", str(unsat_file), "-o", str(out), "--seed", "7", *options])
+        code = main(["fit", str(unsat_file), "-o", str(out), "--seed", seed, *options])
         captured = capsys.readouterr()
         return code, captured, out
 
@@ -140,18 +143,19 @@ class TestUnsatisfiableStore:
     @pytest.mark.parametrize("options, code, message", [
         (["--fit-tol", "0.16666666666666666"], 0, "fitted 4 members at dimension 1"),
         (["--fit-tol", "0.1666666666666666"], 2,
-         "kbens fit: only 1 of 4 members converged within 16 candidate seeds"),
+         "kbens fit: only 3 of 4 members converged within 16 candidate seeds"),
         (["--gamma", "2", "--fit-tol", "0.7"], 0, "fitted 4 members at dimension 1"),
     ])
     def test_tolerance_at_the_floor_runs_the_descent(self, tmp_path, unsat_file, capsys,
                                                      monkeypatch, options, code, message):
+        # From seed 2 the fit within the slack fills only 3 of its 4 members.
         options = [*options, "--members", "4", "--max-epochs", "500"]
-        checked = self.fit(tmp_path, unsat_file, capsys, options, "checked.json")
+        checked = self.fit(tmp_path, unsat_file, capsys, options, "checked.json", "2")
         monkeypatch.setattr(
             trainer, "satisfiability_oracle",
             lambda *a: SatisfiabilityResult(Satisfiability.INCONCLUSIVE, None),
         )
-        unchecked = self.fit(tmp_path, unsat_file, capsys, options, "unchecked.json")
+        unchecked = self.fit(tmp_path, unsat_file, capsys, options, "unchecked.json", "2")
         assert checked[0] == unchecked[0] == code
         assert checked[1].out == unchecked[1].out
         assert message in checked[1].err and message in unchecked[1].err
@@ -347,6 +351,15 @@ class TestEnsembleFileChecks:
         err = self._query_mutant(fitted, tmp_path, capsys, lambda d: d.pop("kb_digest"))
         assert "missing field 'kb_digest'" in err
 
+    def test_file_without_optimizer_id_is_named(self, fitted, tmp_path, capsys):
+        # Files fitted before the preconditioned descent carry no optimizer id.
+        def unrecord(doc):
+            for r in doc["reports"]:
+                del r["optimizer_id"]
+
+        err = self._query_mutant(fitted, tmp_path, capsys, unrecord)
+        assert "missing field 'optimizer_id'" in err
+
     def test_member_without_entities_is_named(self, fitted, tmp_path, capsys):
         def drop_entities(doc):
             del doc["members"][1]["entities"]
@@ -368,6 +381,7 @@ class TestEnsembleFileChecks:
         ("reports", "converged", "false"), ("reports", "converged", 1),
         ("reports", "epochs_used", 2.5), ("reports", "seed", None),
         ("reports", "final_error", "0"), ("reports", "rng_algorithm_id", None),
+        ("reports", "optimizer_id", 1),
     ])
     def test_scalar_field_of_wrong_type(self, fitted, tmp_path, capsys, block, field, value):
         def retype(doc):
@@ -632,3 +646,11 @@ class TestVersion:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "kbens" in out and "rng" in out
+
+    def test_version_names_the_optimizer_on_one_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "40")
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith(f"; optimizer: {OPTIMIZER_ID})\n")
