@@ -64,7 +64,7 @@ class _Version(argparse.Action):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise FileNotFoundError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

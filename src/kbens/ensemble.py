@@ -42,8 +42,8 @@ class DigestMismatchError(ValueError):
 class Ensemble:
     """Converged members plus the digest of the store they model.
 
-    :func:`fit_ensemble` builds a validated value, :meth:`from_json` a
-    frame-checked one; ``validate`` re-checks them against a store.
+    :func:`fit_ensemble` and :meth:`from_json` both build values that
+    ``validate`` accepts; ``validate(kb)`` also checks them against a store.
     """
 
     members: tuple[Embedding, ...]
@@ -57,44 +57,43 @@ class Ensemble:
     def config(self) -> EmbeddingConfig:
         return self.members[0].config
 
-    def check_frame(self) -> None:
-        """Every member shares one vocabulary and config and carries one
-        converged report of its seed, with a final error within eps_fit;
-        cheap enough for every file load."""
+    def validate(self, kb: Optional[KnowledgeBase] = None) -> None:
+        """Every member shares one vocabulary and config, has a seed of its
+        own and carries one converged report of that seed, with a final error
+        within eps_fit; cheap enough for every file load.  With ``kb``, the
+        digest matches and every member fits ``kb`` within eps_fit."""
         if not self.members:
             raise ValueError("an ensemble needs at least one member")
         if len(self.reports) != len(self.members):
             raise ValueError(f"{len(self.reports)} reports for {len(self.members)} members")
         first = self.members[0]
+        seeds = set()
         for i, (m, r) in enumerate(zip(self.members, self.reports)):
             if (m.entity_names, m.relation_names) != (first.entity_names, first.relation_names):
                 raise ValueError(f"member seed={m.seed} has a different vocabulary than member 0")
             if m.config != first.config:
                 raise ValueError("members disagree on embedding config")
+            if m.seed in seeds:
+                raise ValueError(f"member seed={m.seed} repeats the seed of an earlier member")
+            seeds.add(m.seed)
             if r.seed != m.seed:
                 raise ValueError(f"report {i} has seed {r.seed} but member {i} has seed {m.seed}")
             if not r.converged:
                 raise ValueError(f"member seed={m.seed} carries a non-converged report")
             if not r.final_error <= m.config.eps_fit:
                 raise ValueError(f"report {i} has final error {r.final_error!r} not within eps_fit")
-
-    def check_digest(self, kb: KnowledgeBase) -> None:
-        """Raise :class:`DigestMismatchError` unless the ensemble was fitted
-        from ``kb``."""
-        if kb.digest() != self.kb_digest:
-            raise DigestMismatchError("ensemble digest does not match the given knowledge base")
-
-    def validate(self, kb: Optional[KnowledgeBase] = None) -> None:
-        self.check_frame()
-        seeds = [m.seed for m in self.members]
-        if len(set(seeds)) != len(seeds):
-            raise ValueError(f"member seeds are not pairwise distinct: {seeds}")
         if kb is not None:
             self.check_digest(kb)
             for m in self.members:
                 err = m.cumulative_error(kb)
                 if err > self.config.eps_fit:
                     raise ValueError(f"member seed={m.seed} has error {err} above eps_fit")
+
+    def check_digest(self, kb: KnowledgeBase) -> None:
+        """Raise :class:`DigestMismatchError` unless the ensemble was fitted
+        from ``kb``."""
+        if kb.digest() != self.kb_digest:
+            raise DigestMismatchError("ensemble digest does not match the given knowledge base")
 
     def to_doc(self) -> dict:
         return {
@@ -111,7 +110,7 @@ class Ensemble:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Ensemble":
-        """Inverse of :meth:`to_doc`, checked by :func:`read_field` and :meth:`check_frame`."""
+        """Inverse of :meth:`to_doc`, checked by :func:`read_field` and :meth:`validate`."""
         members = tuple(Embedding.from_doc(d) for d in doc["members"])
         reports = tuple(
             FitReport(
@@ -127,16 +126,16 @@ class Ensemble:
         # The top-level block restates the members' config; a mismatch means an edited file.
         if members and doc["config"] != asdict(members[0].config):
             raise ValueError(f"top-level config {doc['config']} differs from the members' config")
-        ensemble = cls(members, read_field(doc, "kb_digest", str), reports)
-        ensemble.check_frame()
         # np.asarray reads a JSON true or false among numbers as 1 or 0: look only there.
-        arrays = [a for m in members for a in (m.entity_array, m.relation_array)]
-        coords = np.concatenate(arrays)  # check_frame gave them one width
+        arrays = [a.ravel() for m in members for a in (m.entity_array, m.relation_array)]
+        coords = np.concatenate([np.empty(0), *arrays])  # flat: any widths, or no member
         if ((coords == 0) | (coords == 1)).any() and any(
             type(x) is bool for d in doc["members"] for key in ("entities", "relations")
             for x in np.array(list(d[key].values()), dtype=object).flat
         ):
             raise ValueError("coordinates must be numbers")
+        ensemble = cls(members, read_field(doc, "kb_digest", str), reports)
+        ensemble.validate()
         return ensemble
 
     @classmethod

@@ -439,11 +439,6 @@ def satisfiability_oracle(
     tol = max(positives.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
     rank = int(np.sum(svals > tol))
     basis = vt[rank:].T  # (n_terms, k) null-space basis; the identity with no positives
-    if not negatives.size:
-        coords = np.zeros(n_terms)
-        return SatisfiabilityResult(
-            Satisfiability.SATISFIABLE, _certificate(kb, cfg, coords)
-        )
     projected = negatives @ basis  # (n_neg, k)
     norms = np.linalg.norm(projected, axis=1)
     pinned = norms < 1e-9
@@ -455,21 +450,17 @@ def satisfiability_oracle(
         return SatisfiabilityResult(
             Satisfiability.UNSATISFIABLE, None, float(floors[worst]), kb.triples[triple]
         )
-    if np.any(norms < 1e-6):
-        return SatisfiabilityResult(Satisfiability.INCONCLUSIVE, None)
     # A generic direction keeps every (nonzero) functional away from zero;
-    # retry deterministically on the measure-zero failure, then scale so all
-    # negative residuals clear the margin with slack.
+    # a near-pinned negative or a draw near a zero (measure zero) is left to
+    # descent.  Scaling then makes every negative residual clear the margin
+    # with slack; with no negatives the certificate is all zero.
     rng = np.random.default_rng(np.random.SeedSequence([0xD1CE, basis.shape[1]]))
-    for _ in range(16):
-        z = rng.normal(size=basis.shape[1])
-        values = projected @ z
-        if np.all(np.abs(values) > 1e-9 * norms):
-            coords = basis @ (z * (2.0 * gamma / np.min(np.abs(values))))
-            return SatisfiabilityResult(
-                Satisfiability.SATISFIABLE, _certificate(kb, cfg, coords)
-            )
-    return SatisfiabilityResult(Satisfiability.INCONCLUSIVE, None)
+    z = rng.normal(size=basis.shape[1])
+    values = projected @ z
+    if np.any(norms < 1e-6) or np.any(np.abs(values) <= 1e-9 * norms):
+        return SatisfiabilityResult(Satisfiability.INCONCLUSIVE, None)
+    coords = basis @ (z * (2.0 * gamma / np.min(np.abs(values), initial=np.inf)))
+    return SatisfiabilityResult(Satisfiability.SATISFIABLE, _certificate(kb, cfg, coords))
 
 
 def _certificate(kb: KnowledgeBase, cfg: EmbeddingConfig, coords: np.ndarray) -> Embedding:

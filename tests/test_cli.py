@@ -17,6 +17,14 @@ from kbens.trainer import OPTIMIZER_ID
 from conftest import FRIEND_KB_TEXT, FRIEND_UNSAT_KB_TEXT
 
 
+# The store's three facts and the README's open question.
+README_QUERIES = [
+    ("friend", "Joe", "Bob"), ("friend", "Alice", "John"),
+    ("friend", "Mary", "John"), ("friend", "Mary", "Alice"),
+]
+BOM = b"\xef\xbb\xbf"
+
+
 @pytest.fixture
 def kb_file(tmp_path):
     path = tmp_path / "friends.kb"
@@ -252,13 +260,17 @@ class TestAggregate:
             "kbens aggregate: only 1 member(s) retained; aggregate needs at least 2\n"
         )
 
-    def test_duplicated_member_file_exits_2(self, fitted, tmp_path, capsys):
+    def test_duplicated_member_file_exits_1(self, fitted, tmp_path, capsys):
         doc = json.loads(fitted.read_text())
         doc["members"] = [doc["members"][0], doc["members"][0]]
         doc["reports"] = [doc["reports"][0], doc["reports"][0]]
         dup = tmp_path / "dup.json"
         dup.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["aggregate", str(dup), "-o", str(tmp_path / "agg.json")]) == 2
+        assert main(["aggregate", str(dup), "-o", str(tmp_path / "agg.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"kbens aggregate: invalid ensemble file {str(dup)!r}:"
+            f" member seed={doc['members'][0]['seed']} repeats the seed of an earlier member\n"
+        )
 
 
 class TestManifestParameters:
@@ -334,6 +346,17 @@ class TestEnsembleFileChecks:
             doc["config"].update(dimension=9, tau_pos=0.05)
 
         assert "top-level config" in self._query_mutant(fitted, tmp_path, capsys, reconfigure)
+
+    def test_member_of_another_dimension(self, fitted, tmp_path, capsys):
+        def widen(doc):
+            member = doc["members"][1]
+            member["dimension"] = 2
+            for block in ("entities", "relations"):
+                member[block] = {t: row * 2 for t, row in member[block].items()}
+
+        assert "members disagree on embedding config" in self._query_mutant(
+            fitted, tmp_path, capsys, widen
+        )
 
     def test_report_seed_differs_from_member_seed(self, fitted, tmp_path, capsys):
         def reseed(doc):
@@ -460,6 +483,41 @@ class TestEnsembleFileChecks:
         err = self._query_mutant(fitted, tmp_path, capsys, large_error)
         assert "report 3 has final error" in err
 
+    def test_copies_of_one_member_exit_1_on_every_command(self, fitted, kb_file, tmp_path, capsys):
+        # Copies of one member would answer every query unanimously.
+        doc = json.loads(fitted.read_text())
+        doc["members"] = [doc["members"][0]] * len(doc["members"])
+        doc["reports"] = [doc["reports"][0]] * len(doc["reports"])
+        path = tmp_path / "copies.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "agg.json"
+        for argv in (
+            ["query", str(path), "friend", "Mary", "Alice"],
+            ["report", str(path), str(kb_file)],
+            ["aggregate", str(path), "-o", str(out)],
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err == (
+                f"kbens {argv[0]}: invalid ensemble file {str(path)!r}:"
+                f" member seed={doc['members'][0]['seed']} repeats the seed of an earlier member\n"
+            )
+
+    def test_reordered_members_give_the_same_answers(self, fitted, tmp_path, capsys):
+        doc = json.loads(fitted.read_text())
+        order = [3, 0, 7, 5, 1, 6, 2, 4]
+        doc["members"] = [doc["members"][i] for i in order]
+        doc["reports"] = [doc["reports"][i] for i in order]
+        path = tmp_path / "reordered.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for query in README_QUERIES:
+            answers = []
+            for ensemble in (fitted, path):
+                assert main(["query", str(ensemble), *query]) == 0
+                answers.append(capsys.readouterr().out)
+            assert answers[0] == answers[1], query
+
 
 def json_paths(node, prefix=()):
     """Every path to a value below the root of a JSON document."""
@@ -488,11 +546,21 @@ MUTANT_VALUES = st.sampled_from([
 
 @st.composite
 def ensemble_mutants(draw, doc):
-    """``doc`` with one key deleted, one key added, or one field replaced."""
+    """``doc`` with one key deleted, one key added, one field replaced, one
+    member copied with its report over another, or the members and reports
+    reordered alike."""
     doc = copy.deepcopy(doc)
     paths = list(json_paths(doc))
-    kind = draw(st.sampled_from(["delete", "add", "set"]))
-    if kind == "add":
+    kind = draw(st.sampled_from(["delete", "add", "set", "duplicate", "reorder"]))
+    order = draw(st.permutations(range(len(doc["members"]))))
+    if kind == "duplicate":
+        source, target = order[:2]
+        for block in ("members", "reports"):
+            doc[block][target] = copy.deepcopy(doc[block][source])
+    elif kind == "reorder":
+        for block in ("members", "reports"):
+            doc[block] = [doc[block][i] for i in order]
+    elif kind == "add":
         path = draw(st.sampled_from([()] + [p for p in paths if isinstance(at(doc, p), dict)]))
         at(doc, path)[draw(st.text("abZ_", min_size=1, max_size=3))] = draw(MUTANT_VALUES)
     elif kind == "delete":
@@ -599,6 +667,31 @@ class TestFileThatIsNotUtf8:
             f"kbens {argv[0]}: cannot read {str(bad)!r}: 'utf-8' codec can't decode"
             " byte 0xff in position 0: invalid start byte\n"
         )
+
+
+class TestByteOrderMark:
+    def test_store_fits_like_its_plain_copy(self, tmp_path, kb_file, capsys):
+        bom = tmp_path / "bom.kb"
+        bom.write_bytes(BOM + kb_file.read_bytes())
+        outs = []
+        for store in (kb_file, bom):
+            out = tmp_path / f"{store.stem}.json"
+            assert main(["fit", str(store), "-o", str(out), "--seed", "7", "--members", "4"]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        capsys.readouterr()
+        assert main(["query", str(tmp_path / "friends.json"), "friend", "Joe", "Bob",
+                     "--kb", str(bom)]) == 0
+        assert capsys.readouterr().out == "TRUE\t1.000000\n"
+
+    def test_ensemble_file_loads(self, fitted, tmp_path, capsys):
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(BOM + fitted.read_bytes())
+        answers = []
+        for ensemble in (fitted, bom):
+            assert main(["query", str(ensemble), "friend", "Mary", "Alice"]) == 0
+            answers.append(capsys.readouterr().out)
+        assert answers[0] == answers[1]
 
 
 class TestAggregateBounds:

@@ -365,8 +365,11 @@ class TestSerialization:
             kb_digest=friend_ensemble.kb_digest,
             reports=(friend_ensemble.reports[0], friend_ensemble.reports[0]),
         )
-        with pytest.raises(ValueError):
+        message = f"member seed={forced.members[0].seed} repeats the seed of an earlier member"
+        with pytest.raises(ValueError, match=message):
             forced.validate()
+        with pytest.raises(ValueError, match=message):
+            Ensemble.from_json(forced.to_json())
 
     def test_validate_rejects_member_above_eps_fit(self, friend_kb_m, friend_ensemble):
         # The frame holds (the report still says converged); only the
@@ -385,7 +388,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"seed={second.seed} has error .* above eps_fit"):
             forced.validate(friend_kb_m)
 
-    def test_check_frame_rejects_mismatched_members(self, friend_ensemble):
+    def test_validate_rejects_mismatched_members(self, friend_ensemble):
         first, second = friend_ensemble.members[:2]
         reports = friend_ensemble.reports[:2]
         shrunk = Embedding.from_points(
@@ -404,7 +407,5 @@ class TestSerialization:
         ]
         for mutant in mutants:
             with pytest.raises(ValueError):
-                mutant.check_frame()
-            with pytest.raises(ValueError):
                 mutant.validate()
-        Ensemble((first, second), friend_ensemble.kb_digest, reports).check_frame()
+        Ensemble((first, second), friend_ensemble.kb_digest, reports).validate()

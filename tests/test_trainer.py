@@ -3,6 +3,7 @@ descent, batched descent vs one-member descent, the zero-error attainability
 check, and the dimension search."""
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -550,6 +551,31 @@ class TestSatisfiabilityOracle:
             if any(not t.positive for t in kb.triples):
                 continue
             assert satisfiability_oracle(kb, 1).status is Satisfiability.SATISFIABLE
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_stores_without_negatives_get_the_zero_certificate(self, dimension, gamma):
+        rng = np.random.default_rng(31)
+        stores = [parse_kb(""), parse_kb(FRIEND_KB_TEXT)] + [random_kb(rng) for _ in range(20)]
+        for kb in stores:
+            kb = KnowledgeBase.from_triples([t for t in kb.triples if t.positive])
+            result = satisfiability_oracle(kb, dimension, gamma)
+            assert result.status is Satisfiability.SATISFIABLE
+            assert (result.error_floor, result.pinned) == (0.0, None)
+            cert = result.certificate
+            assert cert.cumulative_error(kb) == 0.0
+            for array in (cert.entity_array, cert.relation_array):
+                assert array.tobytes() == np.zeros_like(array).tobytes()  # +0.0 throughout
+
+    def test_draw_on_a_functional_zero_is_inconclusive(self, friend_kb, monkeypatch):
+        # Stand in for the measure-zero draw on which a negative's residual
+        # functional vanishes.
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: SimpleNamespace(
+            normal=lambda size: np.zeros(size)
+        ))
+        result = satisfiability_oracle(friend_kb, 2)
+        assert result.status is Satisfiability.INCONCLUSIVE
+        assert (result.certificate, result.error_floor, result.pinned) == (None, 0.0, None)
 
 
 def contradicted(kb):
