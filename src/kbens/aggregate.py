@@ -209,11 +209,7 @@ def build_aggregate(
         raise ValueError("dedup tolerance must not be NaN")
     if max_cloud_diameter is not None and math.isnan(max_cloud_diameter):
         raise ValueError("max cloud diameter must not be NaN")
-    if not ens.members:
-        raise DegenerateAggregateError("ensemble has no members")
     reference = ens.members[0]
-    for member in ens.members[1:]:
-        _check_same_frame(member, reference)
     residual, slack = _residual_screen(ens.members)
     # A direction whose screened residual exceeds this band is certainly
     # above the tolerance; a pair that is not above it in either direction

@@ -71,6 +71,13 @@ def _read_text(path: str) -> str:
         raise ValueError(f"cannot read {path!r}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
 def _load_kb(path: str) -> KnowledgeBase:
     return parse_kb(_read_text(path))
 
@@ -106,7 +113,7 @@ def _emit_manifest(
         sort_keys=True,
     )
     if out_path is not None:
-        Path(out_path + ".manifest.json").write_text(text + "\n", encoding="utf-8")
+        _write_text(out_path + ".manifest.json", text + "\n")
     else:
         print(text, file=sys.stderr)
 
@@ -138,7 +145,7 @@ def cmd_fit(args) -> int:
     ensemble = fit_ensemble(
         kb, cfg, tcfg, args.seed, members=args.members, jobs=args.jobs
     )
-    Path(args.out).write_text(ensemble.to_json(), encoding="utf-8")
+    _write_text(args.out, ensemble.to_json())
     print(f"dimension\t{cfg.dimension}")
     print(f"members\t{len(ensemble)}")
     for i, report in enumerate(ensemble.reports):
@@ -193,9 +200,9 @@ def cmd_aggregate(args) -> int:
         dedup_tolerance=args.dedup_tol,
         max_cloud_diameter=args.max_diameter,
     )
-    Path(args.out).write_text(aggregate.to_json(), encoding="utf-8")
+    _write_text(args.out, aggregate.to_json())
     if args.clouds_tsv is not None:
-        Path(args.clouds_tsv).write_text(aggregate.clouds_tsv(), encoding="utf-8")
+        _write_text(args.clouds_tsv, aggregate.clouds_tsv())
     max_diameter = max(aggregate.diameters.values(), default=0.0)
     print(f"retained\t{len(aggregate.member_indices)}")
     print(f"reference_index\t{aggregate.reference_index}")

@@ -42,13 +42,16 @@ class DigestMismatchError(ValueError):
 class Ensemble:
     """Converged members plus the digest of the store they model.
 
-    :func:`fit_ensemble` and :meth:`from_json` both build values that
-    ``validate`` accepts; ``validate(kb)`` also checks them against a store.
+    Every value is checked by ``validate`` when it is built;
+    ``validate(kb)`` also checks it against a store.
     """
 
     members: tuple[Embedding, ...]
     kb_digest: str
     reports: tuple[FitReport, ...]
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def __len__(self) -> int:
         return len(self.members)
@@ -60,8 +63,9 @@ class Ensemble:
     def validate(self, kb: Optional[KnowledgeBase] = None) -> None:
         """Every member shares one vocabulary and config, has a seed of its
         own and carries one converged report of that seed, with a final error
-        within eps_fit; cheap enough for every file load.  With ``kb``, the
-        digest matches and every member fits ``kb`` within eps_fit."""
+        within eps_fit; cheap enough to run on every value built.  With
+        ``kb``, the digest matches and every member fits ``kb`` within
+        eps_fit."""
         if not self.members:
             raise ValueError("an ensemble needs at least one member")
         if len(self.reports) != len(self.members):
@@ -134,9 +138,7 @@ class Ensemble:
             for x in np.array(list(d[key].values()), dtype=object).flat
         ):
             raise ValueError("coordinates must be numbers")
-        ensemble = cls(members, read_field(doc, "kb_digest", str), reports)
-        ensemble.validate()
-        return ensemble
+        return cls(members, read_field(doc, "kb_digest", str), reports)
 
     @classmethod
     def from_json(cls, text: str) -> "Ensemble":
@@ -183,13 +185,11 @@ def fit_ensemble(
             f"only {len(kept)} of {members} members converged "
             f"within {cap} candidate seeds"
         )
-    ensemble = Ensemble(
+    return Ensemble(
         members=tuple(emb for emb, _ in kept),
         kb_digest=kb.digest(),
         reports=tuple(report for _, report in kept),
     )
-    ensemble.validate()
-    return ensemble
 
 
 def satisfied_counts(

@@ -98,36 +98,29 @@ class SignedTriple:
 class KnowledgeBase:
     """A validated, canonically ordered collection of signed triples.
 
-    Construction is through :meth:`from_triples` or :func:`parse_kb`; the
-    value is immutable afterwards and safe to share across threads.  Triples
-    and vocabularies are stored sorted, so two stores built from the same
-    facts in any order compare equal.
+    The value is immutable and safe to share across threads.  Triples and
+    vocabularies are stored sorted, so two stores built from the same facts
+    and terms in any order compare equal.  ``entities`` and ``relations``
+    hold every term a triple names, and may declare isolated terms too; a
+    term listed twice is one term.
     """
 
     triples: tuple[SignedTriple, ...]
     entities: tuple[str, ...]
     relations: tuple[str, ...]
 
-    @classmethod
-    def from_triples(
-        cls,
-        triples: Iterable[SignedTriple],
-        extra_entities: Iterable[str] = (),
-        extra_relations: Iterable[str] = (),
-    ) -> "KnowledgeBase":
-        """Build a store from triples, validating every invariant.
-
-        ``extra_entities`` / ``extra_relations`` declare isolated vocabulary
-        terms that no triple mentions.
-        """
-        triples = tuple(sorted(triples))
+    def __post_init__(self) -> None:
+        # Names are checked before anything sorts them, so a name that is
+        # not a string is a KBError, not a TypeError.
+        entity_set = frozenset(check_term_name(n) for n in self.entities)
+        relation_set = frozenset(check_term_name(n) for n in self.relations)
+        for t in self.triples:
+            if not (t.relation in relation_set and t.subject in entity_set
+                    and t.object in entity_set):
+                raise KBError(f"a triple names a term outside the vocabulary: {t.as_line()!r}")
+        triples = tuple(sorted(self.triples))
         polarity_of: dict[tuple[str, str, str], bool] = {}
-        entities: set[str] = set(check_term_name(e) for e in extra_entities)
-        relations: set[str] = set(check_term_name(r) for r in extra_relations)
         for t in triples:
-            check_term_name(t.relation)
-            check_term_name(t.subject)
-            check_term_name(t.object)
             if t.key in polarity_of:
                 if polarity_of[t.key] == t.positive:
                     raise DuplicateTripleError(f"duplicate triple: {t.as_line()!r}")
@@ -135,22 +128,24 @@ class KnowledgeBase:
                     f"{t.relation}({t.subject}, {t.object}) asserted with both polarities"
                 )
             polarity_of[t.key] = t.positive
-            entities.update((t.subject, t.object))
-            relations.add(t.relation)
-        clash = entities & relations
+        clash = entity_set & relation_set
         if clash:
             raise KBError(
                 f"entity and relation namespaces overlap: {sorted(clash)}"
             )
-        return cls(
-            triples=triples,
-            entities=tuple(sorted(entities)),
-            relations=tuple(sorted(relations)),
-        )
+        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "entities", tuple(sorted(entity_set)))
+        object.__setattr__(self, "relations", tuple(sorted(relation_set)))
+        object.__setattr__(self, "_polarity_index", polarity_of)
+        object.__setattr__(self, "_entity_set", entity_set)
+        object.__setattr__(self, "_relation_set", relation_set)
 
-    @cached_property
-    def _polarity_index(self) -> dict[tuple[str, str, str], bool]:
-        return {t.key: t.positive for t in self.triples}
+    @classmethod
+    def from_triples(cls, triples: Iterable[SignedTriple]) -> "KnowledgeBase":
+        """Build a store whose vocabulary is the terms its triples name."""
+        triples = tuple(triples)
+        entities = tuple(n for t in triples for n in (t.subject, t.object))
+        return cls(triples, entities, tuple(t.relation for t in triples))
 
     @cached_property
     def triple_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -162,26 +157,15 @@ class KnowledgeBase:
         """
         ent = {t: i for i, t in enumerate(self.entities)}
         rel = {t: i for i, t in enumerate(self.relations)}
-        try:
-            index = (
-                np.array([ent[t.subject] for t in self.triples], dtype=np.intp),
-                np.array([ent[t.object] for t in self.triples], dtype=np.intp),
-                np.array([rel[t.relation] for t in self.triples], dtype=np.intp),
-                np.array([t.positive for t in self.triples], dtype=bool),
-            )
-        except KeyError as exc:
-            raise KBError(f"a triple names a term outside the vocabulary: {exc}") from None
+        index = (
+            np.array([ent[t.subject] for t in self.triples], dtype=np.intp),
+            np.array([ent[t.object] for t in self.triples], dtype=np.intp),
+            np.array([rel[t.relation] for t in self.triples], dtype=np.intp),
+            np.array([t.positive for t in self.triples], dtype=bool),
+        )
         for a in index:
             a.flags.writeable = False
         return index
-
-    @cached_property
-    def _entity_set(self) -> frozenset[str]:
-        return frozenset(self.entities)
-
-    @cached_property
-    def _relation_set(self) -> frozenset[str]:
-        return frozenset(self.relations)
 
     def asserted_polarity(self, relation: str, subject: str, object: str) -> Optional[bool]:
         """True/False if the triple is asserted with that polarity, else None."""
@@ -199,8 +183,8 @@ class KnowledgeBase:
     def serialize(self) -> str:
         """Canonical text form: one sorted triple per line.
 
-        Isolated vocabulary terms declared at construction are not part of
-        the file format and are not serialized.
+        Isolated vocabulary terms are not part of the file format and are
+        not serialized.
         """
         return "".join(t.as_line() + "\n" for t in self.triples)
 

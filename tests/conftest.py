@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from kbens import (
+    Ensemble,
+    FitReport,
     KnowledgeBase,
     Satisfiability,
     SignedTriple,
@@ -117,6 +119,13 @@ def cluster_kb(rng: np.random.Generator, clusters: int) -> KnowledgeBase:
             if kept == clusters:
                 return kb
     raise RuntimeError(f"fewer than {clusters} clusters kept in {4 * clusters} draws")
+
+
+def hand_made_ensemble(members, kb_digest: str = "") -> Ensemble:
+    """A valid ensemble of hand-made members with distinct seeds: each
+    carries one converged report of its own seed, with final error 0."""
+    members = tuple(members)
+    return Ensemble(members, kb_digest, tuple(FitReport(0.0, 0, True, m.seed) for m in members))
 
 
 def all_queries(kb: KnowledgeBase, include_self_pairs: bool = False):

@@ -1,5 +1,7 @@
 """Affine alignment, duplicate detection, cloud pooling, and verdicts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from kbens import (
 from kbens import aggregate
 from kbens.aggregate import _residual_screen
 
-from conftest import all_queries
+from conftest import all_queries, hand_made_ensemble
 
 
 @pytest.fixture(scope="module")
@@ -129,12 +131,10 @@ class TestAffineDuplicate:
 
 class TestBuildAggregate:
     def test_duplicated_member_ensemble_is_degenerate(self, friend_ensemble):
+        # An exact copy under a seed of its own, since a repeated seed is
+        # rejected when the ensemble is built.
         m = friend_ensemble.members[0]
-        forced = Ensemble(
-            members=(m, m),
-            kb_digest=friend_ensemble.kb_digest,
-            reports=friend_ensemble.reports[:2],
-        )
+        forced = hand_made_ensemble((m, replace(m, seed=1000)), friend_ensemble.kb_digest)
         with pytest.raises(DegenerateAggregateError):
             build_aggregate(forced)
 
@@ -163,10 +163,8 @@ class TestBuildAggregate:
         m0 = friend_ensemble.members[0]
         m2 = friend_ensemble.members[1]
         copy = affine_copy(m0, -np.eye(1), np.array([0.7]))  # 1-D orthogonal map
-        forced = Ensemble(
-            members=(m0, copy, m2),
-            kb_digest=friend_ensemble.kb_digest,
-            reports=friend_ensemble.reports[:3],
+        forced = hand_made_ensemble(
+            (m0, replace(copy, seed=1000), m2), friend_ensemble.kb_digest
         )
         agg = build_aggregate(forced)
         assert agg.member_indices == (0, 2)
@@ -209,9 +207,9 @@ class TestBuildAggregate:
         assert calls["align"] <= len(agg.member_indices) - 1 + 2 * calls["duplicate"]
         assert calls["duplicate"] == 0
 
-    def test_ensemble_without_members_is_degenerate(self):
-        with pytest.raises(DegenerateAggregateError, match="no members"):
-            build_aggregate(Ensemble(members=(), kb_digest="", reports=()))
+    def test_ensemble_without_members_is_rejected_when_built(self):
+        with pytest.raises(ValueError, match="at least one member"):
+            Ensemble(members=(), kb_digest="", reports=())
 
     def test_empty_store_keeps_one_member_and_is_degenerate(self):
         # With no terms every member is an affine image of the first.
@@ -281,9 +279,7 @@ class TestCloudDiameter:
         for m in ens.members:
             q_mat, _ = np.linalg.qr(rng.normal(size=(2, 2)))
             rotated_members.append(affine_copy(m, q_mat, rng.uniform(-1, 1, 2)))
-        rotated = Ensemble(
-            members=tuple(rotated_members), kb_digest=ens.kb_digest, reports=ens.reports
-        )
+        rotated = hand_made_ensemble(rotated_members, ens.kb_digest)
         agg_rot = build_aggregate(rotated)
         assert agg_rot.member_indices == agg.member_indices
         for term in agg.diameters:
@@ -461,7 +457,7 @@ def hypothesis_ensembles(draw):
             tuple(f"e{i}" for i in range(n_ent)), tuple(f"r{i}" for i in range(n_rel)),
             ents, rels, cfg, seed,
         ))
-    return Ensemble(members=tuple(members), kb_digest="", reports=())
+    return hand_made_ensemble(members)
 
 
 class TestMatchesReference:
@@ -554,7 +550,7 @@ class TestResidualScreen:
         other = Embedding(names, (), [[0, 1], [1, 0], [2, 2], [1, 1]], none, cfg, 1)
         _, slack = _residual_screen((near, other))
         assert np.isfinite(slack[0]) == settled and np.isfinite(slack[1])
-        ens = Ensemble(members=(near, other), kb_digest="", reports=())
+        ens = hand_made_ensemble((near, other))
         for tol in on_both_sides(pair_residuals((near, other))):
             assert_matches_reference(ens, dedup_tolerance=tol)
 
@@ -575,7 +571,7 @@ class TestResidualScreen:
     @settings(max_examples=60, deadline=None)
     @given(members=degenerate_members(), data=st.data())
     def test_rank_deficient_ensembles_match_reference(self, members, data):
-        ens = Ensemble(members=members, kb_digest="", reports=())
+        ens = hand_made_ensemble(members)
         residuals = pair_residuals(members)
         for tol in on_both_sides(data.draw(st.lists(st.sampled_from(residuals), max_size=4))):
             assert_matches_reference(ens, dedup_tolerance=tol)

@@ -2,15 +2,18 @@
 command-line surface."""
 
 import copy
+import errno
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbens import Satisfiability, SatisfiabilityResult, cli, trainer
+from kbens import Ensemble, Satisfiability, SatisfiabilityResult, cli, trainer
 from kbens.cli import main
 from kbens.trainer import OPTIMIZER_ID
 
@@ -602,6 +605,33 @@ class TestEnsembleFileMutants:
                 code == 1 and out.getvalue() == "" and err.getvalue().count("\n") == 1
             ), (argv[0], code, err.getvalue())
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_building_rejects_what_loading_rejects(self, friend_ensemble, data):
+        # A mutant's members and reports, as the loader reads them, passed
+        # to Ensemble(...); and so are 32 copies of one member.
+        _, _, doc = friend_ensemble
+        copies = {**doc, "members": doc["members"][:1] * 32, "reports": doc["reports"][:1] * 32}
+        load_errors = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+        for mutant in (data.draw(ensemble_mutants(doc)), copies):
+            try:
+                Ensemble.from_doc(mutant)
+                loaded = None
+            except load_errors as exc:
+                loaded = exc
+            with mock.patch.object(Ensemble, "validate"):
+                try:
+                    parts = Ensemble.from_doc(mutant)
+                except load_errors:
+                    continue  # a field the loader itself rejects
+            if loaded is None:
+                Ensemble(parts.members, parts.kb_digest, parts.reports)
+                continue
+            with pytest.raises(ValueError) as built:
+                Ensemble(parts.members, parts.kb_digest, parts.reports)
+            assert str(built.value) == str(loaded)
+        assert "repeats the seed" in str(built.value)  # the copies, built last
+
 
 class TestNonFiniteSettings:
     @pytest.mark.parametrize("flag, value, field", [
@@ -666,6 +696,32 @@ class TestFileThatIsNotUtf8:
         assert captured.err == (
             f"kbens {argv[0]}: cannot read {str(bad)!r}: 'utf-8' codec can't decode"
             " byte 0xff in position 0: invalid start byte\n"
+        )
+
+
+class TestUnwritableOutput:
+    FIT = ["fit", "{kb}", "--seed", "7", "--members", "2", "--dim", "1", "-o"]
+    AGGREGATE = ["aggregate", "{ens}", "-o"]
+
+    @pytest.mark.parametrize("argv, target, error", [
+        (FIT + ["{dir}"], "{dir}", errno.EISDIR),
+        (FIT + ["{missing}"], "{missing}", errno.ENOENT),
+        (FIT + ["{out}"], "{out}.manifest.json", errno.EISDIR),
+        (AGGREGATE + ["{dir}"], "{dir}", errno.EISDIR),
+        (AGGREGATE + ["{out}", "--clouds-tsv", "{dir}"], "{dir}", errno.EISDIR),
+        (AGGREGATE + ["{out}"], "{out}.manifest.json", errno.EISDIR),
+    ])
+    def test_exits_1_naming_the_file(self, fitted, kb_file, tmp_path, capsys, argv, target,
+                                     error):
+        paths = {"kb": str(kb_file), "ens": str(fitted), "dir": str(tmp_path / "dir"),
+                 "missing": str(tmp_path / "missing" / "x.json"), "out": str(tmp_path / "out")}
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "out.manifest.json").mkdir()
+        code = main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"kbens {argv[0]}: cannot write {target.format(**paths)!r}: {os.strerror(error)}\n"
         )
 
 

@@ -360,16 +360,15 @@ class TestSerialization:
         assert doc["config"]["dimension"] == 1
 
     def test_validate_rejects_duplicate_seeds(self, friend_ensemble):
-        forced = Ensemble(
-            members=(friend_ensemble.members[0], friend_ensemble.members[0]),
-            kb_digest=friend_ensemble.kb_digest,
-            reports=(friend_ensemble.reports[0], friend_ensemble.reports[0]),
-        )
-        message = f"member seed={forced.members[0].seed} repeats the seed of an earlier member"
+        # Copies of one member answer every query unanimously.
+        first, report = friend_ensemble.members[0], friend_ensemble.reports[0]
+        message = f"member seed={first.seed} repeats the seed of an earlier member"
         with pytest.raises(ValueError, match=message):
-            forced.validate()
+            Ensemble((first,) * 32, friend_ensemble.kb_digest, (report,) * 32)
+        doc = friend_ensemble.to_doc()
+        doc["members"], doc["reports"] = doc["members"][:1] * 32, doc["reports"][:1] * 32
         with pytest.raises(ValueError, match=message):
-            Ensemble.from_json(forced.to_json())
+            Ensemble.from_json(json.dumps(doc))
 
     def test_validate_rejects_member_above_eps_fit(self, friend_kb_m, friend_ensemble):
         # The frame holds (the report still says converged); only the
@@ -400,12 +399,12 @@ class TestSerialization:
             replace(second.config, tau_pos=0.1), second.seed,
         )
         mutants = [
-            Ensemble((first, shrunk), friend_ensemble.kb_digest, reports),
-            Ensemble((first, retuned), friend_ensemble.kb_digest, reports),
-            Ensemble((first, second), friend_ensemble.kb_digest, reports[:1]),
-            Ensemble((), friend_ensemble.kb_digest, ()),
+            ((first, shrunk), reports),
+            ((first, retuned), reports),
+            ((first, second), reports[:1]),
+            ((), ()),
         ]
-        for mutant in mutants:
+        for members, mutant_reports in mutants:
             with pytest.raises(ValueError):
-                mutant.validate()
+                Ensemble(members, friend_ensemble.kb_digest, mutant_reports)
         Ensemble((first, second), friend_ensemble.kb_digest, reports).validate()

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbens import (
     ContradictionError,
@@ -72,8 +74,9 @@ class TestParse:
     @pytest.mark.parametrize("name", ["", " x", "x ", "a\tb", "a\nb"])
     def test_bad_term_names(self, name):
         with pytest.raises(KBError):
-            KnowledgeBase.from_triples([SignedTriple("r", name or "a", "b", True)],
-                                       extra_entities=[name] if name else [""])
+            KnowledgeBase.from_triples([SignedTriple("r", name, "b", True)])
+        with pytest.raises(KBError):
+            KnowledgeBase((), (name,), ("r",))
 
     def test_line_permutation_gives_identical_value(self, friend_kb):
         lines = FRIEND_KB_TEXT.strip().split("\n")
@@ -92,6 +95,41 @@ class TestParse:
         assert parse_kb(shuffled).digest() == friend_kb.digest()
         other = parse_kb(FRIEND_KB_TEXT + "friend\tBob\tJoe\t+\n")
         assert other.digest() != friend_kb.digest()
+
+
+class TestDirectConstruction:
+    """``KnowledgeBase(...)`` sorts and checks its value as ``from_triples`` does."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_permuted_parts_give_the_same_store(self, seed):
+        rng = np.random.default_rng(seed)
+        kb = random_kb(rng)
+        parts = [[part[i] for i in rng.permutation(len(part))]
+                 for part in (kb.triples, kb.entities, kb.relations)]
+        built = KnowledgeBase(*parts)
+        assert built == kb == KnowledgeBase.from_triples(parts[0])
+        assert KnowledgeBase(parts[0], parts[1] * 2, parts[2]) == kb
+        assert built.digest() == kb.digest()
+        assert built.triple_index[0].tolist() == kb.triple_index[0].tolist()
+
+    @pytest.mark.parametrize("entities, relations, message", [
+        (("a",), ("r",), "outside the vocabulary"),
+        (("a", "b"), ("s",), "outside the vocabulary"),
+        (("a", "b", 1), ("r",), "non-empty string, got 1"),
+        (("a", "b"), ("r", None), "non-empty string, got None"),
+        (("a", "b", "r"), ("r",), "namespaces overlap: \\['r'\\]"),
+    ])
+    def test_invalid_vocabulary_rejected_when_built(self, entities, relations, message):
+        with pytest.raises(KBError, match=message):
+            KnowledgeBase((SignedTriple("r", "a", "b", True),), entities, relations)
+
+    def test_non_string_term_in_a_triple(self):
+        triples = [SignedTriple("r", "a", "b", True), SignedTriple("r", 1, "b", True)]
+        with pytest.raises(KBError, match="non-empty string, got 1"):
+            KnowledgeBase.from_triples(triples)
+        with pytest.raises(KBError, match="outside the vocabulary"):
+            KnowledgeBase(triples, ("a", "b"), ("r",))
 
 
 
@@ -146,9 +184,7 @@ class TestUnstatedQueries:
         assert unstated_queries(parse_kb("")) == []
 
     def test_isolated_vocabulary_single_combination(self):
-        kb = KnowledgeBase.from_triples(
-            [], extra_entities=["a"], extra_relations=["r"]
-        )
+        kb = KnowledgeBase((), ("a",), ("r",))
         assert unstated_queries(kb) == [Query("r", "a", "a")]
 
     def test_lexicographic_order(self, friend_kb):
@@ -218,8 +254,7 @@ class TestTripleIndex:
             assert array.shape == (0,)
 
     def test_term_outside_vocabulary_rejected(self):
-        kb = KnowledgeBase(
-            triples=(SignedTriple("r", "a", "b", True),), entities=("a",), relations=("r",)
-        )
         with pytest.raises(KBError):
-            kb.triple_index
+            KnowledgeBase(
+                triples=(SignedTriple("r", "a", "b", True),), entities=("a",), relations=("r",)
+            )

@@ -236,11 +236,10 @@ class TestTrain:
 
 
     def test_store_naming_terms_outside_its_vocabulary_rejected(self):
-        kb = KnowledgeBase(
-            triples=(SignedTriple("r", "a", "b", True),), entities=("a",), relations=("r",)
-        )
         with pytest.raises(ValueError):
-            train(kb, EmbeddingConfig(dimension=1), TrainConfig(), seed=1)
+            KnowledgeBase(
+                triples=(SignedTriple("r", "a", "b", True),), entities=("a",), relations=("r",)
+            )
 
     def test_non_finite_steps_are_rejected(self, friend_kb):
         # Coordinates near 1e154 square to near the float limit, so the first
@@ -255,14 +254,15 @@ class TestTrain:
     def test_step_divides_each_gradient_by_its_incidence(self):
         # a is in r(a, a) twice, and in r(a, b) and s(c, a): four incidences.
         # The isolated z is in no triple, so its zero gradient stays a zero step.
-        kb = KnowledgeBase.from_triples(
-            [
+        kb = KnowledgeBase(
+            (
                 SignedTriple("r", "a", "a", True),
                 SignedTriple("r", "a", "b", True),
                 SignedTriple("s", "c", "a", True),
                 SignedTriple("s", "b", "c", False),
-            ],
-            extra_entities=["z"],
+            ),
+            ("a", "b", "c", "z"),
+            ("r", "s"),
         )
         cfg = EmbeddingConfig(dimension=2)
         tcfg = TrainConfig(max_epochs=1)
