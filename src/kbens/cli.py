@@ -4,16 +4,19 @@ aggregate clouds.
 Exit codes are stable: 0 success, 1 input or usage error, 2 computational
 failure (store unsatisfiable, fit did not converge, aggregate degenerate).
 Machine-readable output goes to stdout; human summaries and manifests for
-commands without an output file go to stderr.
+commands without an output file go to stderr.  Each ``cmd_*`` only computes;
+``main`` writes its files, then the manifest, and only then stdout and the
+summary, so a failed write leaves stdout empty.  A closed stdout exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -92,34 +95,20 @@ def _load_ensemble(path: str) -> Ensemble:
         raise ValueError(f"invalid ensemble file {path!r}: {exc}") from exc
 
 
-def _emit_manifest(
-    args, kb_digest: Optional[str], started: float, out_path: Optional[str] = None,
-    **resolved,
-) -> None:
-    """Write everything needed to reproduce the run: the command, every
-    parameter fully resolved, the store digest, tool version, and wall-clock
-    time; to ``<out_path>.manifest.json`` when given, else to stderr."""
-    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-    text = json.dumps(
-        {
-            "command": args.command,
-            "parameters": {**parameters, **resolved},
-            "kb_digest": kb_digest,
-            "tool_version": __version__,
-            "rng_algorithm_id": RNG_ALGORITHM_ID,
-            "optimizer_id": OPTIMIZER_ID,
-            "duration_seconds": time.monotonic() - started,
-        },
-        sort_keys=True,
-    )
-    if out_path is not None:
-        _write_text(out_path + ".manifest.json", text + "\n")
-    else:
-        print(text, file=sys.stderr)
+@dataclass(frozen=True)
+class _Output:
+    """What one command produced, written only by :func:`main`: ``files`` as
+    ``(path, text)`` in write order, the manifest beside the first (or on
+    stderr without files), then ``stdout`` and ``summary``."""
+
+    stdout: str
+    kb_digest: str
+    files: tuple[tuple[str, str], ...] = ()
+    resolved: dict = field(default_factory=dict)
+    summary: str = ""
 
 
-def cmd_fit(args) -> int:
-    started = time.monotonic()
+def cmd_fit(args) -> _Output:
     if args.members < 1:
         raise ValueError("--members must be at least 1")
     if args.jobs < 1:
@@ -142,78 +131,55 @@ def cmd_fit(args) -> int:
         cfg = replace(cfg, dimension=dimension)
     else:
         reject_unsatisfiable(kb, cfg)
-    ensemble = fit_ensemble(
-        kb, cfg, tcfg, args.seed, members=args.members, jobs=args.jobs
+    ensemble = fit_ensemble(kb, cfg, tcfg, args.seed, members=args.members, jobs=args.jobs)
+    lines = [f"dimension\t{cfg.dimension}", f"members\t{len(ensemble)}"] + [
+        f"member\t{i}\t{r.seed}\t{r.final_error!r}\t{r.epochs_used}"
+        for i, r in enumerate(ensemble.reports)
+    ]
+    return _Output(
+        "\n".join(lines) + "\n", kb.digest(), files=((args.out, ensemble.to_json()),),
+        resolved={"dim": cfg.dimension, "dim_searched": args.dim is None},
+        summary=f"fitted {len(ensemble)} members at dimension {cfg.dimension} -> {args.out}\n",
     )
-    _write_text(args.out, ensemble.to_json())
-    print(f"dimension\t{cfg.dimension}")
-    print(f"members\t{len(ensemble)}")
-    for i, report in enumerate(ensemble.reports):
-        print(
-            f"member\t{i}\t{report.seed}\t{report.final_error!r}\t{report.epochs_used}"
-        )
-    _emit_manifest(
-        args, kb.digest(), started, args.out, dim=cfg.dimension, dim_searched=args.dim is None
-    )
-    print(
-        f"fitted {len(ensemble)} members at dimension {cfg.dimension} -> {args.out}",
-        file=sys.stderr,
-    )
-    return EXIT_OK
 
 
-def cmd_query(args) -> int:
-    started = time.monotonic()
+def cmd_query(args) -> _Output:
     ensemble = _load_ensemble(args.ensemble)
     if args.kb is not None:
         ensemble.check_digest(_load_kb(args.kb))
-    verdict = query_truth(
-        ensemble,
-        Query(args.relation, args.subject, args.object),
-        quorum_slack=args.delta,
-    )
-    print(f"{verdict.value}\t{verdict.satisfied_fraction:.6f}")
-    _emit_manifest(args, ensemble.kb_digest, started)
-    return EXIT_OK
+    query = Query(args.relation, args.subject, args.object)
+    verdict = query_truth(ensemble, query, quorum_slack=args.delta)
+    return _Output(f"{verdict.value}\t{verdict.satisfied_fraction:.6f}\n", ensemble.kb_digest)
 
 
-def cmd_report(args) -> int:
-    started = time.monotonic()
+def cmd_report(args) -> _Output:
     ensemble = _load_ensemble(args.ensemble)
     kb = _load_kb(args.kb)
     report = knowledge_report(
         ensemble, kb, include_self_pairs=args.self_pairs, quorum_slack=args.delta
     )
-    sys.stdout.write(report.to_tsv())
-    _emit_manifest(args, kb.digest(), started)
-    return EXIT_OK
+    return _Output(report.to_tsv(), kb.digest())
 
 
-def cmd_aggregate(args) -> int:
-    started = time.monotonic()
+def cmd_aggregate(args) -> _Output:
     for flag, bound in (("--dedup-tol", args.dedup_tol), ("--max-diameter", args.max_diameter)):
         if bound is not None and not bound >= 0.0:
             raise ValueError(f"{flag} must be a non-negative number: {bound!r}")
     ensemble = _load_ensemble(args.ensemble)
     aggregate = build_aggregate(
-        ensemble,
-        dedup_tolerance=args.dedup_tol,
-        max_cloud_diameter=args.max_diameter,
+        ensemble, dedup_tolerance=args.dedup_tol, max_cloud_diameter=args.max_diameter
     )
-    _write_text(args.out, aggregate.to_json())
+    files = [(args.out, aggregate.to_json())]
     if args.clouds_tsv is not None:
-        _write_text(args.clouds_tsv, aggregate.clouds_tsv())
+        files.append((args.clouds_tsv, aggregate.clouds_tsv()))
+    retained = len(aggregate.member_indices)
     max_diameter = max(aggregate.diameters.values(), default=0.0)
-    print(f"retained\t{len(aggregate.member_indices)}")
-    print(f"reference_index\t{aggregate.reference_index}")
-    print(f"max_diameter\t{max_diameter!r}")
-    _emit_manifest(args, ensemble.kb_digest, started, args.out)
-    print(
-        f"retained {len(aggregate.member_indices)} members"
-        f" (max cloud diameter {max_diameter:.6g}) -> {args.out}",
-        file=sys.stderr,
+    return _Output(
+        f"retained\t{retained}\nreference_index\t{aggregate.reference_index}\n"
+        f"max_diameter\t{max_diameter!r}\n",
+        ensemble.kb_digest, tuple(files),
+        summary=f"retained {retained} members (max cloud diameter {max_diameter:.6g}) -> {args.out}\n",
     )
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,14 +242,45 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        out = args.func(args)
+        for path, text in out.files:
+            _write_text(path, text)
+        # Everything needed to reproduce the run, every parameter resolved.
+        parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+        manifest = json.dumps(
+            {
+                "command": args.command,
+                "parameters": {**parameters, **out.resolved},
+                "kb_digest": out.kb_digest,
+                "tool_version": __version__,
+                "rng_algorithm_id": RNG_ALGORITHM_ID,
+                "optimizer_id": OPTIMIZER_ID,
+                "duration_seconds": time.monotonic() - started,
+            },
+            sort_keys=True,
+        )
+        if out.files:
+            _write_text(out.files[0][0] + ".manifest.json", manifest + "\n")
+        else:
+            print(manifest, file=sys.stderr)
     except (FileNotFoundError, ValueError) as exc:
         print(f"kbens {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (EnsembleFitError, NoConvergentDimensionError, DegenerateAggregateError) as exc:
         print(f"kbens {args.command}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    try:
+        sys.stdout.write(out.stdout)
+        sys.stdout.flush()
+        sys.stderr.write(out.summary)
+    except OSError as exc:  # a closed pipe or a full disk
+        # The interpreter flushes stdout again at exit: let that go nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"kbens {args.command}: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -61,11 +61,12 @@ class Ensemble:
         return self.members[0].config
 
     def validate(self, kb: Optional[KnowledgeBase] = None) -> None:
-        """Every member shares one vocabulary and config, has a seed of its
-        own and carries one converged report of that seed, with a final error
-        within eps_fit; cheap enough to run on every value built.  With
-        ``kb``, the digest matches and every member fits ``kb`` within
-        eps_fit."""
+        """The digest is a string, as on load; every member shares one
+        vocabulary and config, has a seed of its own and carries one converged
+        report of that seed, with a final error within eps_fit; cheap enough to
+        run on every value built.  With ``kb``, the digest matches and every
+        member fits ``kb`` within eps_fit."""
+        read_field(vars(self), "kb_digest", str)
         if not self.members:
             raise ValueError("an ensemble needs at least one member")
         if len(self.reports) != len(self.members):
@@ -138,7 +139,7 @@ class Ensemble:
             for x in np.array(list(d[key].values()), dtype=object).flat
         ):
             raise ValueError("coordinates must be numbers")
-        return cls(members, read_field(doc, "kb_digest", str), reports)
+        return cls(members, doc["kb_digest"], reports)
 
     @classmethod
     def from_json(cls, text: str) -> "Ensemble":

@@ -6,7 +6,10 @@ import errno
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -720,9 +723,47 @@ class TestUnwritableOutput:
         code = main([arg.format(**paths) for arg in argv])
         captured = capsys.readouterr()
         assert code == 1
+        assert captured.out == ""  # nothing is printed before every write has succeeded
         assert captured.err == (
             f"kbens {argv[0]}: cannot write {target.format(**paths)!r}: {os.strerror(error)}\n"
         )
+
+
+class TestClosedStdout:
+    @staticmethod
+    def _run(argv, stdout, close_stdout=False):
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # block-buffered
+        child = subprocess.Popen(
+            [sys.executable, "-m", "kbens.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+            env={**env, "PYTHONPATH": os.pathsep.join(path)},
+        )
+        if close_stdout:
+            child.stdout.close()  # long before the child has imported kbens
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait() == 1
+        assert "Traceback" not in err
+        return err.splitlines()
+
+    @pytest.mark.parametrize("command", ["query", "fit"])
+    def test_exits_1_in_one_line(self, fitted, kb_file, tmp_path, command):
+        argv = {
+            "query": ["query", str(fitted), "friend", "Joe", "Bob"],
+            "fit": ["fit", str(kb_file), "-o", str(tmp_path / "e.json"), "--seed", "7",
+                    "--members", "2", "--dim", "1"],
+        }[command]
+        lines = self._run(argv, subprocess.PIPE, close_stdout=True)
+        if command == "query":  # the manifest goes to stderr before stdout is written
+            assert json.loads(lines.pop(0))["command"] == "query"
+        assert lines == [f"kbens {command}: cannot write to stdout: {os.strerror(errno.EPIPE)}"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+    def test_full_device_exits_1_in_one_line(self, fitted, kb_file):
+        with open("/dev/full", "w") as full:
+            lines = self._run(["report", str(fitted), str(kb_file)], full)
+        assert json.loads(lines[0])["command"] == "report"
+        assert lines[1:] == [f"kbens report: cannot write to stdout: {os.strerror(errno.ENOSPC)}"]
 
 
 class TestByteOrderMark:

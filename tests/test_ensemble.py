@@ -407,4 +407,7 @@ class TestSerialization:
         for members, mutant_reports in mutants:
             with pytest.raises(ValueError):
                 Ensemble(members, friend_ensemble.kb_digest, mutant_reports)
+        for digest in (None, 5):  # the loader's text, checked before the members
+            with pytest.raises(ValueError, match=f"^field 'kb_digest' must be a string, not {digest}$"):
+                Ensemble((), digest, ())
         Ensemble((first, second), friend_ensemble.kb_digest, reports).validate()
