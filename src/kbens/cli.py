@@ -6,7 +6,8 @@ failure (store unsatisfiable, fit did not converge, aggregate degenerate).
 Machine-readable output goes to stdout; human summaries and manifests for
 commands without an output file go to stderr.  Each ``cmd_*`` only computes;
 ``main`` writes its files, then the manifest, and only then stdout and the
-summary, so a failed write leaves stdout empty.  A closed stdout exits 1.
+summary, so a failed write leaves stdout empty.  A closed stdout exits 1
+with one line, after ``--help`` and ``--version`` too.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ class _Parser(argparse.ArgumentParser):
 class _Version(argparse.Action):
     # argparse's own version action wraps its line to the terminal width.
     def __call__(self, parser, namespace, values, option_string=None):
-        print(f"kbens {__version__} (rng: {RNG_ALGORITHM_ID}; optimizer: {OPTIMIZER_ID})")
-        parser.exit()
+        line = f"kbens {__version__} (rng: {RNG_ALGORITHM_ID}; optimizer: {OPTIMIZER_ID})\n"
+        parser.exit(_print(parser.prog, line))
 
 
 def _read_text(path: str) -> str:
@@ -239,9 +240,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print(prog: str, stdout: str = "", summary: str = "") -> int:
+    # Write and flush stdout, then the summary; a closed pipe or a full disk
+    # ends in one line and exit 1.
+    try:
+        sys.stdout.write(stdout)
+        sys.stdout.flush()
+        sys.stderr.write(summary)
+    except OSError as exc:
+        # The interpreter flushes stdout again at exit: let that go nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"{prog}: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
+    return EXIT_OK
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help or --version printed its text
+            raise SystemExit(_print(parser.prog)) from None
+        raise
     started = time.monotonic()
     try:
         out = args.func(args)
@@ -271,16 +292,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (EnsembleFitError, NoConvergentDimensionError, DegenerateAggregateError) as exc:
         print(f"kbens {args.command}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    try:
-        sys.stdout.write(out.stdout)
-        sys.stdout.flush()
-        sys.stderr.write(out.summary)
-    except OSError as exc:  # a closed pipe or a full disk
-        # The interpreter flushes stdout again at exit: let that go nowhere.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"kbens {args.command}: cannot write to stdout: {exc.strerror}", file=sys.stderr)
-        return EXIT_INPUT
-    return EXIT_OK
+    return _print(f"kbens {args.command}", out.stdout, out.summary)
 
 
 if __name__ == "__main__":

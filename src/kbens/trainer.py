@@ -127,7 +127,6 @@ class _Problem:
             subjects[order], objects[order], relations[order]
         )
         self.n_positive = pos.size
-        self.negatives = [t for t in kb.triples if not t.positive]
         self.n_entities, self.n_relations = len(kb.entities), len(kb.relations)
         # A triple pulls its subject by its gradient term and pushes its
         # object and relation by the opposite.  Point terms are summed in the
@@ -166,23 +165,13 @@ class _Problem:
             )
         return self._layouts[m, d]
 
-    def kink_dirs(self, seed: int, dimension: int) -> np.ndarray:
-        """Deterministic unit directions, one per negative triple, used as the
-        subgradient when a negative residual sits exactly at the kink
-        ||eps|| = 0."""
-        dirs = []
-        for t in self.negatives:
-            rng = _term_rng(seed, f"{t.relation}\x1f{t.subject}\x1f{t.object}\x1fkink")
-            v = rng.normal(size=dimension)
-            dirs.append(v / np.linalg.norm(v))
-        return np.array(dirs).reshape(-1, dimension)
-
     def loss_and_grads(
-        self, points: np.ndarray, vectors: np.ndarray, kinks: np.ndarray, gamma: float
+        self, points: np.ndarray, vectors: np.ndarray, gamma: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cumulative error ``(M,)`` and its gradients ``(M, E, d)`` /
-        ``(M, R, d)`` of M members, from their points ``(M, E, d)``, vectors
-        ``(M, R, d)`` and kink directions ``(M, N, d)``.
+        ``(M, R, d)`` of M members, from their points ``(M, E, d)`` and
+        vectors ``(M, R, d)``.  At the kink ||eps|| = 0 of an active hinge
+        the push is along the first coordinate axis.
 
         Each member's numbers are bit-identical to evaluating it alone: every
         sum keeps the order of a one-member ``np.sum``, and the gradients add
@@ -210,7 +199,7 @@ class _Problem:
             unit = np.where(
                 (active > 0.0)[:, None],
                 eps[hit, cols] / np.maximum(active, 1e-300)[:, None],
-                kinks[hit, rows],
+                np.eye(1, d),  # the first axis, at the kink
             )
             pull[hit, cols] = -2.0 * gaps[:, None] * unit
             # One segment per member, led by a zero: reduceat starts each sum
@@ -232,18 +221,15 @@ def gradients(e: Embedding, kb: KnowledgeBase) -> dict[str, np.ndarray]:
     Positive facts contribute 2*eps to the subject and -2*eps to the object
     and relation; an active negative hinge contributes -2*(gamma-||eps||) *
     eps/||eps|| to the subject, negated for object and relation.  At the
-    kink ||eps|| = 0 a deterministic pseudo-random unit direction keyed by
-    the triple and the embedding seed stands in for eps/||eps||.  This is a
-    one-member call of the loss the trainer descends.
+    kink ||eps|| = 0, where the hinge is radially symmetric and every unit
+    direction is a subgradient, the first coordinate axis stands in for
+    eps/||eps||, so the result depends on the coordinates alone, not on
+    ``e.seed``.  This is a one-member call of the loss the trainer descends.
     """
     if e.entity_names != kb.entities or e.relation_names != kb.relations:
         raise ValueError("embedding vocabulary differs from the knowledge base's")
-    problem = _Problem(kb)
-    _, g_points, g_vectors = problem.loss_and_grads(
-        e.entity_array[None],
-        e.relation_array[None],
-        problem.kink_dirs(e.seed, e.dimension)[None],
-        e.config.gamma,
+    _, g_points, g_vectors = _Problem(kb).loss_and_grads(
+        e.entity_array[None], e.relation_array[None], e.config.gamma
     )
     out = {t: g_points[0, i] for i, t in enumerate(e.entity_names)}
     out.update({t: g_vectors[0, i] for i, t in enumerate(e.relation_names)})
@@ -265,14 +251,13 @@ def _descend(
     live = np.arange(len(seeds))
     points = np.array([e.entity_array for e in starts])
     vectors = np.array([e.relation_array for e in starts])
-    kinks = np.array([problem.kink_dirs(seed, cfg.dimension) for seed in seeds])
     rates = np.full(len(seeds), tcfg.learning_rate)
     gamma = cfg.gamma
     epoch = 0
     # Overflow gives a non-finite error, and the guard below rejects such a
     # step, so numpy's overflow warnings would only report what it handles.
     with np.errstate(over="ignore", invalid="ignore"):
-        err, g_points, g_vectors = problem.loss_and_grads(points, vectors, kinks, gamma)
+        err, g_points, g_vectors = problem.loss_and_grads(points, vectors, gamma)
     while live.size:
         underflow = np.zeros(live.size, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -285,9 +270,7 @@ def _descend(
                 step = rates[:, None, None]
                 new_points = points - step * (g_points / problem.point_counts)
                 new_vectors = vectors - step * (g_vectors / problem.vector_counts)
-                new_err, new_gp, new_gv = problem.loss_and_grads(
-                    new_points, new_vectors, kinks, gamma
-                )
+                new_err, new_gp, new_gv = problem.loss_and_grads(new_points, new_vectors, gamma)
                 accepted = (new_err <= err) & np.isfinite(new_err)
                 if accepted.all():  # the common case, without the merges below
                     points, vectors = new_points, new_vectors
@@ -323,7 +306,7 @@ def _descend(
             )
             yield i, (fitted, report)
         stay = ~leaving
-        live, points, vectors, kinks = live[stay], points[stay], vectors[stay], kinks[stay]
+        live, points, vectors = live[stay], points[stay], vectors[stay]
         rates, err, g_points, g_vectors = rates[stay], err[stay], g_points[stay], g_vectors[stay]
 
 

@@ -731,9 +731,11 @@ class TestUnwritableOutput:
 
 class TestClosedStdout:
     @staticmethod
-    def _run(argv, stdout, close_stdout=False):
+    def _run(argv, stdout, close_stdout=False, unbuffered=False):
         path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # block-buffered
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         child = subprocess.Popen(
             [sys.executable, "-m", "kbens.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
             env={**env, "PYTHONPATH": os.pathsep.join(path)},
@@ -764,6 +766,20 @@ class TestClosedStdout:
             lines = self._run(["report", str(fitted), str(kb_file)], full)
         assert json.loads(lines[0])["command"] == "report"
         assert lines[1:] == [f"kbens report: cannot write to stdout: {os.strerror(errno.ENOSPC)}"]
+
+    @pytest.mark.parametrize(
+        "argv, unbuffered",
+        [(["--version"], False), (["--version"], True), (["fit", "--help"], False)],
+    )
+    def test_help_and_version_exit_1_in_one_line(self, argv, unbuffered):
+        lines = self._run(argv, subprocess.PIPE, close_stdout=True, unbuffered=unbuffered)
+        assert lines == [f"kbens: cannot write to stdout: {os.strerror(errno.EPIPE)}"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+    def test_version_on_full_device_exits_1_in_one_line(self):
+        with open("/dev/full", "w") as full:
+            lines = self._run(["--version"], full)
+        assert lines == [f"kbens: cannot write to stdout: {os.strerror(errno.ENOSPC)}"]
 
 
 class TestByteOrderMark:

@@ -143,19 +143,24 @@ class TestGradients:
     def test_kink_subgradient_is_deterministic_unit_push(self):
         kb = KnowledgeBase.from_triples([SignedTriple("r", "a", "b", False)])
         cfg = EmbeddingConfig(dimension=3, gamma=1.0, tau_pos=0.5)
-        e = Embedding.from_points(
-            {"a": (1.0, 2.0, 3.0), "b": (1.0, 2.0, 3.0)},
-            {"r": (0.0, 0.0, 0.0)},
-            cfg,
-            seed=5,
+        g5, again, g6 = (
+            gradients(
+                Embedding.from_points(
+                    {"a": (1.0, 2.0, 3.0), "b": (1.0, 2.0, 3.0)},
+                    {"r": (0.0, 0.0, 0.0)},
+                    cfg,
+                    seed=seed,
+                ),
+                kb,
+            )
+            for seed in (5, 5, 6)
         )
-        g1 = gradients(e, kb)
-        g2 = gradients(e, kb)
-        # magnitude 2 * gamma along a unit direction, repeatably
-        assert np.linalg.norm(g1["a"]) == pytest.approx(2.0, rel=1e-12)
-        np.testing.assert_array_equal(g1["a"], g2["a"])
-        np.testing.assert_allclose(g1["b"], -g1["a"], atol=0)
-        np.testing.assert_allclose(g1["r"], -g1["a"], atol=0)
+        # magnitude 2 * gamma along the first axis, whatever the seed
+        np.testing.assert_array_equal(g5["a"], [-2.0 * cfg.gamma, 0.0, 0.0])
+        np.testing.assert_allclose(g5["b"], -g5["a"], atol=0)
+        np.testing.assert_allclose(g5["r"], -g5["a"], atol=0)
+        for g in (again, g6):
+            assert {t: v.tobytes() for t, v in g.items()} == {t: v.tobytes() for t, v in g5.items()}
 
     def test_vocabulary_mismatch_rejected(self, friend_kb):
         cfg = EmbeddingConfig(dimension=1)
@@ -312,7 +317,6 @@ def reference_loss_and_grads(kb, e):
     np.add.at: the order of summation the batched loss must reproduce."""
     subjects, objects, relations, positive = kb.triple_index
     points, vectors, gamma = e.entity_array, e.relation_array, e.config.gamma
-    kinks = _Problem(kb).kink_dirs(e.seed, e.dimension)
     g_points, g_vectors = np.zeros_like(points), np.zeros_like(vectors)
     total = 0.0
     ps, po, pr = subjects[positive], objects[positive], relations[positive]
@@ -333,7 +337,7 @@ def reference_loss_and_grads(kb, e):
             unit = np.where(
                 (norms[active] > 0.0)[:, None],
                 eps[active] / np.maximum(norms[active], 1e-300)[:, None],
-                kinks[active],
+                np.eye(1, e.dimension),
             )
             contrib = -2.0 * gaps[:, None] * unit
             np.add.at(g_points, ns[active], contrib)
@@ -401,16 +405,12 @@ class TestBatchedDescent:
     @given(kb=signed_stores(max_negatives=24), d=st.integers(1, 4), data=st.data())
     def test_batched_loss_equals_one_group_at_a_time(self, kb, d, data):
         m = data.draw(st.integers(1, 4))
-        seeds = data.draw(st.lists(st.integers(0, 1 << 40), min_size=m, max_size=m, unique=True))
         points = data.draw(arrays(np.float64, (m, len(kb.entities), d), elements=COORDINATES))
         vectors = data.draw(arrays(np.float64, (m, len(kb.relations), d), elements=COORDINATES))
         cfg = EmbeddingConfig(dimension=d)
-        problem = _Problem(kb)
-        totals, g_points, g_vectors = problem.loss_and_grads(
-            points, vectors, np.array([problem.kink_dirs(s, d) for s in seeds]), cfg.gamma
-        )
-        for i, seed in enumerate(seeds):
-            e = Embedding(kb.entities, kb.relations, points[i], vectors[i], cfg, seed)
+        totals, g_points, g_vectors = _Problem(kb).loss_and_grads(points, vectors, cfg.gamma)
+        for i in range(m):
+            e = Embedding(kb.entities, kb.relations, points[i], vectors[i], cfg, i)
             total, gp, gv = reference_loss_and_grads(kb, e)
             assert totals[i] == total
             assert g_points[i].tobytes() == gp.tobytes()
@@ -429,11 +429,9 @@ class TestBatchedDescent:
         tcfg = TrainConfig(init_scale=0.5, max_epochs=40)
         seeds = list(range(1, 9))
         members = [init_embedding(kb, cfg, tcfg, s) for s in seeds]
-        problem = _Problem(kb)
-        totals, _, _ = problem.loss_and_grads(
+        totals, _, _ = _Problem(kb).loss_and_grads(
             np.array([e.entity_array for e in members]),
             np.array([e.relation_array for e in members]),
-            np.array([problem.kink_dirs(s, 2) for s in seeds]),
             cfg.gamma,
         )
         active = [
