@@ -58,6 +58,10 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
+    # argparse drops a failed write of help text; write it as main writes stdout.
+    def print_help(self, file=None):
+        self.exit(_print("kbens", self.format_help()))
+
 
 class _Version(argparse.Action):
     # argparse's own version action wraps its line to the terminal width.

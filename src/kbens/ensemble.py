@@ -8,16 +8,17 @@ represents partial knowledge the store never wrote down.
 
 from __future__ import annotations
 
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .embedding import Embedding, EmbeddingConfig, read_field
-from .kb import KnowledgeBase, Query, unstated_queries
+from .kb import KnowledgeBase, Query, unstated_index
 from .trainer import FitReport, TrainConfig, train
 from .verdict import TernaryVerdict, Truth
 
@@ -199,10 +200,11 @@ def satisfied_counts(
     tau: Optional[float] = None,
 ) -> np.ndarray:
     """Number of ``members`` in which each query holds, ||eps|| <= radius
-    (each member's ``tau_pos`` unless ``tau`` is given), over members stacked
-    into (M, E, d) / (M, R, d) arrays, one or more queries per 64-KiB chunk.
-    Equal bit for bit to counting :meth:`Embedding.satisfies`, with its
-    errors; members with different vocabularies raise ``ValueError``."""
+    (each member's ``tau_pos`` unless ``tau`` is given).  Equal bit for bit
+    to counting :meth:`Embedding.satisfies`, with its errors: names resolve
+    to rows here, and the rows are counted by the vote that
+    :func:`knowledge_report` runs, one or more rows per 64-KiB chunk.
+    Members with different vocabularies raise ``ValueError``."""
     if not members:
         raise ValueError("a vote needs at least one member")
     first = members[0]
@@ -213,18 +215,34 @@ def satisfied_counts(
         (first.entity_row(q.subject), first.entity_row(q.object), first.relation_row(q.relation))
         for q in queries
     ], dtype=np.intp).reshape(-1, 3)
-    ents = np.array([m.entity_array for m in members])
-    rels = np.array([m.relation_array for m in members])
-    radius = np.array([m.config.tau_pos if tau is None else tau for m in members])[:, None]
-    counts = np.empty(len(rows), dtype=np.intp)
-    step = max(1, _VOTE_CHUNK_ELEMENTS // (len(members) * first.dimension))
+    return _count_rows(members, *rows.T, tau)
+
+
+def _count_rows(
+    members: Sequence[Embedding],
+    subject: np.ndarray,
+    object_: np.ndarray,
+    relation: np.ndarray,
+    tau: Optional[float],
+) -> np.ndarray:
+    # Members sharing one vocabulary, stacked member-inner into (E, M, d) /
+    # (R, M, d) (side by side, then reshaped: cheaper than np.stack), so a
+    # chunk of rows is one take along the first axis.  The sum over d runs
+    # along the last contiguous axis, as in Embedding.satisfies, which keeps
+    # each count bit for bit the scalar one.
+    shape = (len(members), members[0].dimension)
+    ents = np.concatenate([m.entity_array for m in members], axis=1).reshape(-1, *shape)
+    rels = np.concatenate([m.relation_array for m in members], axis=1).reshape(-1, *shape)
+    radius = np.array([m.config.tau_pos if tau is None else tau for m in members])
+    counts = np.empty(len(subject), dtype=np.intp)
+    step = max(1, _VOTE_CHUNK_ELEMENTS // (len(members) * members[0].dimension))
     # A square that overflows is +inf, correctly outside every radius.
     with np.errstate(over="ignore"):
-        for start in range(0, len(rows), step):
-            s, o, r = rows[start:start + step].T
-            eps = ents[:, s] - ents[:, o] - rels[:, r]
+        for start in range(0, len(counts), step):
+            chunk = slice(start, start + step)
+            eps = ents[subject[chunk]] - ents[object_[chunk]] - rels[relation[chunk]]
             inside = np.sqrt(np.sum(eps * eps, axis=-1)) <= radius
-            counts[start:start + step] = np.count_nonzero(inside, axis=0)
+            counts[chunk] = np.count_nonzero(inside, axis=1)
     return counts
 
 
@@ -258,54 +276,122 @@ class ReportRow:
     consistent: Optional[bool]  # verdict matches the polarity; None for unstated rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnowledgeReport:
-    """Batch evaluation of a store against its ensemble: every asserted
-    triple with a consistency flag, then every unstated query."""
+    """Batch evaluation of a store against its ensemble, held as columns:
+    every asserted triple with a consistency flag, in store order, then
+    every unstated query, in lexicographic order.
+
+    ``index`` holds each row's subject, object and relation rows into
+    ``entities`` / ``relations``, asserted rows first; ``positive`` is the
+    polarity of each asserted row; ``counts`` is the number of members in
+    which each row holds; ``verdicts`` maps each count that occurs to its
+    verdict.  The rows as :class:`ReportRow` tuples are built on demand.
+    """
 
     kb_digest: str
     member_count: int
-    asserted_rows: tuple[ReportRow, ...]
-    unstated_rows: tuple[ReportRow, ...]
+    entities: tuple[str, ...]
+    relations: tuple[str, ...]
+    index: tuple[np.ndarray, np.ndarray, np.ndarray]
+    positive: np.ndarray
+    counts: np.ndarray
+    verdicts: dict[int, TernaryVerdict]
+
+    def _rows(
+        self, rows: slice, asserted: Iterable[Optional[bool]], consistent: Iterable[Optional[bool]]
+    ) -> tuple[ReportRow, ...]:
+        subject, object_, relation = (a[rows].tolist() for a in self.index)
+        ents, rels = self.entities, self.relations
+        return tuple(
+            ReportRow(Query(rels[r], ents[s], ents[o]), self.verdicts[c], a, ok)
+            for s, o, r, c, a, ok in zip(
+                subject, object_, relation, self.counts[rows].tolist(), asserted, consistent
+            )
+        )
+
+    def _consistent(self) -> list[bool]:
+        # An asserted row is consistent when its verdict is its polarity.
+        counts = self.counts[:len(self.positive)].tolist()
+        return [self.verdicts[c].value is (Truth.TRUE if positive else Truth.FALSE)
+                for c, positive in zip(counts, self.positive.tolist())]
+
+    @property
+    def asserted_rows(self) -> tuple[ReportRow, ...]:
+        n = len(self.positive)
+        return self._rows(slice(n), self.positive.tolist(), self._consistent())
+
+    @property
+    def unstated_rows(self) -> tuple[ReportRow, ...]:
+        rows = slice(len(self.positive), None)
+        none = itertools.repeat(None)
+        return self._rows(rows, none, none)
 
     @property
     def unstated_counts(self) -> dict[Truth, int]:
+        tally = np.bincount(self.counts[len(self.positive):], minlength=self.member_count + 1)
         counts = {Truth.TRUE: 0, Truth.FALSE: 0, Truth.UNKNOWN: 0}
-        for row in self.unstated_rows:
-            counts[row.verdict.value] += 1
+        for c, v in self.verdicts.items():
+            counts[v.value] += int(tally[c])
         return counts
 
     @property
     def consistent_count(self) -> int:
-        return sum(1 for row in self.asserted_rows if row.consistent)
+        return sum(self._consistent())
 
     def to_tsv(self) -> str:
         """Tab-separated rows ``relation subject object verdict fraction``
-        plus origin/consistency columns, under a '#'-prefixed summary."""
+        plus origin/consistency columns, under a '#'-prefixed summary.
+        Each count's verdict and fraction cells are formatted once."""
+        n = len(self.positive)
         counts = self.unstated_counts
+        consistent = self._consistent()
         lines = [
             f"# kb_digest={self.kb_digest} members={self.member_count}",
             (
-                f"# asserted={len(self.asserted_rows)}"
-                f" consistent={self.consistent_count}"
-                f" unstated={len(self.unstated_rows)}"
+                f"# asserted={n}"
+                f" consistent={sum(consistent)}"
+                f" unstated={len(self.counts) - n}"
                 f" true={counts[Truth.TRUE]}"
                 f" false={counts[Truth.FALSE]}"
                 f" unknown={counts[Truth.UNKNOWN]}"
             ),
         ]
-        for row in self.asserted_rows + self.unstated_rows:
-            if row.asserted is None:
-                origin, flag = "unstated", "-"
-            else:
-                origin = "+" if row.asserted else "-"
-                flag = "ok" if row.consistent else "MISMATCH"
-            q, v = row.query, row.verdict
-            lines.append(
-                f"{q.relation}\t{q.subject}\t{q.object}\t{v.value}"
-                f"\t{v.satisfied_fraction:.6f}\t{origin}\t{flag}"
-            )
+        cells = {c: f"\t{v.value}\t{v.satisfied_fraction:.6f}" for c, v in self.verdicts.items()}
+        subject, object_, relation = (a.tolist() for a in self.index)
+        ents, rels = self.entities, self.relations
+        rows = zip(relation, subject, object_, self.counts.tolist())
+        flags = (
+            f"\t{'+' if positive else '-'}\t{'ok' if ok else 'MISMATCH'}"
+            for positive, ok in zip(self.positive.tolist(), consistent)
+        )
+        lines += [f"{rels[r]}\t{ents[s]}\t{ents[o]}{cells[c]}{flag}"
+                  for (r, s, o, c), flag in zip(itertools.islice(rows, n), flags)]
+        unstated = {c: cell + "\tunstated\t-" for c, cell in cells.items()}
+        lines += [f"{rels[r]}\t{ents[s]}\t{ents[o]}{unstated[c]}" for r, s, o, c in rows]
         return "\n".join(lines) + "\n"
+
+
+def _member_rows(
+    first: Embedding, kb: KnowledgeBase, index: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The store's rows as rows of the members' vocabulary.  A term the
+    # members lack raises what Embedding.satisfies raises for the first row
+    # that names it.
+    if (kb.entities, kb.relations) == (first.entity_names, first.relation_names):
+        return index
+    lookups = []
+    for names, own in ((kb.entities, first.entity_names), (kb.relations, first.relation_names)):
+        row = {t: i for i, t in enumerate(own)}
+        lookups.append(np.array([row.get(t, -1) for t in names], dtype=np.intp))
+    subject, object_, relation = index
+    rows = lookups[0][subject], lookups[0][object_], lookups[1][relation]
+    unknown = (rows[0] < 0) | (rows[1] < 0) | (rows[2] < 0)
+    if unknown.any():
+        i = int(np.argmax(unknown))
+        ents, rels = kb.entities, kb.relations
+        first.satisfies(Query(rels[relation[i]], ents[subject[i]], ents[object_[i]]))
+    return rows
 
 
 def knowledge_report(
@@ -317,20 +403,22 @@ def knowledge_report(
 ) -> KnowledgeReport:
     """Evaluate every asserted triple and every unstated query.
 
-    The ensemble must have been fitted from ``kb`` (digest check).  An
-    asserted row is consistent when its verdict is its polarity, TRUE or
-    FALSE; unstated rows default to distinct-pair facts only.
+    The ensemble must have been fitted from ``kb`` (digest check).  The
+    asserted rows come from ``kb.triple_index`` in store order, the
+    unstated rows from :func:`kbens.kb.unstated_index` in lexicographic
+    order (distinct pairs only unless ``include_self_pairs``), and all of
+    them are counted in one vote.  Verdicts are computed once per count
+    that occurs.  An asserted row is consistent when its verdict is its
+    polarity, TRUE or FALSE.
     """
     ens.check_digest(kb)
     n = len(ens.members)
-    asserted = [t.as_query() for t in kb.triples]
-    unstated = unstated_queries(kb, include_self_pairs=include_self_pairs)
-    counts = satisfied_counts(ens.members, asserted + unstated, tau).tolist()
-    verdicts = [TernaryVerdict.from_fraction(c / n, n, quorum_slack) for c in counts]
-    asserted_rows = tuple(
-        ReportRow(q, v, t.positive, v.value is (Truth.TRUE if t.positive else Truth.FALSE))
-        for t, q, v in zip(kb.triples, asserted, verdicts)
+    subject, object_, relation, positive = kb.triple_index
+    unstated = unstated_index(kb, include_self_pairs)
+    index = tuple(np.concatenate(pair) for pair in zip((subject, object_, relation), unstated))
+    counts = _count_rows(ens.members, *_member_rows(ens.members[0], kb, index), tau)
+    occurring = np.flatnonzero(np.bincount(counts, minlength=n + 1)).tolist()
+    verdicts = {c: TernaryVerdict.from_fraction(c / n, n, quorum_slack) for c in occurring}
+    return KnowledgeReport(
+        ens.kb_digest, n, kb.entities, kb.relations, index, positive, counts, verdicts
     )
-    unstated_rows = tuple(ReportRow(q, v, None, None)
-                          for q, v in zip(unstated, verdicts[len(asserted):]))
-    return KnowledgeReport(ens.kb_digest, n, asserted_rows, unstated_rows)

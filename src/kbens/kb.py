@@ -10,7 +10,6 @@ positively, FALSE if asserted negatively, and UNKNOWN if the store is silent.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -240,23 +239,33 @@ def parse_kb(text: str) -> KnowledgeBase:
     return KnowledgeBase.from_triples(triples)
 
 
-def unstated_queries(kb: KnowledgeBase, include_self_pairs: bool = True) -> list[Query]:
-    """Enumerate every fact the store is silent on, in lexicographic order.
+def unstated_index(
+    kb: KnowledgeBase, include_self_pairs: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every fact the store is silent on, as subject, object and relation
+    rows in the layout of :attr:`KnowledgeBase.triple_index`.
 
-    Covers all (relation, subject, object) combinations over the vocabulary,
-    minus triples asserted with either polarity.  Self-pairs r(a, a) are
-    included by default.
+    The rows walk the (relation, subject, object) grid over the sorted
+    vocabulary in lexicographic order, minus the cells asserted with either
+    polarity, and minus the self-pairs r(a, a) unless ``include_self_pairs``.
     """
-    asserted = kb._polarity_index
-    out: list[Query] = []
-    for relation in kb.relations:
-        for subject, object_ in itertools.product(kb.entities, kb.entities):
-            if not include_self_pairs and subject == object_:
-                continue
-            if (relation, subject, object_) in asserted:
-                continue
-            out.append(Query(relation, subject, object_))
-    return out
+    n = len(kb.entities)
+    silent = np.ones((len(kb.relations), n, n), dtype=bool)
+    subject, object_, relation, _ = kb.triple_index
+    silent[relation, subject, object_] = False
+    if not include_self_pairs:
+        silent[:, np.arange(n), np.arange(n)] = False
+    relation, subject, object_ = np.nonzero(silent)
+    return subject, object_, relation
+
+
+def unstated_queries(kb: KnowledgeBase, include_self_pairs: bool = True) -> list[Query]:
+    """Every fact the store is silent on, in lexicographic order: the names
+    of :func:`unstated_index`'s rows.  Self-pairs r(a, a) are included by
+    default."""
+    subject, object_, relation = (a.tolist() for a in unstated_index(kb, include_self_pairs))
+    ents, rels = kb.entities, kb.relations
+    return [Query(rels[r], ents[s], ents[o]) for s, o, r in zip(subject, object_, relation)]
 
 
 def assertion_oracle(kb: KnowledgeBase, q: Query) -> TernaryVerdict:

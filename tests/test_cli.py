@@ -769,7 +769,8 @@ class TestClosedStdout:
 
     @pytest.mark.parametrize(
         "argv, unbuffered",
-        [(["--version"], False), (["--version"], True), (["fit", "--help"], False)],
+        [(["--version"], False), (["--version"], True), (["fit", "--help"], False),
+         (["--help"], True), (["fit", "--help"], True)],
     )
     def test_help_and_version_exit_1_in_one_line(self, argv, unbuffered):
         lines = self._run(argv, subprocess.PIPE, close_stdout=True, unbuffered=unbuffered)

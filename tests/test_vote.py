@@ -16,10 +16,12 @@ from hypothesis.extra.numpy import arrays
 from kbens import (
     Embedding,
     EmbeddingConfig,
-    KnowledgeReport,
+    KnowledgeBase,
     Query,
+    SignedTriple,
     TernaryVerdict,
     TrainConfig,
+    Truth,
     UnknownTermError,
     assertion_oracle,
     fit_ensemble,
@@ -30,7 +32,7 @@ from kbens import (
 from kbens import ensemble as ensemble_module
 from kbens.ensemble import ReportRow, member_vote, satisfied_counts
 
-from conftest import FRIEND_KB_TEXT, random_satisfiable_kb
+from conftest import FRIEND_KB_TEXT, hand_made_ensemble, random_satisfiable_kb
 
 COORDINATES = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 
@@ -48,7 +50,7 @@ def member(ents, rels, tau_pos, seed=0):
 
 @st.composite
 def ensembles_and_queries(draw):
-    d = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 12))
     n_members = draw(st.integers(1, 5))
     n_ent, n_rel = draw(st.integers(1, 4)), draw(st.integers(1, 2))
     ents = draw(arrays(np.float64, (n_members, n_ent, d), elements=COORDINATES))
@@ -133,7 +135,9 @@ class TestSatisfiedCounts:
 
 
 def scalar_report(ens, kb, include_self_pairs=False, tau=None, quorum_slack=0.0):
-    """The report rebuilt row by row from ``Embedding.satisfies``."""
+    """The report rebuilt row by row from ``Embedding.satisfies`` and
+    ``TernaryVerdict.from_fraction``, over its own enumeration of the
+    unstated facts: ``(tsv, asserted_rows, unstated_rows)``."""
     n = len(ens.members)
 
     def vote(q):
@@ -146,11 +150,146 @@ def scalar_report(ens, kb, include_self_pairs=False, tau=None, quorum_slack=0.0)
         q = t.as_query()
         v = vote(q)
         asserted.append(ReportRow(q, v, t.positive, v.value == assertion_oracle(kb, q).value))
+    keys = {t.key for t in kb.triples}
     unstated = [
-        ReportRow(q, vote(q), None, None)
-        for q in unstated_queries(kb, include_self_pairs=include_self_pairs)
+        ReportRow(Query(r, s, o), vote(Query(r, s, o)), None, None)
+        for r in kb.relations for s in kb.entities for o in kb.entities
+        if (include_self_pairs or s != o) and (r, s, o) not in keys
     ]
-    return KnowledgeReport(ens.kb_digest, n, tuple(asserted), tuple(unstated))
+    tally = {v: sum(row.verdict.value is v for row in unstated) for v in Truth}
+    lines = [
+        f"# kb_digest={ens.kb_digest} members={n}",
+        f"# asserted={len(asserted)} consistent={sum(row.consistent for row in asserted)}"
+        f" unstated={len(unstated)} true={tally[Truth.TRUE]} false={tally[Truth.FALSE]}"
+        f" unknown={tally[Truth.UNKNOWN]}",
+    ]
+    for row in asserted + unstated:
+        if row.asserted is None:
+            origin, flag = "unstated", "-"
+        else:
+            origin = "+" if row.asserted else "-"
+            flag = "ok" if row.consistent else "MISMATCH"
+        q, v = row.query, row.verdict
+        lines.append(f"{q.relation}\t{q.subject}\t{q.object}\t{v.value}"
+                     f"\t{v.satisfied_fraction:.6f}\t{origin}\t{flag}")
+    return "\n".join(lines) + "\n", tuple(asserted), tuple(unstated)
+
+
+def assert_report_matches_scalar(ens, kb, **options):
+    tsv, asserted, unstated = scalar_report(ens, kb, **options)
+    report = knowledge_report(ens, kb, **options)
+    assert report.to_tsv() == tsv
+    assert report.asserted_rows == asserted
+    assert report.unstated_rows == unstated
+    self_pairs = options.get("include_self_pairs", False)
+    assert [row.query for row in unstated] == unstated_queries(kb, include_self_pairs=self_pairs)
+
+
+# Coordinates on a coarse grid, so that residual norms tie across rows.
+GRID_COORDINATES = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def stores_and_ensembles(draw):
+    """A store with declared terms, some of them isolated, and hand-made
+    members over its vocabulary (one shared config)."""
+    entities = [f"e{i}" for i in range(draw(st.integers(0, 4)))]
+    relations = [f"r{i}" for i in range(draw(st.integers(0, 3)))]
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(relations), st.sampled_from(entities),
+                  st.sampled_from(entities)),
+        unique=True, max_size=8,
+    )) if entities and relations else []
+    triples = [SignedTriple(r, s, o, draw(st.booleans())) for r, s, o in keys]
+    kb = KnowledgeBase(tuple(triples), tuple(entities), tuple(relations))
+    d = draw(st.integers(1, 3))
+    config = EmbeddingConfig(dimension=d, tau_pos=draw(st.sampled_from([0.5, 1.0])), gamma=2.0)
+    members = [
+        Embedding(
+            kb.entities, kb.relations,
+            draw(arrays(np.float64, (len(kb.entities), d), elements=GRID_COORDINATES)),
+            draw(arrays(np.float64, (len(kb.relations), d), elements=GRID_COORDINATES)),
+            config, seed,
+        )
+        for seed in range(draw(st.integers(1, 5)))
+    ]
+    return kb, hand_made_ensemble(members, kb.digest())
+
+
+class TestColumnarReportEqualsScalar:
+    @settings(deadline=None)
+    @given(
+        stores_and_ensembles(),
+        st.booleans(),
+        st.sampled_from([0.0, 0.2]),
+        st.one_of(st.none(), st.tuples(st.integers(0), st.integers(0))),
+    )
+    def test_random_store(self, drawn, include_self_pairs, quorum_slack, exact):
+        kb, ens = drawn
+        tau = None
+        queries = [t.as_query() for t in kb.triples] + unstated_queries(kb)
+        if exact is not None and queries:
+            # tau at one row's exact ||eps|| in one member: the boundary row holds.
+            row, m = exact
+            eps = ens.members[m % len(ens)].residual(queries[row % len(queries)])
+            tau = math.sqrt(float(np.sum(eps * eps)))
+        assert_report_matches_scalar(
+            ens, kb, include_self_pairs=include_self_pairs, tau=tau, quorum_slack=quorum_slack
+        )
+
+    @pytest.mark.parametrize("include_self_pairs", [False, True])
+    @pytest.mark.parametrize("kb", [
+        KnowledgeBase((), (), ()),
+        KnowledgeBase((), ("a",), ("r",)),
+        KnowledgeBase((SignedTriple("r", "a", "a", True),), ("a",), ("r", "s")),
+    ], ids=["empty", "one-entity", "one-entity-self-loop"])
+    def test_smallest_stores(self, kb, include_self_pairs):
+        config = EmbeddingConfig(dimension=1)
+        members = [
+            Embedding(kb.entities, kb.relations, np.full((len(kb.entities), 1), x),
+                      np.full((len(kb.relations), 1), 0.25 * i), config, i)
+            for i, x in enumerate((0.0, 1.0, 2.0))
+        ]
+        assert_report_matches_scalar(
+            hand_made_ensemble(members, kb.digest()), kb,
+            include_self_pairs=include_self_pairs, quorum_slack=0.2,
+        )
+
+
+class TestReportVocabulary:
+    """The store and its ensemble share a digest, which leaves isolated
+    terms out, so their vocabularies can differ."""
+
+    TRIPLES = (SignedTriple("r", "a", "b", True),)
+
+    @staticmethod
+    def ensemble(kb):
+        config = EmbeddingConfig(dimension=1)
+        members = [
+            Embedding(kb.entities, kb.relations, np.arange(len(kb.entities))[:, None] * x,
+                      np.ones((len(kb.relations), 1)), config, i)
+            for i, x in enumerate((0.5, 1.0, 1.5))
+        ]
+        return hand_made_ensemble(members, kb.digest())
+
+    def test_members_know_more_terms_than_the_store(self):
+        kb = KnowledgeBase.from_triples(self.TRIPLES)
+        ens = self.ensemble(KnowledgeBase(self.TRIPLES, ("a", "b", "c", "z"), ("q", "r")))
+        assert_report_matches_scalar(ens, kb, include_self_pairs=True)
+
+    @pytest.mark.parametrize("entities, relations, message", [
+        (("a", "b", "z"), ("r",), "unknown entity: 'z'"),
+        (("a", "b"), ("q", "r"), "unknown relation: 'q'"),
+        (("_", "a", "b"), ("q", "r"), "unknown entity: '_'"),
+    ])
+    def test_store_term_the_members_lack(self, entities, relations, message):
+        ens = self.ensemble(KnowledgeBase.from_triples(self.TRIPLES))
+        kb = KnowledgeBase(self.TRIPLES, entities, relations)
+        with pytest.raises(UnknownTermError) as scalar:
+            scalar_report(ens, kb)
+        with pytest.raises(UnknownTermError) as columnar:
+            knowledge_report(ens, kb)
+        assert str(columnar.value) == str(scalar.value) == message
 
 
 class TestReportMatchesScalarRebuild:
@@ -162,8 +301,7 @@ class TestReportMatchesScalarRebuild:
     def test_friend_store(self, options):
         kb = parse_kb(FRIEND_KB_TEXT)
         ens = fit_ensemble(kb, EmbeddingConfig(dimension=1), TrainConfig(), 7, members=16)
-        expected = scalar_report(ens, kb, **options).to_tsv()
-        assert knowledge_report(ens, kb, **options).to_tsv() == expected
+        assert_report_matches_scalar(ens, kb, **options)
 
     @pytest.mark.parametrize("tau, mismatched", [(0.0, "+"), (10.0, "-")])
     def test_mismatch_follows_the_triple_polarity(self, tau, mismatched):
@@ -181,5 +319,4 @@ class TestReportMatchesScalarRebuild:
         kb = random_satisfiable_kb(np.random.default_rng(2024), max_entities=6)
         cfg = EmbeddingConfig(dimension=len(kb.entities))
         ens = fit_ensemble(kb, cfg, TrainConfig(), 11, members=8)
-        expected = scalar_report(ens, kb, include_self_pairs=True).to_tsv()
-        assert knowledge_report(ens, kb, include_self_pairs=True).to_tsv() == expected
+        assert_report_matches_scalar(ens, kb, include_self_pairs=True)
