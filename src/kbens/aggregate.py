@@ -1,9 +1,11 @@
 """Aggregate models: per-term point clouds over a transform-diverse subset
 of ensemble members.
 
-Any invertible affine map of a zero-error embedding is again zero-error, so
-two members related by one carry the same information.  The aggregate keeps
-only members that are not affine images of each other, maps them into the
+A query's verdict depends only on distances, so two members related by a
+rigid map (an orthogonal map plus a translation) give every query the same
+verdict and carry the same information; a contracting affine map, in
+contrast, can pull a negative fact inside the margin.  The aggregate keeps
+only members that are not rigid images of each other, maps them into the
 frame of the first retained member, and pools each term's images into a
 cloud whose diameter measures how underdetermined that term is.
 """
@@ -24,19 +26,9 @@ from .verdict import TernaryVerdict
 
 DEFAULT_DEDUP_TOLERANCE = 1e-6
 
-# Largest temporary of the residual screen and of the cloud diameters, in
+# Largest temporary of the rigid residuals and of the cloud diameters, in
 # float64 elements (64 KiB, as the batched vote's).
 _CHUNK_ELEMENTS = 2**13
-
-# A source design with a singular value within this factor of lstsq's rank
-# cutoff may be given another rank by lstsq than by the screen's SVD.
-_CUTOFF_MARGIN = 1e3
-
-# Multiple of eps * condition number * coordinate scale allowed between a
-# screened and an exact residual; in randomized probes (d = 1-4, condition
-# numbers up to 1e12, coordinates up to 1e6) the gap stayed under 10 times
-# that product.
-_SLACK_FACTOR = 1e3
 
 
 class DegenerateAggregateError(RuntimeError):
@@ -90,47 +82,37 @@ def align(source: Embedding, reference: Embedding) -> Alignment:
     return Alignment(linear_map=linear, translation=translation, residual=residual)
 
 
-def _residual_screen(members: Sequence[Embedding]) -> tuple[np.ndarray, np.ndarray]:
-    """``align(s, r).residual`` for every ordered pair of ``members``, from
-    one batched pseudo-inverse of the source designs with lstsq's rank
-    cutoff, and a per-source slack: for every reference r, screened <=
-    2 * exact + slack[s] and exact <= 2 * screened + slack[s].  The slack is
-    infinite where a singular value of the source design lies near the
-    cutoff, so that only :func:`align` can settle its pairs."""
-    ents = np.array([m.entity_array for m in members])  # (M, E, n)
-    rels = np.array([m.relation_array for m in members])  # (M, R, n)
-    count, n_entities, n = ents.shape
-    design = np.concatenate([ents, np.ones((count, n_entities, 1))], axis=2)
-    u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    eps = np.finfo(np.float64).eps
-    cutoff = max(n_entities, n + 1) * eps * sv[:, :1]  # lstsq(rcond=None)
-    kept = sv > cutoff
-    inverse = np.divide(1.0, sv, out=np.zeros_like(sv), where=kept)
-    pinv = (vt.transpose(0, 2, 1) * inverse[:, None, :]) @ u.transpose(0, 2, 1)
-    # Per source, the map from a reference's entity points to the source's
-    # fitted entity images and mapped relation vectors.
-    fitted = np.concatenate([design, np.pad(rels, ((0, 0), (0, 0), (0, 1)))], axis=1) @ pinv
-    targets = np.concatenate([ents, rels], axis=1)  # (M, E+R, n)
-    total = np.empty((count, count))
-    step = max(1, _CHUNK_ELEMENTS // max(1, targets.size))
-    for start in range(0, count, step):
-        mismatch = fitted[start:start + step, None] @ ents - targets
-        total[start:start + step] = np.sum(mismatch * mismatch, axis=(2, 3))
-    # With no terms every total is 0, and align's residual is 0 as well.
-    residual = np.sqrt(total / max(1, targets.shape[1]))
-    largest = np.max(sv, axis=1, initial=0.0)  # sv[:, 0] unless there are no entities
-    condition = largest / np.min(sv, axis=1, where=kept, initial=np.inf)
-    slack = _SLACK_FACTOR * eps * condition * np.max(np.abs(targets), initial=0.0)
-    near_cutoff = (sv >= cutoff / _CUTOFF_MARGIN) & (sv < cutoff * _CUTOFF_MARGIN)
-    slack[np.any(near_cutoff, axis=1)] = np.inf
-    return residual, slack
+def _rigid_residuals(members: Sequence[Embedding]) -> np.ndarray:
+    """RMS residual of the best rigid map (an orthogonal map, reflections
+    included, plus a translation) between every pair of ``members``, over
+    the entity points and relation vectors as in :func:`align`: symmetric,
+    with a zero diagonal.  The orthogonal part of each pair is the
+    Procrustes solution, the polar factor of a ``d x d`` cross product."""
+    ents = np.array([m.entity_array for m in members])  # (M, E, d)
+    rels = np.array([m.relation_array for m in members])  # (M, R, d)
+    if ents.shape[1]:  # the mean of no entities would warn
+        ents = ents - ents.mean(axis=1, keepdims=True)
+    stack = np.concatenate([ents, rels], axis=1)  # (M, E+R, d)
+    count, rows, _ = stack.shape
+    first, second = np.triu_indices(count, 1)
+    total = np.zeros((count, count))
+    step = max(1, _CHUNK_ELEMENTS // max(1, stack[0].size))
+    for start in range(0, len(first), step):
+        i, j = first[start:start + step], second[start:start + step]
+        u, _, vt = np.linalg.svd(stack[i].transpose(0, 2, 1) @ stack[j])
+        mismatch = stack[i] @ (u @ vt) - stack[j]
+        total[i, j] = np.sum(mismatch * mismatch, axis=(1, 2))
+    residual = np.sqrt(total / max(1, rows))
+    return residual + residual.T
 
 
 def is_affine_duplicate(
     m1: Embedding, m2: Embedding, dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE
 ) -> bool:
     """Whether either direction of affine registration leaves residual at or
-    below the tolerance, i.e. the two members carry the same geometry."""
+    below the tolerance.  :func:`build_aggregate` does not call it, since an
+    affine image may change verdicts; it is kept as the affine test of
+    acceptance criterion 4."""
     if align(m1, m2).residual <= dedup_tolerance:
         return True
     return align(m2, m1).residual <= dedup_tolerance
@@ -193,13 +175,11 @@ def build_aggregate(
 ) -> AggregateModel:
     """Greedy member selection in ensemble order.
 
-    A member is rejected if it is an affine duplicate of any retained one,
-    or (when ``max_cloud_diameter`` is set) if its image in the reference
-    frame lies farther than the bound from a retained member's image of the
-    same term.  Duplicates are decided from one batched matrix of screened
-    residuals over all ordered member pairs; :func:`is_affine_duplicate`
-    settles each pair whose screened residual lies near the tolerance, so
-    the decisions, and the output bytes, are those of :func:`align`.  Each
+    A member is rejected if the best rigid map between it and a retained
+    member leaves an RMS residual at or below ``dedup_tolerance``, or (when
+    ``max_cloud_diameter`` is set) if its image in the reference frame lies
+    farther than the bound from a retained member's image of the same term.
+    The residuals come from one batched matrix over all member pairs.  Each
     retained member is mapped once, by :func:`align`, into one row of a
     stack whose read-only views are the clouds.  Raises ``ValueError`` on a
     NaN bound and :class:`DegenerateAggregateError` when fewer than two
@@ -210,23 +190,14 @@ def build_aggregate(
     if max_cloud_diameter is not None and math.isnan(max_cloud_diameter):
         raise ValueError("max cloud diameter must not be NaN")
     reference = ens.members[0]
-    residual, slack = _residual_screen(ens.members)
-    # A direction whose screened residual exceeds this band is certainly
-    # above the tolerance; a pair that is not above it in either direction
-    # (NaN included) is settled by align.
-    near = ~(residual > 2.0 * dedup_tolerance + slack[:, None])
-    unsettled = (near | near.T).tolist()
+    duplicate = (_rigid_residuals(ens.members) <= dedup_tolerance).tolist()
     n = reference.dimension
     identity = Alignment(linear_map=np.eye(n), translation=np.zeros(n), residual=0.0)
     n_entities = len(reference.entity_names)
     stack = np.empty((len(ens.members), n_entities + len(reference.relation_names), n))
     retained: list[int] = []
     for idx, member in enumerate(ens.members):
-        if any(
-            unsettled[idx][kept]
-            and is_affine_duplicate(member, ens.members[kept], dedup_tolerance)
-            for kept in retained
-        ):
+        if any(duplicate[idx][kept] for kept in retained):
             continue
         a = align(member, reference) if retained else identity
         image = np.concatenate([

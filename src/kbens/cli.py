@@ -237,7 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     aggregate = sub.add_parser("aggregate", help="build the cloud model from an ensemble")
     aggregate.add_argument("ensemble")
     aggregate.add_argument("-o", "--out", required=True, help="aggregate JSON output path")
-    aggregate.add_argument("--dedup-tol", type=float, default=DEFAULT_DEDUP_TOLERANCE)
+    aggregate.add_argument(
+        "--dedup-tol", type=float, default=DEFAULT_DEDUP_TOLERANCE,
+        help="RMS residual of the best rigid map below which two members are duplicates",
+    )
     aggregate.add_argument("--max-diameter", type=float, default=None)
     aggregate.add_argument("--clouds-tsv", default=None, help="also dump clouds as TSV")
     aggregate.set_defaults(func=cmd_aggregate)

@@ -1,4 +1,4 @@
-"""Affine alignment, duplicate detection, cloud pooling, and verdicts."""
+"""Affine alignment, rigid duplicate detection, cloud pooling, and verdicts."""
 
 from dataclasses import replace
 
@@ -16,6 +16,7 @@ from kbens import (
     Ensemble,
     Query,
     TrainConfig,
+    Truth,
     UnknownTermError,
     aggregate_query,
     align,
@@ -23,12 +24,13 @@ from kbens import (
     cloud_diameter,
     fit_ensemble,
     is_affine_duplicate,
+    knowledge_report,
     parse_kb,
     query_truth,
 )
 
 from kbens import aggregate
-from kbens.aggregate import _residual_screen
+from kbens.aggregate import _rigid_residuals
 
 from conftest import all_queries, hand_made_ensemble
 
@@ -44,6 +46,18 @@ def friend_kb_m():
 def friend_ensemble(friend_kb_m):
     return fit_ensemble(
         friend_kb_m, EmbeddingConfig(dimension=1), TrainConfig(), base_seed=7, members=32
+    )
+
+
+@pytest.fixture(scope="module")
+def chain_kb():
+    return parse_kb("next\ta\tb\t+\nnext\tb\tc\t+\nnext\tc\td\t+\n")
+
+
+@pytest.fixture(scope="module")
+def chain_ensemble(chain_kb):
+    return fit_ensemble(
+        chain_kb, EmbeddingConfig(dimension=1), TrainConfig(), base_seed=7, members=32
     )
 
 
@@ -63,6 +77,41 @@ def affine_copy(e, linear, offset):
         e.config,
         seed=e.seed + 1,
     )
+
+
+def random_orthogonal(rng, d, reflect):
+    """A random orthogonal map, with determinant -1 if ``reflect`` and +1
+    otherwise."""
+    q_mat, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    if (np.linalg.det(q_mat) < 0) != reflect:
+        q_mat[:, 0] = -q_mat[:, 0]
+    return q_mat
+
+
+def rigid_residual(a, b):
+    """RMS residual of the best orthogonal map plus translation from ``a``
+    onto ``b``, one pair at a time: both members centred on their entity
+    mean, relation vectors stacked below, and one d x d Procrustes SVD."""
+    stacked = []
+    for m in (a, b):
+        ents = m.entity_array
+        if len(ents):
+            ents = ents - ents.mean(axis=0)
+        stacked.append(np.concatenate([ents, m.relation_array]))
+    xa, xb = stacked
+    u, _, vt = np.linalg.svd(xa.T @ xb)
+    diff = xa @ (u @ vt) - xb
+    return float(np.sqrt(np.sum(diff * diff) / max(1, len(xa))))
+
+
+def assert_residuals_match(members):
+    """The batched matrix equals the per-pair reference in every entry."""
+    scale = max(
+        np.max(np.abs(np.concatenate([m.entity_array, m.relation_array])), initial=0.0)
+        for m in members
+    )
+    exact = [[rigid_residual(s, r) for r in members] for s in members]
+    np.testing.assert_allclose(_rigid_residuals(members), exact, rtol=1e-9, atol=1e-12 * scale)
 
 
 class TestAlign:
@@ -156,8 +205,8 @@ class TestBuildAggregate:
         kept = [small.members[i] for i in agg.member_indices]
         for i, a in enumerate(kept):
             for b in kept[i + 1:]:
-                assert align(a, b).residual > 1e-6
-                assert align(b, a).residual > 1e-6
+                assert rigid_residual(a, b) > 1e-6
+                assert rigid_residual(b, a) > 1e-6
 
     def test_orthogonal_copy_is_rejected_but_new_member_kept(self, friend_ensemble):
         m0 = friend_ensemble.members[0]
@@ -201,10 +250,9 @@ class TestBuildAggregate:
         monkeypatch.setattr(aggregate, "align", counted_align)
         monkeypatch.setattr(aggregate, "is_affine_duplicate", counted_duplicate)
         agg = build_aggregate(friend_ensemble)
-        # One alignment per retained member after the reference, plus at
-        # most two per pair the screen left to align; the per-pair loop
-        # made 1,023 on this ensemble.
-        assert calls["align"] <= len(agg.member_indices) - 1 + 2 * calls["duplicate"]
+        # One alignment per retained member after the reference; the rigid
+        # residuals decide every duplicate without align.
+        assert calls["align"] == len(agg.member_indices) - 1
         assert calls["duplicate"] == 0
 
     def test_ensemble_without_members_is_rejected_when_built(self):
@@ -212,7 +260,7 @@ class TestBuildAggregate:
             Ensemble(members=(), kb_digest="", reports=())
 
     def test_empty_store_keeps_one_member_and_is_degenerate(self):
-        # With no terms every member is an affine image of the first.
+        # With no terms every member is a rigid image of the first.
         ens = fit_ensemble(parse_kb(""), EmbeddingConfig(dimension=2), TrainConfig(), 1, members=4)
         with pytest.raises(DegenerateAggregateError, match="only 1 member"):
             build_aggregate(ens)
@@ -230,6 +278,62 @@ class TestBuildAggregate:
         np.testing.assert_array_equal(agg.cloud("friend"), agg.relation_clouds["friend"])
         with pytest.raises(UnknownTermError, match="nobody"):
             agg.cloud("nobody")
+
+
+class TestRigidDuplicates:
+    @pytest.fixture(scope="class")
+    def planar_members(self, friend_kb_m):
+        fitted = fit_ensemble(
+            friend_kb_m, EmbeddingConfig(dimension=2), TrainConfig(), 31, members=6
+        )
+        return fitted.members
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_isometric_copy_is_dropped(self, planar_members, scale, reflect):
+        rng = np.random.default_rng(int(scale * 1e3) + reflect)
+        bases = [(planar_members[0], planar_members[1])]
+        bases.append((spanning_embedding(3, seed=5), spanning_embedding(3, seed=6)))
+        for base, other in bases:
+            d = base.dimension
+            base = affine_copy(base, scale * np.eye(d), np.zeros(d))
+            other = affine_copy(other, scale * np.eye(d), np.zeros(d))
+            copy = affine_copy(base, random_orthogonal(rng, d, reflect), rng.uniform(-3, 3, d) * scale)
+            members = (base, replace(copy, seed=1000), replace(other, seed=1001))
+            assert _rigid_residuals(members)[0, 1] <= 1e-12 * scale
+            assert build_aggregate(hand_made_ensemble(members)).member_indices == (0, 2)
+
+    @pytest.mark.parametrize("factor", [0.5, 0.999])
+    def test_scaled_copy_is_kept(self, friend_ensemble, planar_members, factor):
+        for base in (friend_ensemble.members[0], planar_members[0]):
+            d = base.dimension
+            scaled = affine_copy(base, factor * np.eye(d), np.full(d, 0.3))
+            ens = hand_made_ensemble((base, replace(scaled, seed=1000)))
+            assert build_aggregate(ens).member_indices == (0, 1)
+
+    def test_residuals_are_symmetric_and_isometry_invariant(self, planar_members):
+        residual = _rigid_residuals(planar_members)
+        np.testing.assert_array_equal(residual, residual.T)
+        np.testing.assert_array_equal(np.diag(residual), np.zeros(len(planar_members)))
+        rng = np.random.default_rng(3)
+        for k in range(len(planar_members)):
+            moved = list(planar_members)
+            moved[k] = affine_copy(
+                moved[k], random_orthogonal(rng, 2, k % 2 == 1), rng.uniform(-3, 3, 2)
+            )
+            np.testing.assert_allclose(_rigid_residuals(moved), residual, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("tolerance", [1e-3, 1e-2])
+    def test_chain_store_keeps_every_unknown_row(self, chain_kb, chain_ensemble, tolerance):
+        agg = build_aggregate(chain_ensemble, dedup_tolerance=tolerance)
+        assert len(agg.member_indices) >= 2
+        kept = hand_made_ensemble(agg.members, chain_ensemble.kb_digest)
+        verdicts = [
+            [row.verdict.value for row in knowledge_report(ens, chain_kb).unstated_rows]
+            for ens in (chain_ensemble, kept)
+        ]
+        assert verdicts[0].count(Truth.UNKNOWN) == 7
+        assert verdicts[1] == verdicts[0]
 
 
 class TestAggregateQuery:
@@ -339,7 +443,7 @@ def reference_build_aggregate(ens, dedup_tolerance=1e-6, max_cloud_diameter=None
             )
             retained.append((idx, member, identity))
             continue
-        if any(is_affine_duplicate(member, kept, dedup_tolerance) for _, kept, _ in retained):
+        if any(rigid_residual(member, kept) <= dedup_tolerance for _, kept, _ in retained):
             continue
         alignment = align(member, retained[0][1])
         if max_cloud_diameter is not None:
@@ -421,7 +525,11 @@ def pairwise_distances(agg):
 
 
 def pair_residuals(members):
-    return sorted({align(a, b).residual for a in members for b in members if a is not b})
+    """Every distinct rigid residual between two members, above 1e-8: below
+    that a residual is the rounding of a rigid copy, where the batched and
+    the per-pair residual need not agree to a relative 1e-6."""
+    found = {rigid_residual(a, b) for a in members for b in members if a is not b}
+    return sorted(r for r in found if r > 1e-8)
 
 
 def on_both_sides(values):
@@ -429,11 +537,27 @@ def on_both_sides(values):
     return [b for v in values for b in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))]
 
 
+def around(values):
+    """Each value times 1 - 1e-6 and times 1 + 1e-6."""
+    return [b for v in values for b in (v * (1.0 - 1e-6), v * (1.0 + 1e-6))]
+
+
+def image_map(rng, d, grid=False):
+    """The linear part of an image of a member: orthogonal (reflected half
+    the time) or that times 0.5 or 0.999.  On the grid the orthogonal map
+    is a signed permutation and the scale 0.5, so coordinates stay on a
+    (finer) grid."""
+    if grid:
+        orthogonal = np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], d)
+        return orthogonal * rng.choice([1.0, 0.5])
+    return random_orthogonal(rng, d, bool(rng.random() < 0.5)) * rng.choice([1.0, 0.5, 0.999])
+
+
 @st.composite
 def hypothesis_ensembles(draw):
-    """2-6 members of random geometry in d = 1-3; some are affine images of
-    an earlier member, and coordinates may sit on a coarse grid so that
-    cloud distances tie."""
+    """2-6 members of random geometry in d = 1-3; some are orthogonal or
+    scaled images of an earlier member, and coordinates may sit on a coarse
+    grid so that cloud distances tie."""
     d = draw(st.integers(1, 3))
     n_ent, n_rel = draw(st.integers(1, 5)), draw(st.integers(0, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -448,7 +572,7 @@ def hypothesis_ensembles(draw):
     for seed in range(draw(st.integers(2, 6))):
         if members and rng.random() < 0.3:
             base = members[int(rng.integers(len(members)))]
-            linear = coords(d) if grid else rng.normal(size=(d, d))
+            linear = image_map(rng, d, grid)
             ents = base.entity_array @ linear.T + coords(1)
             rels = base.relation_array @ linear.T
         else:
@@ -468,12 +592,13 @@ class TestMatchesReference:
         for bound in [0.5, 2.0] + on_both_sides(picked):
             assert_matches_reference(friend_ensemble, max_cloud_diameter=bound)
         residuals = pair_residuals(friend_ensemble.members[:6])
-        for tol in [0.3] + on_both_sides(residuals[::5]):
+        for tol in [0.3] + around(residuals[::5]):
             assert_matches_reference(friend_ensemble, dedup_tolerance=tol)
 
     @settings(max_examples=60, deadline=None)
     @given(ens=hypothesis_ensembles(), data=st.data())
     def test_hypothesis_ensembles(self, ens, data):
+        assert_residuals_match(ens.members)
         unbounded = assert_matches_reference(ens)
         if unbounded is not None:
             distances = pairwise_distances(unbounded)
@@ -481,7 +606,8 @@ class TestMatchesReference:
             for bound in on_both_sides([0.0, *picked]):
                 assert_matches_reference(ens, max_cloud_diameter=bound)
         residuals = pair_residuals(ens.members)
-        for tol in on_both_sides(data.draw(st.lists(st.sampled_from(residuals), max_size=4))):
+        picked = data.draw(st.lists(st.sampled_from(residuals), max_size=4)) if residuals else []
+        for tol in around(picked):
             assert_matches_reference(ens, dedup_tolerance=tol)
             assert_matches_reference(ens, dedup_tolerance=tol, max_cloud_diameter=1.0)
 
@@ -490,7 +616,8 @@ class TestMatchesReference:
 def degenerate_members(draw):
     """2-5 members in d = 1-3 whose entity designs are often rank deficient:
     fewer entities than d + 1, all points equal, or all points on one line,
-    with or without relations; some members are affine images of another."""
+    with or without relations; some members are orthogonal or scaled images
+    of another."""
     d = draw(st.integers(1, 3))
     n_ent, n_rel = draw(st.integers(1, 6)), draw(st.integers(0, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -506,7 +633,7 @@ def degenerate_members(draw):
             ents = ents + rng.uniform(-2.0, 2.0, (1, d))
         elif shape == "image" and members:
             base = members[int(rng.integers(len(members)))]
-            linear = rng.normal(size=(d, d))
+            linear = image_map(rng, d)
             ents = base.entity_array @ linear.T + rng.uniform(-2.0, 2.0, (1, d))
             rels = base.relation_array @ linear.T
         else:
@@ -519,41 +646,6 @@ def degenerate_members(draw):
 
 
 class TestResidualScreen:
-    @settings(max_examples=150, deadline=None)
-    @given(members=degenerate_members())
-    def test_brackets_align_for_every_ordered_pair(self, members):
-        residual, slack = _residual_screen(members)
-        assert residual.shape == slack.shape * 2
-        for s, source in enumerate(members):
-            for r, reference in enumerate(members):
-                exact = align(source, reference).residual
-                assert residual[s, r] <= 2.0 * exact + slack[s]
-                assert exact <= 2.0 * residual[s, r] + slack[s]
-
-    def test_general_position_is_settled_by_the_screen(self, friend_ensemble):
-        residual, slack = _residual_screen(friend_ensemble.members)
-        assert np.all(slack < 1e-9)
-        for s in (0, 5):
-            for r in (1, 7):
-                exact = align(friend_ensemble.members[s], friend_ensemble.members[r]).residual
-                assert residual[s, r] == pytest.approx(exact, rel=1e-9)
-
-    @pytest.mark.parametrize("offset, settled", [
-        (1e-15, False), (3e-15, False), (1e-14, False), (1e-13, False), (1e-9, True),
-    ])
-    def test_singular_value_near_the_cutoff_is_left_to_align(self, offset, settled):
-        # The last singular value of the first design is about 0.74 times
-        # the offset; lstsq's rank cutoff for it is about 2.4e-15.
-        cfg = EmbeddingConfig(dimension=2)
-        names, none = ("a", "b", "c", "d"), np.empty((0, 2))
-        near = Embedding(names, (), [[0, 0], [1, 0], [2, 0], [0, offset]], none, cfg, 0)
-        other = Embedding(names, (), [[0, 1], [1, 0], [2, 2], [1, 1]], none, cfg, 1)
-        _, slack = _residual_screen((near, other))
-        assert np.isfinite(slack[0]) == settled and np.isfinite(slack[1])
-        ens = hand_made_ensemble((near, other))
-        for tol in on_both_sides(pair_residuals((near, other))):
-            assert_matches_reference(ens, dedup_tolerance=tol)
-
     @pytest.mark.parametrize("n_rel", [0, 2])
     def test_members_without_entities(self, n_rel):
         cfg = EmbeddingConfig(dimension=2)
@@ -563,15 +655,15 @@ class TestResidualScreen:
             Embedding((), names, np.empty((0, 2)), rng.uniform(-2.0, 2.0, (n_rel, 2)), cfg, seed)
             for seed in range(3)
         ]
-        residual, slack = _residual_screen(members)
-        exact = [[align(s, r).residual for r in members] for s in members]
-        np.testing.assert_array_equal(residual, exact)
-        np.testing.assert_array_equal(slack, np.zeros(3))
+        assert_residuals_match(members)
 
     @settings(max_examples=60, deadline=None)
     @given(members=degenerate_members(), data=st.data())
     def test_rank_deficient_ensembles_match_reference(self, members, data):
+        assert_residuals_match(members)
         ens = hand_made_ensemble(members)
+        assert_matches_reference(ens)
         residuals = pair_residuals(members)
-        for tol in on_both_sides(data.draw(st.lists(st.sampled_from(residuals), max_size=4))):
+        picked = data.draw(st.lists(st.sampled_from(residuals), max_size=4)) if residuals else []
+        for tol in around(picked):
             assert_matches_reference(ens, dedup_tolerance=tol)

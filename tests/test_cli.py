@@ -255,7 +255,7 @@ class TestAggregate:
         assert code == 2
 
     def test_empty_store_exits_2(self, tmp_path, capsys):
-        # With no terms every member is an affine image of the first.
+        # With no terms every member is a rigid image of the first.
         empty = tmp_path / "empty.kb"
         empty.write_text("", encoding="utf-8")
         ens = tmp_path / "e.json"
