@@ -5,15 +5,15 @@ A query's verdict depends only on distances, so two members related by a
 rigid map (an orthogonal map plus a translation) give every query the same
 verdict and carry the same information; a contracting affine map, in
 contrast, can pull a negative fact inside the margin.  The aggregate keeps
-only members that are not rigid images of each other, maps them into the
-frame of the first retained member, and pools each term's images into a
-cloud whose diameter measures how underdetermined that term is.
+only members that are not rigid images of each other, maps them by rigid
+maps into the frame of the first retained member, and pools each term's
+isometric images into a cloud whose diameter measures how underdetermined
+that term is.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -41,9 +41,9 @@ class FrameMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Alignment:
-    """Best affine map A x + t from one embedding's entity points onto
-    another's, with the root-mean-square mismatch left over (entities moved
-    through the full map, relation vectors through A alone)."""
+    """Best rigid map ``x @ linear_map.T + translation`` from one embedding's
+    entity points onto another's (``linear_map`` orthogonal, reflections
+    included, and alone on relation vectors), with the RMS mismatch left."""
 
     linear_map: np.ndarray
     translation: np.ndarray
@@ -60,26 +60,22 @@ def _check_same_frame(a: Embedding, b: Embedding) -> None:
 
 
 def align(source: Embedding, reference: Embedding) -> Alignment:
-    """Least-squares affine registration of ``source`` onto ``reference``.
-
-    The map is fitted on entity points only (minimum-norm solution on rank
-    deficiency); the residual also charges relation vectors mapped through
-    the linear part, since translations cancel on vector differences.
-    """
+    """Rigid registration of ``source`` onto ``reference``, the per-pair
+    reference for :func:`_rigid_residuals`: entity points centred on their
+    mean over relation vectors, the orthogonal map from one ``d x d``
+    Procrustes SVD, the translation from the entity means, and the RMS
+    mismatch over those E + R rows."""
     _check_same_frame(source, reference)
-    n = source.dimension
-    x = source.entity_array
-    y = reference.entity_array
-    design = np.hstack([x, np.ones((x.shape[0], 1))])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)  # (n+1, n)
-    linear = coef[:n].T
-    translation = coef[n]
-    mismatch = design @ coef - y
-    rel_mismatch = source.relation_array @ coef[:n] - reference.relation_array
-    total = float(np.sum(mismatch * mismatch) + np.sum(rel_mismatch * rel_mismatch))
-    count = x.shape[0] + source.relation_array.shape[0]
-    residual = float(np.sqrt(total / count)) if count else 0.0
-    return Alignment(linear_map=linear, translation=translation, residual=residual)
+    src_mean, ref_mean = (
+        m.entity_array.sum(axis=0) / max(1, len(m.entity_names)) for m in (source, reference)
+    )
+    x = np.concatenate([source.entity_array - src_mean, source.relation_array])
+    y = np.concatenate([reference.entity_array - ref_mean, reference.relation_array])
+    u, _, vt = np.linalg.svd(x.T @ y)
+    q = u @ vt
+    mismatch = x @ q - y
+    residual = float(np.sqrt(np.sum(mismatch * mismatch) / max(1, len(x))))
+    return Alignment(linear_map=q.T, translation=ref_mean - src_mean @ q, residual=residual)
 
 
 def _rigid_residuals(members: Sequence[Embedding]) -> np.ndarray:
@@ -109,10 +105,11 @@ def _rigid_residuals(members: Sequence[Embedding]) -> np.ndarray:
 def is_affine_duplicate(
     m1: Embedding, m2: Embedding, dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE
 ) -> bool:
-    """Whether either direction of affine registration leaves residual at or
-    below the tolerance.  :func:`build_aggregate` does not call it, since an
-    affine image may change verdicts; it is kept as the affine test of
-    acceptance criterion 4."""
+    """Whether either direction of rigid registration by :func:`align` leaves
+    a residual at or below the tolerance, that is, whether the two members
+    are rigid duplicates (the name is kept for its callers).
+    :func:`build_aggregate` decides the same question for all pairs at once
+    from :func:`_rigid_residuals`, and does not call it."""
     if align(m1, m2).residual <= dedup_tolerance:
         return True
     return align(m2, m1).residual <= dedup_tolerance
@@ -180,15 +177,15 @@ def build_aggregate(
     ``max_cloud_diameter`` is set) if its image in the reference frame lies
     farther than the bound from a retained member's image of the same term.
     The residuals come from one batched matrix over all member pairs.  Each
-    retained member is mapped once, by :func:`align`, into one row of a
-    stack whose read-only views are the clouds.  Raises ``ValueError`` on a
-    NaN bound and :class:`DegenerateAggregateError` when fewer than two
-    members survive.
+    retained member is mapped once, by the rigid :func:`align`, into one row
+    of a stack whose read-only views are the clouds.  Raises ``ValueError``
+    on a negative or NaN bound and :class:`DegenerateAggregateError` when
+    fewer than two members survive.
     """
-    if math.isnan(dedup_tolerance):
-        raise ValueError("dedup tolerance must not be NaN")
-    if max_cloud_diameter is not None and math.isnan(max_cloud_diameter):
-        raise ValueError("max cloud diameter must not be NaN")
+    bounds = {"dedup tolerance": dedup_tolerance, "max cloud diameter": max_cloud_diameter}
+    for name, bound in bounds.items():
+        if bound is not None and not bound >= 0.0:
+            raise ValueError(f"{name} must be a non-negative number: {bound!r}")
     reference = ens.members[0]
     duplicate = (_rigid_residuals(ens.members) <= dedup_tolerance).tolist()
     n = reference.dimension

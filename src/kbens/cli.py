@@ -167,9 +167,6 @@ def cmd_report(args) -> _Output:
 
 
 def cmd_aggregate(args) -> _Output:
-    for flag, bound in (("--dedup-tol", args.dedup_tol), ("--max-diameter", args.max_diameter)):
-        if bound is not None and not bound >= 0.0:
-            raise ValueError(f"{flag} must be a non-negative number: {bound!r}")
     ensemble = _load_ensemble(args.ensemble)
     aggregate = build_aggregate(
         ensemble, dedup_tolerance=args.dedup_tol, max_cloud_diameter=args.max_diameter

@@ -285,8 +285,8 @@ class KnowledgeReport:
     ``index`` holds each row's subject, object and relation rows into
     ``entities`` / ``relations``, asserted rows first; ``positive`` is the
     polarity of each asserted row; ``counts`` is the number of members in
-    which each row holds; ``verdicts`` maps each count that occurs to its
-    verdict.  The rows as :class:`ReportRow` tuples are built on demand.
+    which each row holds; ``verdicts`` maps 0 and each count that occurs to
+    its verdict.  The rows as :class:`ReportRow` tuples are built on demand.
     """
 
     kb_digest: str
@@ -407,9 +407,9 @@ def knowledge_report(
     asserted rows come from ``kb.triple_index`` in store order, the
     unstated rows from :func:`kbens.kb.unstated_index` in lexicographic
     order (distinct pairs only unless ``include_self_pairs``), and all of
-    them are counted in one vote.  Verdicts are computed once per count
-    that occurs.  An asserted row is consistent when its verdict is its
-    polarity, TRUE or FALSE.
+    them are counted in one vote.  Verdicts are computed for count 0 and
+    once per count that occurs.  An asserted row is consistent when its
+    verdict is its polarity, TRUE or FALSE.
     """
     ens.check_digest(kb)
     n = len(ens.members)
@@ -417,7 +417,9 @@ def knowledge_report(
     unstated = unstated_index(kb, include_self_pairs)
     index = tuple(np.concatenate(pair) for pair in zip((subject, object_, relation), unstated))
     counts = _count_rows(ens.members, *_member_rows(ens.members[0], kb, index), tau)
-    occurring = np.flatnonzero(np.bincount(counts, minlength=n + 1)).tolist()
+    present = np.bincount(counts, minlength=n + 1) > 0
+    present[0] = True  # so that from_fraction checks the slack of a report with no rows
+    occurring = np.flatnonzero(present).tolist()
     verdicts = {c: TernaryVerdict.from_fraction(c / n, n, quorum_slack) for c in occurring}
     return KnowledgeReport(
         ens.kb_digest, n, kb.entities, kb.relations, index, positive, counts, verdicts

@@ -1,4 +1,5 @@
-"""Affine alignment, rigid duplicate detection, cloud pooling, and verdicts."""
+"""Rigid registration and duplicate detection, isometric cloud pooling, and
+verdicts."""
 
 from dataclasses import replace
 
@@ -88,29 +89,14 @@ def random_orthogonal(rng, d, reflect):
     return q_mat
 
 
-def rigid_residual(a, b):
-    """RMS residual of the best orthogonal map plus translation from ``a``
-    onto ``b``, one pair at a time: both members centred on their entity
-    mean, relation vectors stacked below, and one d x d Procrustes SVD."""
-    stacked = []
-    for m in (a, b):
-        ents = m.entity_array
-        if len(ents):
-            ents = ents - ents.mean(axis=0)
-        stacked.append(np.concatenate([ents, m.relation_array]))
-    xa, xb = stacked
-    u, _, vt = np.linalg.svd(xa.T @ xb)
-    diff = xa @ (u @ vt) - xb
-    return float(np.sqrt(np.sum(diff * diff) / max(1, len(xa))))
-
-
 def assert_residuals_match(members):
-    """The batched matrix equals the per-pair reference in every entry."""
+    """The batched matrix equals the per-pair :func:`align` residual in every
+    entry."""
     scale = max(
         np.max(np.abs(np.concatenate([m.entity_array, m.relation_array])), initial=0.0)
         for m in members
     )
-    exact = [[rigid_residual(s, r) for r in members] for s in members]
+    exact = [[align(s, r).residual for r in members] for s in members]
     np.testing.assert_allclose(_rigid_residuals(members), exact, rtol=1e-9, atol=1e-12 * scale)
 
 
@@ -133,6 +119,7 @@ class TestAlign:
                 a = align(source, ref)
                 assert a.residual <= 1e-8
                 np.testing.assert_allclose(a.linear_map @ q_mat, np.eye(dim), atol=1e-8)
+                np.testing.assert_allclose(a.translation, -t0 @ q_mat, atol=1e-8)
 
     def test_independent_members_do_not_align(self, friend_ensemble):
         a = align(friend_ensemble.members[0], friend_ensemble.members[1])
@@ -159,10 +146,10 @@ class TestAffineDuplicate:
         e = spanning_embedding()
         assert is_affine_duplicate(e, e, 1e-6)
 
-    def test_uniform_scaling_is_a_duplicate(self):
+    def test_uniformly_scaled_copy_is_not_a_duplicate(self):
         e = spanning_embedding()
         doubled = affine_copy(e, 2.0 * np.eye(2), np.zeros(2))
-        assert is_affine_duplicate(e, doubled, 1e-6)
+        assert not is_affine_duplicate(e, doubled, 1e-6)
 
     def test_single_displaced_point_is_not(self):
         e = spanning_embedding(2, seed=3)  # 5 entities in general position
@@ -205,8 +192,8 @@ class TestBuildAggregate:
         kept = [small.members[i] for i in agg.member_indices]
         for i, a in enumerate(kept):
             for b in kept[i + 1:]:
-                assert rigid_residual(a, b) > 1e-6
-                assert rigid_residual(b, a) > 1e-6
+                assert align(a, b).residual > 1e-6
+                assert align(b, a).residual > 1e-6
 
     def test_orthogonal_copy_is_rejected_but_new_member_kept(self, friend_ensemble):
         m0 = friend_ensemble.members[0]
@@ -233,7 +220,7 @@ class TestBuildAggregate:
         {"dedup_tolerance": float("nan")}, {"max_cloud_diameter": float("nan")},
     ])
     def test_nan_bound_is_rejected(self, friend_ensemble, options):
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match="must be a non-negative number: nan"):
             build_aggregate(friend_ensemble, **options)
 
     def test_align_calls_grow_with_retained_members_only(self, friend_ensemble, monkeypatch):
@@ -443,7 +430,7 @@ def reference_build_aggregate(ens, dedup_tolerance=1e-6, max_cloud_diameter=None
             )
             retained.append((idx, member, identity))
             continue
-        if any(rigid_residual(member, kept) <= dedup_tolerance for _, kept, _ in retained):
+        if any(align(member, kept).residual <= dedup_tolerance for _, kept, _ in retained):
             continue
         alignment = align(member, retained[0][1])
         if max_cloud_diameter is not None:
@@ -528,7 +515,7 @@ def pair_residuals(members):
     """Every distinct rigid residual between two members, above 1e-8: below
     that a residual is the rounding of a rigid copy, where the batched and
     the per-pair residual need not agree to a relative 1e-6."""
-    found = {rigid_residual(a, b) for a in members for b in members if a is not b}
+    found = {align(a, b).residual for a in members for b in members if a is not b}
     return sorted(r for r in found if r > 1e-8)
 
 
@@ -604,7 +591,11 @@ class TestMatchesReference:
             distances = pairwise_distances(unbounded)
             picked = data.draw(st.lists(st.sampled_from(distances), max_size=6)) if distances else []
             for bound in on_both_sides([0.0, *picked]):
-                assert_matches_reference(ens, max_cloud_diameter=bound)
+                if bound < 0.0:  # the neighbour below a zero distance
+                    with pytest.raises(ValueError, match="non-negative number"):
+                        build_aggregate(ens, max_cloud_diameter=bound)
+                else:
+                    assert_matches_reference(ens, max_cloud_diameter=bound)
         residuals = pair_residuals(ens.members)
         picked = data.draw(st.lists(st.sampled_from(residuals), max_size=4)) if residuals else []
         for tol in around(picked):
@@ -667,3 +658,52 @@ class TestResidualScreen:
         picked = data.draw(st.lists(st.sampled_from(residuals), max_size=4)) if residuals else []
         for tol in around(picked):
             assert_matches_reference(ens, dedup_tolerance=tol)
+
+
+def pairwise(points):
+    """The matrix of distances between the rows of ``points``."""
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def assert_images_isometric(agg):
+    """Each retained member's images in the clouds keep that member's
+    distances between entity points and between relation vectors (and the
+    origin, which a linear map fixes), within 1e-12 times the coordinate
+    scale."""
+    for k, member in enumerate(agg.members):
+        d = member.dimension
+        origin = np.zeros((1, d))
+        image_ents = np.array([agg.entity_clouds[t][k] for t in member.entity_names]).reshape(-1, d)
+        image_rels = np.array([agg.relation_clouds[t][k] for t in member.relation_names]).reshape(-1, d)
+        pairs = [
+            (member.entity_array, image_ents),
+            (np.concatenate([member.relation_array, origin]), np.concatenate([image_rels, origin])),
+        ]
+        for native, image in pairs:
+            scale = max(np.max(np.abs(native), initial=0.0), np.max(np.abs(image), initial=0.0))
+            np.testing.assert_allclose(pairwise(image), pairwise(native), rtol=0, atol=1e-12 * scale)
+
+
+class TestIsometricClouds:
+    def test_friend_ensemble(self, friend_ensemble):
+        assert_images_isometric(build_aggregate(friend_ensemble))
+
+    @pytest.mark.parametrize("tolerance", [1e-3, 1e-2])
+    def test_chain_store(self, chain_ensemble, tolerance):
+        assert_images_isometric(build_aggregate(chain_ensemble, dedup_tolerance=tolerance))
+
+    def test_chain_store_cloud_shows_its_unknown_rows(self, chain_ensemble):
+        # The kept members disagree on 7 unstated rows; rigid images keep
+        # that disagreement visible in the relation's cloud.
+        agg = build_aggregate(chain_ensemble, dedup_tolerance=1e-2)
+        assert agg.diameters["next"] > 0.2
+
+    @settings(max_examples=60, deadline=None)
+    @given(members=degenerate_members())
+    def test_rank_deficient_ensembles(self, members):
+        try:
+            agg = build_aggregate(hand_made_ensemble(members))
+        except DegenerateAggregateError:
+            return
+        assert_images_isometric(agg)

@@ -680,6 +680,22 @@ class TestOutOfRangeSettings:
         assert captured.out == "" and not out.exists()
         assert captured.err == message + "\n"
 
+    @pytest.mark.parametrize("delta", ["0.7", "nan"])
+    def test_report_without_rows_checks_slack(self, tmp_path, capsys, delta):
+        # An ensemble of the empty store has no report rows to vote on.
+        empty = tmp_path / "empty.kb"
+        empty.write_text("", encoding="utf-8")
+        ens = tmp_path / "e.json"
+        assert main(["fit", str(empty), "-o", str(ens), "--seed", "3", "--members", "2"]) == 0
+        capsys.readouterr()
+        code = main(["report", str(ens), str(empty), "--delta", delta])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"kbens report: quorum slack must lie in [0, 0.5): {float(delta)!r}\n"
+        )
+
 
 class TestFileThatIsNotUtf8:
     @pytest.mark.parametrize("argv", [
@@ -814,13 +830,15 @@ class TestAggregateBounds:
         ("--dedup-tol", "-0.001"), ("--max-diameter", "-0.5"),
     ])
     def test_exits_1_in_one_line(self, fitted, tmp_path, capsys, flag, value):
+        # The message is build_aggregate's own.
+        bound = {"--dedup-tol": "dedup tolerance", "--max-diameter": "max cloud diameter"}[flag]
         out = tmp_path / "agg.json"
         code = main(["aggregate", str(fitted), "-o", str(out), flag, value])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == "" and not out.exists()
         assert captured.err == (
-            f"kbens aggregate: {flag} must be a non-negative number: {float(value)!r}\n"
+            f"kbens aggregate: {bound} must be a non-negative number: {float(value)!r}\n"
         )
 
 
