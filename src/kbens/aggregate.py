@@ -105,14 +105,13 @@ def _rigid_residuals(members: Sequence[Embedding]) -> np.ndarray:
 def is_affine_duplicate(
     m1: Embedding, m2: Embedding, dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE
 ) -> bool:
-    """Whether either direction of rigid registration by :func:`align` leaves
-    a residual at or below the tolerance, that is, whether the two members
-    are rigid duplicates (the name is kept for its callers).
-    :func:`build_aggregate` decides the same question for all pairs at once
-    from :func:`_rigid_residuals`, and does not call it."""
-    if align(m1, m2).residual <= dedup_tolerance:
-        return True
-    return align(m2, m1).residual <= dedup_tolerance
+    """Whether the rigid registration of ``m1`` onto ``m2`` by :func:`align`
+    leaves a residual at or below the tolerance, that is, whether the two
+    members are rigid duplicates (the name is kept for its callers).  The
+    residual is symmetric, ``||x Q - y|| = ||y Q^T - x||``, so one direction
+    answers.  :func:`build_aggregate` decides the same question for all pairs
+    at once from :func:`_rigid_residuals`, and does not call it."""
+    return align(m1, m2).residual <= dedup_tolerance
 
 
 @dataclass(frozen=True)

@@ -260,13 +260,7 @@ def _print(prog: str, stdout: str = "", summary: str = "") -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code == 0:  # --help or --version printed its text
-            raise SystemExit(_print(parser.prog)) from None
-        raise
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         out = args.func(args)

@@ -93,7 +93,12 @@ class Embedding:
     """An immutable assignment of coordinates to a vocabulary.
 
     ``entity_array`` has one row per name in ``entity_names`` (sorted), and
-    likewise for relations.  Rows are frozen after construction; evaluation
+    likewise for relations.  Construction is the one check of the
+    coordinates, whether they are built by hand, fitted or loaded: numbers
+    (integer or float, never strings, booleans or objects), exactly
+    ``(len(names), dimension)`` rows (only an empty vocabulary may pass an
+    empty array of any shape), all finite; a mismatched array is never
+    reshaped.  The rows are copied and frozen at construction; evaluation
     methods are pure and safe for concurrent use.
     """
 
@@ -106,10 +111,20 @@ class Embedding:
 
     def __post_init__(self) -> None:
         n = self.config.dimension
-        ents = np.ascontiguousarray(np.asarray(self.entity_array, dtype=np.float64))
-        rels = np.ascontiguousarray(np.asarray(self.relation_array, dtype=np.float64))
-        ents = ents.reshape(len(self.entity_names), n)
-        rels = rels.reshape(len(self.relation_names), n)
+        arrays = []
+        pairs = ((self.entity_names, self.entity_array), (self.relation_names, self.relation_array))
+        for names, rows in pairs:
+            array = np.array(rows)  # a copy: the caller's array cannot change the rows
+            if array.dtype.kind not in "iuf":
+                raise ValueError("coordinates must be numbers")
+            if array.shape != (len(names), n) and (names or array.size):
+                raise ValueError(
+                    f"coordinate rows must be lists of {n} number(s): expected shape "
+                    f"{(len(names), n)}, got {array.shape}"
+                )
+            # The reshape only gives an empty vocabulary's empty array its (0, d) shape.
+            arrays.append(np.ascontiguousarray(array, dtype=np.float64).reshape(len(names), n))
+        ents, rels = arrays
         if not (np.isfinite(ents).all() and np.isfinite(rels).all()):
             raise ValueError("embedding coordinates must all be finite")
         ents.flags.writeable = False
@@ -130,8 +145,8 @@ class Embedding:
         """Build from term -> coordinates mappings (names get sorted)."""
         ent_names = tuple(sorted(entity_points))
         rel_names = tuple(sorted(relation_vectors))
-        ents = np.array([entity_points[t] for t in ent_names], dtype=np.float64)
-        rels = np.array([relation_vectors[t] for t in rel_names], dtype=np.float64)
+        ents = [entity_points[t] for t in ent_names]
+        rels = [relation_vectors[t] for t in rel_names]
         return cls(ent_names, rel_names, ents, rels, config, seed)
 
     @property
@@ -207,22 +222,13 @@ class Embedding:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Embedding":
-        """Inverse of :meth:`to_doc`, fields checked by :func:`read_field` and
-        coordinates by dtype and row shape (``Ensemble.from_doc`` also finds
-        booleans)."""
+        """Inverse of :meth:`to_doc`, fields checked by :func:`read_field`; the
+        rows go to the constructor, which checks them as it checks any build
+        (``Ensemble.from_doc`` also finds a JSON boolean among numbers)."""
         settings = doc["config"]
         config = EmbeddingConfig(
             dimension=read_field(doc, "dimension", int),
             **{key: read_field(settings, key, float) for key in settings},
         )
-        ents, rels = doc["entities"], doc["relations"]
-        ent_names, rel_names = tuple(sorted(ents)), tuple(sorted(rels))
-        ent_array = np.asarray([ents[t] for t in ent_names])
-        rel_array = np.asarray([rels[t] for t in rel_names])
-        for array in (ent_array, rel_array):
-            if array.dtype.kind not in "iuf":
-                raise ValueError("coordinates must be numbers")
-            if len(array) and array.shape[1:] != (config.dimension,):
-                raise ValueError(f"coordinate rows must be lists of {config.dimension} number(s)")
         seed = read_field(doc, "seed", int)
-        return cls(ent_names, rel_names, ent_array, rel_array, config, seed)
+        return cls.from_points(doc["entities"], doc["relations"], config, seed)

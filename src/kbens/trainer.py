@@ -293,8 +293,8 @@ def _descend(
             fitted = Embedding(
                 entity_names=starts[i].entity_names,
                 relation_names=starts[i].relation_names,
-                entity_array=points[j].copy(),
-                relation_array=vectors[j].copy(),
+                entity_array=points[j],
+                relation_array=vectors[j],
                 config=cfg,
                 seed=seeds[i],
             )

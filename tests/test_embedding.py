@@ -207,6 +207,68 @@ class TestConfigValidation:
             make_embedding({"a": (np.nan, 0.0), "b": (0.0, 0.0)}, {"r": (0.0, 0.0)})
 
 
+SHAPE = r"coordinate rows must be lists of 2 number\(s\): expected shape \(3, 2\), got "
+NUMBERS = "coordinates must be numbers"
+
+
+class TestConstruction:
+    """The constructor checks coordinates however an embedding is built."""
+
+    @staticmethod
+    def build(entity_array, relation_array=np.zeros((1, 2))):
+        cfg = EmbeddingConfig(dimension=2)
+        return Embedding(("a", "b", "c"), ("r",), entity_array, relation_array, cfg, 0)
+
+    @pytest.mark.parametrize("array, message", [
+        (np.arange(6.0).reshape(2, 3), SHAPE + r"\(2, 3\)"),  # transposed, E * d elements
+        (np.arange(6.0), SHAPE + r"\(6,\)"),
+        (np.zeros((2, 2)), SHAPE + r"\(2, 2\)"),
+        (np.zeros((3, 2, 1)), SHAPE + r"\(3, 2, 1\)"),
+        (np.array([]), SHAPE + r"\(0,\)"),
+        (np.full((3, 2), "0.5"), NUMBERS),
+        (np.zeros((3, 2), dtype=bool), NUMBERS),
+        (np.full((3, 2), 0.5, dtype=object), NUMBERS),
+        (np.zeros((3, 2), dtype=complex), NUMBERS),
+        (np.array([[0.0, 0.0], [0.0, np.inf], [0.0, 0.0]]), "must all be finite"),
+    ], ids=[
+        "transposed", "flat", "too-few-rows", "nested", "empty", "strings", "booleans",
+        "objects", "complex", "infinite",
+    ])
+    def test_entity_rows_are_checked(self, array, message):
+        with pytest.raises(ValueError, match=message):
+            self.build(array)
+
+    @pytest.mark.parametrize("array, message", [
+        (np.zeros((2, 1)), r"expected shape \(1, 2\), got \(2, 1\)"),
+        (np.zeros(2), r"expected shape \(1, 2\), got \(2,\)"),
+        (np.array([[True, False]]), NUMBERS),
+        (np.array([[np.nan, 0.0]]), "must all be finite"),
+    ], ids=["transposed", "flat", "booleans", "nan"])
+    def test_relation_rows_are_checked(self, array, message):
+        with pytest.raises(ValueError, match=message):
+            self.build(np.zeros((3, 2)), array)
+
+    def test_integer_rows_are_stored_as_floats(self):
+        e = self.build(np.arange(6).reshape(3, 2), np.array([[1, 2]], dtype=np.uint8))
+        assert e.entity_array.dtype == e.relation_array.dtype == np.float64
+        np.testing.assert_array_equal(e.entity_point("c"), [4.0, 5.0])
+
+    def test_rows_are_copied_from_the_callers_array(self):
+        ents, rels = np.zeros((3, 2)), np.ones((1, 2))
+        e = self.build(ents, rels)
+        ents[0], rels[0] = 5.0, 5.0
+        assert not e.entity_array.any() and (e.relation_array == 1.0).all()
+
+    def test_from_points_does_not_read_strings_as_numbers(self):
+        with pytest.raises(ValueError, match=NUMBERS):
+            Embedding.from_points({"a": ["1.5", "2"]}, {}, EmbeddingConfig(dimension=2))
+
+    @pytest.mark.parametrize("empty", [np.array([]), np.empty((0, 2)), np.empty((0, 5))])
+    def test_empty_vocabulary_builds_from_any_empty_array(self, empty):
+        e = Embedding((), (), empty, empty, EmbeddingConfig(dimension=2), 0)
+        assert e.entity_array.shape == e.relation_array.shape == (0, 2)
+
+
 class TestSerialization:
     def test_doc_roundtrip_is_exact(self):
         rng = np.random.default_rng(17)
