@@ -84,6 +84,13 @@ class EmbeddingConfig:
         if not 0.0 <= self.eps_fit < math.inf:
             raise ValueError(f"eps_fit must be non-negative and finite: {self.eps_fit!r}")
 
+    def radius(self, tau: Optional[float] = None) -> float:
+        """The satisfaction radius of a vote: ``tau`` when given, else
+        ``tau_pos``.  An override must be a non-negative number (inf too)."""
+        if tau is not None and not tau >= 0.0:
+            raise ValueError(f"tau must be a non-negative number: {tau!r}")
+        return self.tau_pos if tau is None else tau
+
     def to_doc(self) -> dict:
         return {"tau_pos": self.tau_pos, "gamma": self.gamma, "eps_fit": self.eps_fit}
 
@@ -202,13 +209,12 @@ class Embedding:
         return float(sum(self.triple_error(t) for t in kb.triples))
 
     def satisfies(self, q: TripleLike, tau: Optional[float] = None) -> bool:
-        """Whether the fact holds in this embedding: ||eps|| <= tau.
-
-        ``tau`` defaults to the configured satisfaction radius.  This is the
-        scalar reference for :func:`kbens.ensemble.satisfied_counts`.
+        """Whether the fact holds in this embedding: ||eps|| <= radius, with
+        the radius from :meth:`EmbeddingConfig.radius` (``tau`` if given,
+        else ``tau_pos``; a NaN or negative ``tau`` raises ``ValueError``).
+        This is the scalar reference for :func:`kbens.ensemble.satisfied_counts`.
         """
-        radius = self.config.tau_pos if tau is None else tau
-        return bool(math.sqrt(_squared_norm(self.residual(q))) <= radius)
+        return bool(math.sqrt(_squared_norm(self.residual(q))) <= self.config.radius(tau))
 
     def to_doc(self) -> dict:
         """JSON-ready document with full round-trip float precision."""

@@ -64,9 +64,10 @@ class Ensemble:
     def validate(self, kb: Optional[KnowledgeBase] = None) -> None:
         """The digest is a string, as on load; every member shares one
         vocabulary and config, has a seed of its own and carries one converged
-        report of that seed, with a final error within eps_fit; cheap enough to
-        run on every value built.  With ``kb``, the digest matches and every
-        member fits ``kb`` within eps_fit."""
+        report of that seed, with a final error in [0, eps_fit] and no negative
+        epoch count, as a fit writes; cheap enough to run on every value built.
+        With ``kb``, the digest matches and every member fits ``kb`` within
+        eps_fit."""
         read_field(vars(self), "kb_digest", str)
         if not self.members:
             raise ValueError("an ensemble needs at least one member")
@@ -86,8 +87,12 @@ class Ensemble:
                 raise ValueError(f"report {i} has seed {r.seed} but member {i} has seed {m.seed}")
             if not r.converged:
                 raise ValueError(f"member seed={m.seed} carries a non-converged report")
-            if not r.final_error <= m.config.eps_fit:
-                raise ValueError(f"report {i} has final error {r.final_error!r} not within eps_fit")
+            if not 0.0 <= r.final_error <= m.config.eps_fit:
+                raise ValueError(
+                    f"report {i} has final error {r.final_error!r} outside [0, eps_fit]"
+                )
+            if r.epochs_used < 0:
+                raise ValueError(f"report {i} has a negative epochs_used {r.epochs_used!r}")
         if kb is not None:
             self.check_digest(kb)
             for m in self.members:
@@ -200,11 +205,12 @@ def satisfied_counts(
     tau: Optional[float] = None,
 ) -> np.ndarray:
     """Number of ``members`` in which each query holds, ||eps|| <= radius
-    (each member's ``tau_pos`` unless ``tau`` is given).  Equal bit for bit
-    to counting :meth:`Embedding.satisfies`, with its errors: names resolve
-    to rows here, and the rows are counted by the vote that
-    :func:`knowledge_report` runs, one or more rows per 64-KiB chunk.
-    Members with different vocabularies raise ``ValueError``."""
+    (each member's :meth:`EmbeddingConfig.radius`: its ``tau_pos`` unless
+    ``tau`` is given).  Equal bit for bit to counting
+    :meth:`Embedding.satisfies`, with its errors: names resolve to rows here,
+    and the rows are counted by the vote that :func:`knowledge_report` runs,
+    one or more rows per 64-KiB chunk.  Members with different vocabularies
+    raise ``ValueError``."""
     if not members:
         raise ValueError("a vote needs at least one member")
     first = members[0]
@@ -233,7 +239,7 @@ def _count_rows(
     shape = (len(members), members[0].dimension)
     ents = np.concatenate([m.entity_array for m in members], axis=1).reshape(-1, *shape)
     rels = np.concatenate([m.relation_array for m in members], axis=1).reshape(-1, *shape)
-    radius = np.array([m.config.tau_pos if tau is None else tau for m in members])
+    radius = np.array([m.config.radius(tau) for m in members])
     counts = np.empty(len(subject), dtype=np.intp)
     step = max(1, _VOTE_CHUNK_ELEMENTS // (len(members) * members[0].dimension))
     # A square that overflows is +inf, correctly outside every radius.

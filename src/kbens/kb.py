@@ -32,11 +32,19 @@ class KBSyntaxError(KBError):
         super().__init__(f"line {line_number}: {message}")
 
 
-class DuplicateTripleError(KBError):
+class RepeatedTripleError(KBError):
+    """A triple repeats an earlier one's key: ``position`` and ``first`` are
+    the indexes of the two in the order given."""
+    def __init__(self, message: str, position: int, first: int):
+        self.position, self.first = position, first
+        super().__init__(message)
+
+
+class DuplicateTripleError(RepeatedTripleError):
     pass
 
 
-class ContradictionError(KBError):
+class ContradictionError(RepeatedTripleError):
     pass
 
 
@@ -47,15 +55,26 @@ class UnknownTermError(KBError):
 def check_term_name(name: str) -> str:
     """Validate an entity or relation identifier.
 
-    Names are non-empty, contain no tab or newline, and carry no leading or
-    trailing whitespace (the file format uses tabs as field separators).
+    Names are non-empty, contain no tab and no line boundary that
+    ``str.splitlines`` splits on (``\\n``, ``\\r``, ``\\x0b``, ``\\x85``,
+    ``\\u2028``, ...), and carry no leading or trailing whitespace: the file
+    format is one triple per line with tab-separated fields.
     """
     if not isinstance(name, str) or not name:
         raise KBError(f"term name must be a non-empty string, got {name!r}")
-    if "\t" in name or "\n" in name or "\r" in name:
+    if "\t" in name or name.splitlines() != [name]:
         raise KBError(f"term name contains a tab or newline: {name!r}")
     if name != name.strip():
         raise KBError(f"term name has leading or trailing whitespace: {name!r}")
+    return name
+
+
+def check_relation_name(name: str) -> str:
+    """:func:`check_term_name`, and no leading ``#`` or U+FEFF: a relation
+    starts a line of the file, where those read as a comment or as the
+    byte-order mark a UTF-8 reader drops."""
+    if check_term_name(name).startswith(("#", "\ufeff")):
+        raise KBError(f"relation name starts with '#' or U+FEFF: {name!r}")
     return name
 
 
@@ -97,11 +116,11 @@ class SignedTriple:
 class KnowledgeBase:
     """A validated, canonically ordered collection of signed triples.
 
-    The value is immutable and safe to share across threads.  Triples and
-    vocabularies are stored sorted, so two stores built from the same facts
-    and terms in any order compare equal.  ``entities`` and ``relations``
-    hold every term a triple names, and may declare isolated terms too; a
-    term listed twice is one term.
+    Immutable and safe to share across threads.  Triples and vocabularies
+    are stored sorted, so the same facts and terms in any order give an
+    equal store; ``entities`` and ``relations`` hold every term a triple
+    names, and may declare isolated terms (a term listed twice is one).  A
+    fact is stated once: its first repeat in the order given raises.
     """
 
     triples: tuple[SignedTriple, ...]
@@ -112,21 +131,21 @@ class KnowledgeBase:
         # Names are checked before anything sorts them, so a name that is
         # not a string is a KBError, not a TypeError.
         entity_set = frozenset(check_term_name(n) for n in self.entities)
-        relation_set = frozenset(check_term_name(n) for n in self.relations)
-        for t in self.triples:
+        relation_set = frozenset(check_relation_name(n) for n in self.relations)
+        first_at: dict[tuple[str, str, str], int] = {}
+        for i, t in enumerate(self.triples):
             if not (t.relation in relation_set and t.subject in entity_set
                     and t.object in entity_set):
                 raise KBError(f"a triple names a term outside the vocabulary: {t.as_line()!r}")
+            first = first_at.setdefault(t.key, i)
+            if first == i:
+                continue
+            if self.triples[first].positive == t.positive:
+                raise DuplicateTripleError(f"duplicate triple: {t.as_line()!r}", i, first)
+            raise ContradictionError(
+                f"{t.relation}({t.subject}, {t.object}) asserted with both polarities", i, first
+            )
         triples = tuple(sorted(self.triples))
-        polarity_of: dict[tuple[str, str, str], bool] = {}
-        for t in triples:
-            if t.key in polarity_of:
-                if polarity_of[t.key] == t.positive:
-                    raise DuplicateTripleError(f"duplicate triple: {t.as_line()!r}")
-                raise ContradictionError(
-                    f"{t.relation}({t.subject}, {t.object}) asserted with both polarities"
-                )
-            polarity_of[t.key] = t.positive
         clash = entity_set & relation_set
         if clash:
             raise KBError(
@@ -135,7 +154,7 @@ class KnowledgeBase:
         object.__setattr__(self, "triples", triples)
         object.__setattr__(self, "entities", tuple(sorted(entity_set)))
         object.__setattr__(self, "relations", tuple(sorted(relation_set)))
-        object.__setattr__(self, "_polarity_index", polarity_of)
+        object.__setattr__(self, "_polarity_index", {t.key: t.positive for t in triples})
         object.__setattr__(self, "_entity_set", entity_set)
         object.__setattr__(self, "_relation_set", relation_set)
 
@@ -197,15 +216,13 @@ def parse_kb(text: str) -> KnowledgeBase:
 
     One record per line: ``relation<TAB>subject<TAB>object<TAB>polarity``
     with polarity ``+`` or ``-``.  Lines starting with ``#`` and blank lines
-    are ignored.  Raises :class:`KBSyntaxError` (with the offending line
-    number), :class:`DuplicateTripleError`, or :class:`ContradictionError`.
+    are ignored.  Every line is checked first (:class:`KBSyntaxError` names
+    it), then the store: its first repeat in file order raises
+    :class:`DuplicateTripleError` or :class:`ContradictionError`, naming both lines.
     """
-    triples: list[SignedTriple] = []
-    polarity_at: dict[tuple[str, str, str], tuple[bool, int]] = {}
+    read: list[tuple[int, SignedTriple]] = []
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        if raw.startswith("#"):
+        if not raw.strip() or raw.startswith("#"):
             continue
         fields = raw.split("\t")
         if len(fields) != 4:
@@ -215,28 +232,23 @@ def parse_kb(text: str) -> KnowledgeBase:
             )
         relation, subject, object_, polarity = fields
         if polarity not in (POSITIVE, NEGATIVE):
-            raise KBSyntaxError(
-                f"polarity must be '+' or '-', got {polarity!r}", line_number
-            )
+            raise KBSyntaxError(f"polarity must be '+' or '-', got {polarity!r}", line_number)
         try:
-            for name in (relation, subject, object_):
-                check_term_name(name)
+            check_relation_name(relation)
+            check_term_name(subject)
+            check_term_name(object_)
         except KBError as exc:
             raise KBSyntaxError(str(exc), line_number) from exc
-        triple = SignedTriple(relation, subject, object_, polarity == POSITIVE)
-        if triple.key in polarity_at:
-            positive, first = polarity_at[triple.key]
-            if positive == triple.positive:
-                raise DuplicateTripleError(
-                    f"line {line_number}: duplicate of line {first}: {raw!r}"
-                )
-            raise ContradictionError(
-                f"line {line_number}: {relation}({subject}, {object_}) "
-                f"contradicts line {first}"
-            )
-        polarity_at[triple.key] = (triple.positive, line_number)
-        triples.append(triple)
-    return KnowledgeBase.from_triples(triples)
+        read.append((line_number, SignedTriple(relation, subject, object_, polarity == POSITIVE)))
+    try:
+        return KnowledgeBase.from_triples(t for _, t in read)
+    except RepeatedTripleError as exc:
+        (line, t), (first, _) = read[exc.position], read[exc.first]
+        if isinstance(exc, DuplicateTripleError):
+            message = f"line {line}: duplicate of line {first}: {t.as_line()!r}"
+        else:
+            message = f"line {line}: {t.relation}({t.subject}, {t.object}) contradicts line {first}"
+        raise type(exc)(message, exc.position, exc.first) from None
 
 
 def unstated_index(

@@ -489,6 +489,16 @@ class TestEnsembleFileChecks:
         err = self._query_mutant(fitted, tmp_path, capsys, large_error)
         assert "report 3 has final error" in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("final_error", -5.0, "report 2 has final error -5.0 outside [0, eps_fit]"),
+        ("epochs_used", -3, "report 2 has a negative epochs_used -3"),
+    ])
+    def test_report_value_a_fit_never_writes(self, fitted, tmp_path, capsys, field, value, message):
+        def edit(doc):
+            doc["reports"][2][field] = value
+
+        assert self._query_mutant(fitted, tmp_path, capsys, edit).endswith(f": {message}\n")
+
     def test_copies_of_one_member_exit_1_on_every_command(self, fitted, kb_file, tmp_path, capsys):
         # Copies of one member would answer every query unanimously.
         doc = json.loads(fitted.read_text())

@@ -17,6 +17,8 @@ from kbens import (
     Query,
     TrainConfig,
     Truth,
+    aggregate_query,
+    build_aggregate,
     fit_ensemble,
     knowledge_report,
     parse_kb,
@@ -25,6 +27,7 @@ from kbens import (
     unstated_queries,
 )
 from kbens import ensemble as ensemble_module
+from kbens.ensemble import satisfied_counts
 from kbens.kb import KnowledgeBase, SignedTriple
 
 from conftest import FRIEND_KB_TEXT, all_queries, random_kb, random_satisfiable_kb
@@ -281,6 +284,36 @@ class TestQueryTruth:
 
         with pytest.raises(UnknownTermError):
             query_truth(friend_ensemble, Query("friend", "Mary", "Zed"))
+
+
+class TestRadiusOverride:
+    """Every vote takes its radius from ``EmbeddingConfig.radius``."""
+
+    JOE_BOB = Query("friend", "Joe", "Bob")
+
+    @pytest.mark.parametrize("tau", [float("nan"), -1.0, -float("inf")])
+    def test_nan_or_negative_raises_from_every_vote(self, friend_kb_m, friend_ensemble, tau):
+        message = f"^tau must be a non-negative number: {tau!r}$"
+        votes = [
+            lambda: friend_ensemble.members[0].satisfies(self.JOE_BOB, tau),
+            lambda: satisfied_counts(friend_ensemble.members, [self.JOE_BOB], tau),
+            lambda: satisfied_counts(friend_ensemble.members, [], tau),
+            lambda: query_truth(friend_ensemble, self.JOE_BOB, tau=tau),
+            lambda: aggregate_query(build_aggregate(friend_ensemble), self.JOE_BOB, tau=tau),
+            lambda: knowledge_report(friend_ensemble, friend_kb_m, tau=tau),
+        ]
+        for vote in votes:
+            with pytest.raises(ValueError, match=message):
+                vote()
+
+    def test_zero_and_infinity_are_radii(self, friend_kb_m, friend_ensemble):
+        cfg = friend_ensemble.config
+        assert cfg.radius() == cfg.tau_pos and cfg.radius(0.0) == 0.0
+        assert query_truth(friend_ensemble, self.JOE_BOB, tau=float("inf")).value is Truth.TRUE
+        far = Query("friend", "Mary", "John")
+        assert query_truth(friend_ensemble, far, tau=0.0).value is Truth.FALSE
+        report = knowledge_report(friend_ensemble, friend_kb_m, tau=float("inf"))
+        assert report.unstated_counts[Truth.TRUE] == len(report.unstated_rows)
 
 
 class TestKnowledgeReport:

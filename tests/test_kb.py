@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbens import (
@@ -21,8 +21,16 @@ from kbens import (
     parse_kb,
     unstated_queries,
 )
+from kbens.cli import _read_text
+from kbens.kb import RepeatedTripleError
 
 from conftest import FRIEND_KB_TEXT, random_kb
+
+# Few names, so that a drawn sequence often repeats a key.
+SMALL_TRIPLES = st.builds(
+    SignedTriple, st.sampled_from("rs"), st.sampled_from("abc"), st.sampled_from("abc"),
+    st.booleans(),
+)
 
 
 class TestParse:
@@ -71,7 +79,10 @@ class TestParse:
         with pytest.raises(KBError):
             parse_kb("friend\tfriend\tBob\t+\n")
 
-    @pytest.mark.parametrize("name", ["", " x", "x ", "a\tb", "a\nb"])
+    # Every line boundary of str.splitlines, so that a store that builds reads back.
+    @pytest.mark.parametrize("name", ["", " x", "x ", "a\tb", "a\nb", *(
+        f"a{boundary}b" for boundary in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    )])
     def test_bad_term_names(self, name):
         with pytest.raises(KBError):
             KnowledgeBase.from_triples([SignedTriple("r", name, "b", True)])
@@ -161,14 +172,87 @@ class TestStoreErrorMessages:
         ([PLUS, PLUS], DuplicateTripleError, "duplicate triple: 'r\\ta\\tb\\t+'"),
         ([MINUS, MINUS], DuplicateTripleError, "duplicate triple: 'r\\ta\\tb\\t-'"),
         ([PLUS, MINUS], ContradictionError, "r(a, b) asserted with both polarities"),
-        # Sorted first, the negative leads, so the first positive contradicts it.
-        ([PLUS, PLUS, MINUS], ContradictionError, "r(a, b) asserted with both polarities"),
+        # The first repeat in the order given: the second positive.
+        ([PLUS, PLUS, MINUS], DuplicateTripleError, "duplicate triple: 'r\\ta\\tb\\t+'"),
     ])
     def test_from_triples(self, triples, error, message):
         with pytest.raises(KBError) as exc:
             KnowledgeBase.from_triples(triples)
         assert type(exc.value) is error
         assert str(exc.value) == message
+
+    def test_errors_carry_both_positions(self):
+        other = SignedTriple("s", "a", "b", True)
+        with pytest.raises(DuplicateTripleError) as exc:
+            KnowledgeBase.from_triples([self.PLUS, other, self.PLUS, self.MINUS])
+        assert (exc.value.position, exc.value.first) == (2, 0)
+        with pytest.raises(ContradictionError) as exc:
+            KnowledgeBase.from_triples([other, self.MINUS, self.PLUS, self.PLUS])
+        assert (exc.value.position, exc.value.first) == (2, 1)
+
+    def test_lines_are_checked_before_the_store(self):
+        # The repeat on line 2 is a fault of the store, checked once every line has been read.
+        with pytest.raises(KBSyntaxError) as exc:
+            parse_kb("r\ta\tb\t+\nr\ta\tb\t+\nbroken\n")
+        assert str(exc.value) == "line 3: expected 4 tab-separated fields, got 1: 'broken'"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(SMALL_TRIPLES, st.booleans()), max_size=10))
+    def test_parse_kb_finds_the_repeat_from_triples_finds(self, drawn):
+        # Each triple's line, with a comment line before it when drawn.
+        triples, text, lines = [t for t, _ in drawn], "", []
+        for t, comment in drawn:
+            text += "# note\n" * comment + t.as_line() + "\n"
+            lines.append(text.count("\n"))
+        try:
+            kb = KnowledgeBase.from_triples(triples)
+        except RepeatedTripleError as exc:
+            with pytest.raises(RepeatedTripleError) as parsed:
+                parse_kb(text)
+            assert type(parsed.value) is type(exc)
+            assert (parsed.value.position, parsed.value.first) == (exc.position, exc.first)
+            assert str(parsed.value).startswith(f"line {lines[exc.position]}: ")
+            assert str(parsed.value).count(f" line {lines[exc.first]}") == 1
+        else:
+            assert parse_kb(text) == kb
+
+
+class TestNamesAFileCarries:
+    """A store builds only from names its file form reads back."""
+
+    @pytest.mark.parametrize("relation", ["#r", "#", "\ufeffr", "\ufeff"])
+    def test_relation_that_cannot_start_a_line(self, relation):
+        with pytest.raises(KBError, match=r"relation name starts with '#' or U\+FEFF"):
+            KnowledgeBase.from_triples([SignedTriple(relation, "a", "b", True)])
+        with pytest.raises(KBError, match=r"relation name starts with '#' or U\+FEFF"):
+            KnowledgeBase((), ("a",), (relation,))
+
+    def test_entities_may_start_with_hash_or_bom(self):
+        kb = KnowledgeBase.from_triples([SignedTriple("r", "#a", "\ufeffb", True)])
+        assert parse_kb(kb.serialize()) == kb
+
+    def test_parse_kb_names_the_line_of_a_relation_with_a_bom(self):
+        with pytest.raises(KBSyntaxError, match=r"^line 2: relation name starts with"):
+            parse_kb("r\ta\tb\t+\n\ufeffr\ta\tb\t+\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=st.lists(
+        st.tuples(st.text(max_size=5), st.text(max_size=5), st.text(max_size=5), st.booleans()),
+        min_size=1, max_size=4,
+    ))
+    @example(drawn=[("#r", "a", "b", True)])
+    @example(drawn=[("r", "a\u2028b", "c", True)])
+    @example(drawn=[("\ufeffr", "a", "b", True)])
+    def test_every_store_that_builds_reads_back(self, tmp_path_factory, drawn):
+        try:
+            kb = KnowledgeBase.from_triples(SignedTriple(*t) for t in drawn)
+        except KBError:
+            return
+        assert parse_kb(kb.serialize()) == kb
+        path = tmp_path_factory.getbasetemp() / "store.kb"
+        path.write_text(kb.serialize(), encoding="utf-8")
+        assert parse_kb(_read_text(str(path))) == kb
+
 
 class TestUnstatedQueries:
     def test_friend_kb_without_self_pairs(self, friend_kb):
