@@ -58,10 +58,15 @@ def check_term_name(name: str) -> str:
     Names are non-empty, contain no tab and no line boundary that
     ``str.splitlines`` splits on (``\\n``, ``\\r``, ``\\x0b``, ``\\x85``,
     ``\\u2028``, ...), and carry no leading or trailing whitespace: the file
-    format is one triple per line with tab-separated fields.
+    format is one triple per line with tab-separated fields.  They encode as
+    UTF-8, the encoding of the file and of the digest: no lone surrogate.
     """
     if not isinstance(name, str) or not name:
         raise KBError(f"term name must be a non-empty string, got {name!r}")
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise KBError(f"term name does not encode as UTF-8: {name!r}") from None
     if "\t" in name or name.splitlines() != [name]:
         raise KBError(f"term name contains a tab or newline: {name!r}")
     if name != name.strip():

@@ -1,8 +1,9 @@
 """Fitting embeddings to a store by seeded full-batch gradient descent.
 
-Members descend as one batch: the cumulative error and its analytic
-gradients are evaluated for a stack of members at once, each member keeps
-its own rate and accept mask, and each one's fit is bit-identical to
+Members descend as one batch, held as one term array: each member's
+entity points, then its relation vectors.  The cumulative error and its
+analytic gradient are evaluated for the whole stack at once, each member
+keeps its own rate and accept mask, and each one's fit is bit-identical to
 training it alone.  ``train`` is the one-seed call, and
 ``train_with_retries`` trains its reseeded attempts as one batch.  Also
 includes a linear-algebra check for whether zero error is attainable at
@@ -116,102 +117,95 @@ def init_embedding(
 
 class _Problem:
     """Index arrays for evaluating the loss and gradients of a stack of
-    members that share one store and one dimension."""
+    members that share one store and one dimension.
+
+    A stack is one ``(M, E+R, d)`` term array: each member's entity points
+    in vocabulary order, then its relation vectors, so relation r is row
+    E + r.  One take then gathers the operands of every residual, and one
+    bincount sums the gradient of every term."""
 
     def __init__(self, kb: KnowledgeBase):
         subjects, objects, relations, positive = kb.triple_index
         # Triples positives first, each group in store order.
         pos, neg = np.flatnonzero(positive), np.flatnonzero(~positive)
         order = np.concatenate([pos, neg])
-        self.subjects, self.objects, self.relations = (
-            subjects[order], objects[order], relations[order]
-        )
+        n_entities = len(kb.entities)
+        self.n_terms = n_entities + len(kb.relations)
         self.n_positive = pos.size
-        self.n_entities, self.n_relations = len(kb.entities), len(kb.relations)
+        vector_rows = n_entities + relations[order]
+        # Subject, object and relation rows of every triple, as one (3, T) take.
+        self.operands = np.stack([subjects[order], objects[order], vector_rows])
         # A triple pulls its subject by its gradient term and pushes its
-        # object and relation by the opposite.  Point terms are summed in the
-        # order positive subjects, positive objects, negative subjects,
-        # negative objects, each in store order; vector terms in triple order.
+        # object and relation by the opposite: each contribution's triple,
+        # sign and row.  Every row sums them in the order positive subjects,
+        # positive objects, negative subjects, negative objects, each in store
+        # order, then relations in triple order.
         at_pos, at_neg = np.arange(pos.size), np.arange(pos.size, order.size)
-        self.point_terms = np.concatenate([at_pos, at_pos, at_neg, at_neg])
-        self.point_signs = np.repeat(
-            [1.0, -1.0, 1.0, -1.0], [pos.size, pos.size, neg.size, neg.size]
+        self.sources = np.concatenate([at_pos, at_pos, at_neg, at_neg, np.arange(order.size)])
+        self.signs = np.repeat(
+            [1.0, -1.0, 1.0, -1.0, -1.0], [pos.size, pos.size, neg.size, neg.size, order.size]
         )[:, None]
-        self.point_rows = np.concatenate(
-            [subjects[pos], objects[pos], subjects[neg], objects[neg]]
+        self.rows = np.concatenate(
+            [subjects[pos], objects[pos], subjects[neg], objects[neg], vector_rows]
         )
-        # Triples each term appears in, as (E, 1) and (R, 1) columns: an entity
-        # once per role (a self-loop twice), a relation once per triple.  A term
-        # in no triple has a zero gradient; it counts 1.
-        self.point_counts, self.vector_counts = (
-            np.maximum(np.bincount(rows, minlength=n), 1)[:, None]
-            for rows, n in ((self.point_rows, self.n_entities), (self.relations, self.n_relations))
-        )
+        # Triples each term appears in, as an (E+R, 1) column: an entity once
+        # per role (a self-loop twice), a relation once per triple.  A term in
+        # no triple has a zero gradient; it counts 1.
+        self.incidence = np.maximum(np.bincount(self.rows, minlength=self.n_terms), 1)[:, None]
         self._layouts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _layout(self, m: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Flat bincount indices of every point and vector term of m members
-        # in d dimensions, and the member numbers; computed once per shape.
+        # Flat bincount indices of every term of m members in d dimensions,
+        # the member numbers, and the first coordinate axis (the push at a
+        # kink); computed once per shape.
         if (m, d) not in self._layouts:
             members = np.arange(m)
-
-            def flat(rows: np.ndarray, n_rows: int) -> np.ndarray:
-                return ((members[:, None] * n_rows + rows)[:, :, None] * d + np.arange(d)).ravel()
-
-            self._layouts[m, d] = (
-                flat(self.point_rows, self.n_entities),
-                flat(self.relations, self.n_relations),
-                members,
-            )
+            flat = (members[:, None] * self.n_terms + self.rows)[:, :, None] * d + np.arange(d)
+            self._layouts[m, d] = flat.ravel(), members, np.eye(1, d)
         return self._layouts[m, d]
 
-    def loss_and_grads(
-        self, points: np.ndarray, vectors: np.ndarray, gamma: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cumulative error ``(M,)`` and its gradients ``(M, E, d)`` /
-        ``(M, R, d)`` of M members, from their points ``(M, E, d)`` and
-        vectors ``(M, R, d)``.  At the kink ||eps|| = 0 of an active hinge
-        the push is along the first coordinate axis.
+    def loss_and_grads(self, terms: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+        """Cumulative error ``(M,)`` and its gradient ``(M, E+R, d)`` of M
+        members, from their term array ``(M, E+R, d)``.  At the kink
+        ||eps|| = 0 of an active hinge the push is along the first
+        coordinate axis.
 
         Each member's numbers are bit-identical to evaluating it alone: every
-        sum keeps the order of a one-member ``np.sum``, and the gradients add
+        sum keeps the order of a one-member ``np.sum``, and the gradient adds
         the triples' terms in a fixed order, one at a time.
         """
-        m, n_entities, d = points.shape
+        m, _, d = terms.shape
         p = self.n_positive
-        point_index, vector_index, members = self._layout(m, d)
-        # take() gives C-ordered arrays, so each member's squares reduce in
-        # the order a single (P, d) array would.
-        eps = (
-            points.take(self.subjects, axis=1) - points.take(self.objects, axis=1)
-            - vectors.take(self.relations, axis=1)
-        )
+        index, members, axis = self._layout(m, d)
+        # eps is C-ordered, so each member's squares reduce in the order a
+        # single (P, d) array would.
+        operands = terms.take(self.operands, axis=1)
+        eps = operands[:, 0] - operands[:, 1] - operands[:, 2]
         squares = eps * eps
-        totals = squares[:, :p].reshape(m, -1).sum(axis=1)
+        totals = np.add.reduce(squares[:, :p].reshape(m, -1), axis=1)
         pull = 2.0 * eps  # each triple's gradient at its subject
         pull[:, p:] = 0.0  # an inactive hinge adds nothing
-        norms = np.sqrt(squares[:, p:].sum(axis=2))
-        hit, rows = (norms < gamma).nonzero()
+        norms = np.sqrt(np.add.reduce(squares[:, p:], axis=2))
+        inside = norms < gamma
+        hit = inside.nonzero()[0]
         if hit.size:
-            cols = rows + p
-            active = norms[hit, rows]
-            gaps = gamma - active
+            # Evaluated for every negative and kept where its hinge is active:
+            # fewer numpy calls than gathering the active ones.
+            gaps = gamma - norms
             unit = np.where(
-                (active > 0.0)[:, None],
-                eps[hit, cols] / np.maximum(active, 1e-300)[:, None],
-                np.eye(1, d),  # the first axis, at the kink
+                (norms > 0.0)[..., None], eps[:, p:] / np.maximum(norms, 1e-300)[..., None], axis
             )
-            pull[hit, cols] = -2.0 * gaps[:, None] * unit
+            np.copyto(pull[:, p:], -2.0 * gaps[..., None] * unit, where=inside[..., None])
             # One segment per member, led by a zero: reduceat starts each sum
             # from its segment's first entry, so this adds the active squares
             # exactly as np.sum over them alone would.
+            active = gaps[inside]
             led = np.zeros(m + hit.size)
-            led[np.arange(1, hit.size + 1) + hit] = gaps * gaps
+            led[np.arange(1, hit.size + 1) + hit] = active * active
             totals += np.add.reduceat(led, members + hit.searchsorted(members))
-        weights = pull.take(self.point_terms, axis=1) * self.point_signs
-        g_points = np.bincount(point_index, weights.ravel(), minlength=m * n_entities * d)
-        g_vectors = np.bincount(vector_index, (-pull).ravel(), minlength=m * self.n_relations * d)
-        return totals, g_points.reshape(points.shape), g_vectors.reshape(vectors.shape)
+        weights = pull.take(self.sources, axis=1) * self.signs
+        grads = np.bincount(index, weights.ravel(), minlength=terms.size)
+        return totals, grads.reshape(terms.shape)
 
 
 def gradients(e: Embedding, kb: KnowledgeBase) -> dict[str, np.ndarray]:
@@ -228,12 +222,9 @@ def gradients(e: Embedding, kb: KnowledgeBase) -> dict[str, np.ndarray]:
     """
     if e.entity_names != kb.entities or e.relation_names != kb.relations:
         raise ValueError("embedding vocabulary differs from the knowledge base's")
-    _, g_points, g_vectors = _Problem(kb).loss_and_grads(
-        e.entity_array[None], e.relation_array[None], e.config.gamma
-    )
-    out = {t: g_points[0, i] for i, t in enumerate(e.entity_names)}
-    out.update({t: g_vectors[0, i] for i, t in enumerate(e.relation_names)})
-    return out
+    terms = np.concatenate([e.entity_array, e.relation_array])
+    _, grads = _Problem(kb).loss_and_grads(terms[None], e.config.gamma)
+    return dict(zip(e.entity_names + e.relation_names, grads[0]))
 
 
 def _descend(
@@ -242,72 +233,71 @@ def _descend(
     """Descend from every seed at once, yielding ``(index, fit)`` for each
     member as it leaves the batch: converged, out of epochs, or with its rate
     underflowed.  Members leaving together come in index order; a caller
-    that stops iterating stops the descent."""
+    that stops iterating stops the descent.
+
+    The live members are one ``(M, E+R, d)`` term array (see
+    :class:`_Problem`), with one gradient array of the same shape, so a step
+    and the merge of a rejected step are a few whole-array operations."""
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         return
     starts = [init_embedding(kb, cfg, tcfg, seed) for seed in seeds]
     problem = _Problem(kb)
+    loss_and_grads, incidence = problem.loss_and_grads, problem.incidence
+    gamma, eps_fit, max_epochs = cfg.gamma, cfg.eps_fit, tcfg.max_epochs
+    n_entities = len(kb.entities)
     live = np.arange(len(seeds))
-    points = np.array([e.entity_array for e in starts])
-    vectors = np.array([e.relation_array for e in starts])
+    terms = np.array([np.concatenate([e.entity_array, e.relation_array]) for e in starts])
     rates = np.full(len(seeds), tcfg.learning_rate)
-    gamma = cfg.gamma
     epoch = 0
     # Overflow gives a non-finite error, and the guard below rejects such a
     # step, so numpy's overflow warnings would only report what it handles.
     with np.errstate(over="ignore", invalid="ignore"):
-        err, g_points, g_vectors = problem.loss_and_grads(points, vectors, gamma)
+        err, grads = loss_and_grads(terms, gamma)
     while live.size:
         underflow = np.zeros(live.size, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            while epoch < tcfg.max_epochs and (err > cfg.eps_fit).all():
+            while epoch < max_epochs and np.logical_and.reduce(err > eps_fit):
                 epoch += 1
                 # A term's gradient sums one contribution per triple it is in,
                 # so dividing by that count keeps a rate that is safe for a
                 # relation shared by many triples from being slow for an
                 # entity in a few.
-                step = rates[:, None, None]
-                new_points = points - step * (g_points / problem.point_counts)
-                new_vectors = vectors - step * (g_vectors / problem.vector_counts)
-                new_err, new_gp, new_gv = problem.loss_and_grads(new_points, new_vectors, gamma)
+                new_terms = terms - rates[:, None, None] * (grads / incidence)
+                new_err, new_grads = loss_and_grads(new_terms, gamma)
                 accepted = (new_err <= err) & np.isfinite(new_err)
-                if accepted.all():  # the common case, without the merges below
-                    points, vectors = new_points, new_vectors
-                    err, g_points, g_vectors = new_err, new_gp, new_gv
+                if np.logical_and.reduce(accepted):  # the common case, without the merges below
+                    terms, err, grads = new_terms, new_err, new_grads
                     continue
                 # A rejected step halves that member's rate and keeps its state.
                 keep = accepted[:, None, None]
-                points = np.where(keep, new_points, points)
-                vectors = np.where(keep, new_vectors, vectors)
-                g_points = np.where(keep, new_gp, g_points)
-                g_vectors = np.where(keep, new_gv, g_vectors)
+                terms = np.where(keep, new_terms, terms)
+                grads = np.where(keep, new_grads, grads)
                 err = np.where(accepted, new_err, err)
                 rates = np.where(accepted, rates, 0.5 * rates)
                 underflow = ~accepted & (rates < _MIN_LEARNING_RATE)
-                if underflow.any():
+                if np.logical_or.reduce(underflow):
                     break
-        leaving = underflow | ~(err > cfg.eps_fit) | (epoch >= tcfg.max_epochs)
+        leaving = underflow | ~(err > eps_fit) | (epoch >= max_epochs)
         for j in np.flatnonzero(leaving):
             i = int(live[j])
             fitted = Embedding(
                 entity_names=starts[i].entity_names,
                 relation_names=starts[i].relation_names,
-                entity_array=points[j],
-                relation_array=vectors[j],
+                entity_array=terms[j, :n_entities],
+                relation_array=terms[j, n_entities:],
                 config=cfg,
                 seed=seeds[i],
             )
             report = FitReport(
                 final_error=float(err[j]),
                 epochs_used=epoch,
-                converged=bool(err[j] <= cfg.eps_fit),
+                converged=bool(err[j] <= eps_fit),
                 seed=seeds[i],
             )
             yield i, (fitted, report)
         stay = ~leaving
-        live, points, vectors = live[stay], points[stay], vectors[stay]
-        rates, err, g_points, g_vectors = rates[stay], err[stay], g_points[stay], g_vectors[stay]
+        live, terms, grads, rates, err = (a[stay] for a in (live, terms, grads, rates, err))
 
 
 def train_members(

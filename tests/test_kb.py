@@ -227,6 +227,14 @@ class TestNamesAFileCarries:
         with pytest.raises(KBError, match=r"relation name starts with '#' or U\+FEFF"):
             KnowledgeBase((), ("a",), (relation,))
 
+    # A lone surrogate: no UTF-8 file or digest can carry the name.
+    @pytest.mark.parametrize("relation, subject", [("r", "a\ud800"), ("r\udfff", "a")])
+    def test_name_that_does_not_encode_as_utf8(self, relation, subject):
+        with pytest.raises(KBError, match="does not encode as UTF-8"):
+            KnowledgeBase.from_triples([SignedTriple(relation, subject, "b", True)])
+        with pytest.raises(KBError, match="does not encode as UTF-8"):
+            KnowledgeBase((), (subject,), (relation,))
+
     def test_entities_may_start_with_hash_or_bom(self):
         kb = KnowledgeBase.from_triples([SignedTriple("r", "#a", "\ufeffb", True)])
         assert parse_kb(kb.serialize()) == kb
@@ -243,6 +251,7 @@ class TestNamesAFileCarries:
     @example(drawn=[("#r", "a", "b", True)])
     @example(drawn=[("r", "a\u2028b", "c", True)])
     @example(drawn=[("\ufeffr", "a", "b", True)])
+    @example(drawn=[("r", "a\ud800", "b", True)])
     def test_every_store_that_builds_reads_back(self, tmp_path_factory, drawn):
         try:
             kb = KnowledgeBase.from_triples(SignedTriple(*t) for t in drawn)

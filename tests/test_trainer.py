@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -346,6 +346,47 @@ def reference_loss_and_grads(kb, e):
     return total, g_points, g_vectors
 
 
+def reference_descend(kb, cfg, tcfg, seed):
+    """One member trained with plain numpy: ``reference_loss_and_grads`` each
+    epoch, a step of rate * g / c (c the number of triples the term is in,
+    at least 1), the rate halved on a rejected or non-finite step; stops on
+    convergence, at the epoch budget or when the rate underflows.  Returns
+    the points, the vectors and the report."""
+    subjects, objects, relations, _ = kb.triple_index
+    point_counts = np.bincount(np.concatenate([subjects, objects]), minlength=len(kb.entities))
+    vector_counts = np.bincount(relations, minlength=len(kb.relations))
+    point_counts, vector_counts = (np.maximum(c, 1)[:, None] for c in (point_counts, vector_counts))
+    start = init_embedding(kb, cfg, tcfg, seed)
+
+    def evaluate(points, vectors):
+        # A namespace, not an Embedding: a rejected step may hold inf or NaN.
+        member = SimpleNamespace(
+            entity_array=points, relation_array=vectors, config=cfg, dimension=cfg.dimension
+        )
+        return reference_loss_and_grads(kb, member)
+
+    points, vectors, rate, epoch = start.entity_array, start.relation_array, tcfg.learning_rate, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        err, g_points, g_vectors = evaluate(points, vectors)
+        while epoch < tcfg.max_epochs and err > cfg.eps_fit:
+            epoch += 1
+            new_points = points - rate * (g_points / point_counts)
+            new_vectors = vectors - rate * (g_vectors / vector_counts)
+            new_err, new_gp, new_gv = evaluate(new_points, new_vectors)
+            if new_err <= err and np.isfinite(new_err):
+                points, vectors, err, g_points, g_vectors = (
+                    new_points, new_vectors, new_err, new_gp, new_gv
+                )
+                continue
+            rate *= 0.5
+            if rate < trainer._MIN_LEARNING_RATE:
+                break
+    report = FitReport(
+        final_error=float(err), epochs_used=epoch, converged=bool(err <= cfg.eps_fit), seed=seed
+    )
+    return points, vectors, report
+
+
 def assert_same_fit(a, b):
     (ea, ra), (eb, rb) = a, b
     assert ea.entity_array.tobytes() == eb.entity_array.tobytes()
@@ -408,13 +449,30 @@ class TestBatchedDescent:
         points = data.draw(arrays(np.float64, (m, len(kb.entities), d), elements=COORDINATES))
         vectors = data.draw(arrays(np.float64, (m, len(kb.relations), d), elements=COORDINATES))
         cfg = EmbeddingConfig(dimension=d)
-        totals, g_points, g_vectors = _Problem(kb).loss_and_grads(points, vectors, cfg.gamma)
+        totals, grads = _Problem(kb).loss_and_grads(
+            np.concatenate([points, vectors], axis=1), cfg.gamma
+        )
+        g_points, g_vectors = grads[:, : len(kb.entities)], grads[:, len(kb.entities) :]
         for i in range(m):
             e = Embedding(kb.entities, kb.relations, points[i], vectors[i], cfg, i)
             total, gp, gv = reference_loss_and_grads(kb, e)
             assert totals[i] == total
             assert g_points[i].tobytes() == gp.tobytes()
             assert g_vectors[i].tobytes() == gv.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(kb=signed_stores(max_negatives=24), d=st.integers(1, 4), data=st.data())
+    def test_public_gradients_equal_one_group_at_a_time(self, kb, d, data):
+        points = data.draw(arrays(np.float64, (len(kb.entities), d), elements=COORDINATES))
+        vectors = data.draw(arrays(np.float64, (len(kb.relations), d), elements=COORDINATES))
+        e = Embedding(kb.entities, kb.relations, points, vectors, EmbeddingConfig(dimension=d), 0)
+        _, g_points, g_vectors = reference_loss_and_grads(kb, e)
+        expected = dict(zip(kb.entities + kb.relations, [*g_points, *g_vectors]))
+        got = gradients(e, kb)
+        assert list(got) == list(expected)
+        assert {t: g.tobytes() for t, g in got.items()} == {
+            t: g.tobytes() for t, g in expected.items()
+        }
 
     def test_more_than_eight_active_hinges(self):
         # Every ordered pair of four entities denied: twelve negatives, of
@@ -429,9 +487,8 @@ class TestBatchedDescent:
         tcfg = TrainConfig(init_scale=0.5, max_epochs=40)
         seeds = list(range(1, 9))
         members = [init_embedding(kb, cfg, tcfg, s) for s in seeds]
-        totals, _, _ = _Problem(kb).loss_and_grads(
-            np.array([e.entity_array for e in members]),
-            np.array([e.relation_array for e in members]),
+        totals, _ = _Problem(kb).loss_and_grads(
+            np.array([np.concatenate([e.entity_array, e.relation_array]) for e in members]),
             cfg.gamma,
         )
         active = [
@@ -466,6 +523,28 @@ class TestBatchedDescent:
 
     def test_no_seeds(self, friend_kb):
         assert train_members(friend_kb, EmbeddingConfig(dimension=1), TrainConfig(), []) == []
+
+
+class TestDescentRule:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kb=signed_stores(),
+        d=st.integers(1, 4),
+        tcfg=TRAIN_CONFIGS.filter(lambda t: t.max_epochs <= 60),
+        seed=st.integers(0, 1 << 40),
+    )
+    # Seed 1 starts with an infinite error at this scale: every step is
+    # rejected until the rate underflows at epoch 59.
+    @example(
+        kb=parse_kb(FRIEND_KB_TEXT), d=1, tcfg=TrainConfig(init_scale=2e154, max_epochs=60), seed=1
+    )
+    def test_train_equals_the_one_member_reference(self, kb, d, tcfg, seed):
+        cfg = EmbeddingConfig(dimension=d)
+        fitted, report = train(kb, cfg, tcfg, seed)
+        points, vectors, expected = reference_descend(kb, cfg, tcfg, seed)
+        assert fitted.entity_array.tobytes() == points.tobytes()
+        assert fitted.relation_array.tobytes() == vectors.tobytes()
+        assert repr(report) == repr(expected)
 
 
 def sequential_retries(kb, cfg, tcfg, seed):
