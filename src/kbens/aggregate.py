@@ -20,15 +20,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .embedding import Embedding
-from .ensemble import Ensemble, member_vote
+from .ensemble import _CHUNK_ELEMENTS, Ensemble, member_vote
 from .kb import Query, UnknownTermError
 from .verdict import TernaryVerdict
 
 DEFAULT_DEDUP_TOLERANCE = 1e-6
-
-# Largest temporary of the rigid residuals and of the cloud diameters, in
-# float64 elements (64 KiB, as the batched vote's).
-_CHUNK_ELEMENTS = 2**13
 
 
 class DegenerateAggregateError(RuntimeError):
@@ -66,11 +62,11 @@ def align(source: Embedding, reference: Embedding) -> Alignment:
     Procrustes SVD, the translation from the entity means, and the RMS
     mismatch over those E + R rows."""
     _check_same_frame(source, reference)
-    src_mean, ref_mean = (
-        m.entity_array.sum(axis=0) / max(1, len(m.entity_names)) for m in (source, reference)
-    )
-    x = np.concatenate([source.entity_array - src_mean, source.relation_array])
-    y = np.concatenate([reference.entity_array - ref_mean, reference.relation_array])
+    n = len(source.entity_names)
+    x, y = source.term_array.copy(), reference.term_array.copy()
+    src_mean, ref_mean = (a[:n].sum(axis=0) / max(1, n) for a in (x, y))
+    x[:n] -= src_mean
+    y[:n] -= ref_mean
     u, _, vt = np.linalg.svd(x.T @ y)
     q = u @ vt
     mismatch = x @ q - y
@@ -84,11 +80,10 @@ def _rigid_residuals(members: Sequence[Embedding]) -> np.ndarray:
     the entity points and relation vectors as in :func:`align`: symmetric,
     with a zero diagonal.  The orthogonal part of each pair is the
     Procrustes solution, the polar factor of a ``d x d`` cross product."""
-    ents = np.array([m.entity_array for m in members])  # (M, E, d)
-    rels = np.array([m.relation_array for m in members])  # (M, R, d)
+    stack = np.array([m.term_array for m in members])  # (M, E+R, d)
+    ents = stack[:, :len(members[0].entity_names)]
     if ents.shape[1]:  # the mean of no entities would warn
-        ents = ents - ents.mean(axis=1, keepdims=True)
-    stack = np.concatenate([ents, rels], axis=1)  # (M, E+R, d)
+        ents -= ents.mean(axis=1, keepdims=True)
     count, rows, _ = stack.shape
     first, second = np.triu_indices(count, 1)
     total = np.zeros((count, count))
@@ -190,7 +185,7 @@ def build_aggregate(
     n = reference.dimension
     identity = Alignment(linear_map=np.eye(n), translation=np.zeros(n), residual=0.0)
     n_entities = len(reference.entity_names)
-    stack = np.empty((len(ens.members), n_entities + len(reference.relation_names), n))
+    stack = np.empty((len(ens.members), *reference.term_array.shape))
     retained: list[int] = []
     for idx, member in enumerate(ens.members):
         if any(duplicate[idx][kept] for kept in retained):

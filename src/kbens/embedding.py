@@ -32,18 +32,27 @@ _FIELD_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a
 
 
 def read_field(doc: Mapping, key: str, kind: type) -> Union[bool, int, float, str]:
-    """``doc[key]`` from a parsed JSON file, checked instead of coerced:
-    ``bool`` and ``str`` want that JSON type, ``int`` a number with an
-    integral value, ``float`` any number; a boolean is never a number."""
+    """``doc[key]`` from a parsed JSON file or a config being built, checked
+    instead of coerced: ``bool`` and ``str`` want that type, ``int`` a
+    number with an integral value, ``float`` any number (a numpy float
+    too); a boolean is never a number."""
     value = doc[key]
     if type(value) is kind:
         return value
-    if kind in (int, float) and type(value) in (int, float):
+    if kind in (int, float) and isinstance(value, (int, float)) and type(value) is not bool:
         if kind is float:
             return float(value)
         if int(value) == value:  # int() rejects inf and NaN
             return int(value)
     raise ValueError(f"field {key!r} must be {_FIELD_KINDS[kind]}, not {value!r}")
+
+
+def read_fields(config: object, **kinds: type) -> None:
+    """Apply :func:`read_field` to the named fields of a frozen config as it
+    is built, keeping the values it returns (an integral number as an int, a
+    number as a float), so every config that builds writes a file that loads."""
+    for key, kind in kinds.items():
+        object.__setattr__(config, key, read_field(vars(config), key, kind))
 
 
 def _squared_norm(eps: np.ndarray) -> float:
@@ -71,7 +80,8 @@ class EmbeddingConfig:
     eps_fit: float = DEFAULT_EPS_FIT
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dimension, int) or self.dimension < 1:
+        read_fields(self, dimension=int, tau_pos=float, gamma=float, eps_fit=float)
+        if self.dimension < 1:
             raise ValueError(f"dimension must be a positive integer: {self.dimension!r}")
         if not self.tau_pos >= 0.0:
             raise ValueError(f"tau_pos must be non-negative: {self.tau_pos!r}")
@@ -101,12 +111,14 @@ class Embedding:
 
     ``entity_array`` has one row per name in ``entity_names`` (sorted), and
     likewise for relations.  Construction is the one check of the
-    coordinates, whether they are built by hand, fitted or loaded: numbers
-    (integer or float, never strings, booleans or objects), exactly
+    coordinates, whether they are built by hand, fitted, loaded or unpickled:
+    numbers (integer or float, never strings, booleans or objects), exactly
     ``(len(names), dimension)`` rows (only an empty vocabulary may pass an
     empty array of any shape), all finite; a mismatched array is never
-    reshaped.  The rows are copied and frozen at construction; evaluation
-    methods are pure and safe for concurrent use.
+    reshaped.  The rows are copied into one frozen ``(E+R, d)`` ``term_array``
+    (entity points first, the layout of every member stack), whose read-only
+    views are ``entity_array`` and ``relation_array``.  Evaluation methods
+    are pure and safe for concurrent use.
     """
 
     entity_names: tuple[str, ...]
@@ -118,10 +130,10 @@ class Embedding:
 
     def __post_init__(self) -> None:
         n = self.config.dimension
-        arrays = []
+        blocks = []
         pairs = ((self.entity_names, self.entity_array), (self.relation_names, self.relation_array))
         for names, rows in pairs:
-            array = np.array(rows)  # a copy: the caller's array cannot change the rows
+            array = np.asarray(rows)
             if array.dtype.kind not in "iuf":
                 raise ValueError("coordinates must be numbers")
             if array.shape != (len(names), n) and (names or array.size):
@@ -130,16 +142,22 @@ class Embedding:
                     f"{(len(names), n)}, got {array.shape}"
                 )
             # The reshape only gives an empty vocabulary's empty array its (0, d) shape.
-            arrays.append(np.ascontiguousarray(array, dtype=np.float64).reshape(len(names), n))
-        ents, rels = arrays
-        if not (np.isfinite(ents).all() and np.isfinite(rels).all()):
+            blocks.append(array.reshape(len(names), n))
+        terms = np.concatenate(blocks, dtype=np.float64)  # a copy the caller cannot change
+        if not np.isfinite(terms).all():
             raise ValueError("embedding coordinates must all be finite")
-        ents.flags.writeable = False
-        rels.flags.writeable = False
-        object.__setattr__(self, "entity_array", ents)
-        object.__setattr__(self, "relation_array", rels)
+        terms.flags.writeable = False
+        object.__setattr__(self, "term_array", terms)
+        object.__setattr__(self, "entity_array", terms[:len(self.entity_names)])
+        object.__setattr__(self, "relation_array", terms[len(self.entity_names):])
         object.__setattr__(self, "_entity_index", {t: i for i, t in enumerate(self.entity_names)})
         object.__setattr__(self, "_relation_index", {t: i for i, t in enumerate(self.relation_names)})
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so an unpickled member (one the
+        # --jobs pool sends back) is frozen and checked like any other.
+        fields = (self.entity_array, self.relation_array, self.config, self.seed)
+        return type(self), (self.entity_names, self.relation_names, *fields)
 
     @classmethod
     def from_points(
@@ -228,13 +246,10 @@ class Embedding:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Embedding":
-        """Inverse of :meth:`to_doc`, fields checked by :func:`read_field`; the
-        rows go to the constructor, which checks them as it checks any build
-        (``Ensemble.from_doc`` also finds a JSON boolean among numbers)."""
-        settings = doc["config"]
-        config = EmbeddingConfig(
-            dimension=read_field(doc, "dimension", int),
-            **{key: read_field(settings, key, float) for key in settings},
-        )
+        """Inverse of :meth:`to_doc`, fields checked by :func:`read_field` (the
+        config's by its constructor); the rows go to the constructor, which
+        checks them as it checks any build (``Ensemble.from_doc`` also finds a
+        JSON boolean among numbers)."""
+        config = EmbeddingConfig(dimension=doc["dimension"], **doc["config"])
         seed = read_field(doc, "seed", int)
         return cls.from_points(doc["entities"], doc["relations"], config, seed)

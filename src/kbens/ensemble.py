@@ -27,8 +27,9 @@ DEFAULT_MEMBERS = 32
 # Candidate seeds tried before giving up, as a multiple of the member count.
 _ATTEMPT_CAP_FACTOR = 4
 
-# Largest temporary of the batched vote, in float64 elements (64 KiB).
-_VOTE_CHUNK_ELEMENTS = 2**13
+# Largest temporary of a batched pass over members, in float64 elements
+# (64 KiB): the vote here, the rigid residuals and cloud diameters in aggregate.
+_CHUNK_ELEMENTS = 2**13
 
 
 class EnsembleFitError(RuntimeError):
@@ -137,9 +138,9 @@ class Ensemble:
         # The top-level block restates the members' config; a mismatch means an edited file.
         if members and doc["config"] != asdict(members[0].config):
             raise ValueError(f"top-level config {doc['config']} differs from the members' config")
-        # np.asarray reads a JSON true or false among numbers as 1 or 0: look only there.
-        arrays = [a.ravel() for m in members for a in (m.entity_array, m.relation_array)]
-        coords = np.concatenate([np.empty(0), *arrays])  # flat: any widths, or no member
+        # np.asarray reads a JSON true or false among numbers as 1 or 0: look only
+        # there.  Flat, so members of any width (or no member) join.
+        coords = np.concatenate([np.empty(0), *(m.term_array.ravel() for m in members)])
         if ((coords == 0) | (coords == 1)).any() and any(
             type(x) is bool for d in doc["members"] for key in ("entities", "relations")
             for x in np.array(list(d[key].values()), dtype=object).flat
@@ -231,22 +232,22 @@ def _count_rows(
     relation: np.ndarray,
     tau: Optional[float],
 ) -> np.ndarray:
-    # Members sharing one vocabulary, stacked member-inner into (E, M, d) /
-    # (R, M, d) (side by side, then reshaped: cheaper than np.stack), so a
-    # chunk of rows is one take along the first axis.  The sum over d runs
-    # along the last contiguous axis, as in Embedding.satisfies, which keeps
-    # each count bit for bit the scalar one.
+    # Members sharing one vocabulary, their term arrays stacked member-inner
+    # into (E+R, M, d) (side by side, then reshaped: cheaper than np.stack),
+    # so a chunk of rows is one take along the first axis.  The sum over d
+    # runs along the last contiguous axis, as in Embedding.satisfies, which
+    # keeps each count bit for bit the scalar one.
     shape = (len(members), members[0].dimension)
-    ents = np.concatenate([m.entity_array for m in members], axis=1).reshape(-1, *shape)
-    rels = np.concatenate([m.relation_array for m in members], axis=1).reshape(-1, *shape)
+    terms = np.concatenate([m.term_array for m in members], axis=1).reshape(-1, *shape)
+    rels = terms[len(members[0].entity_names):]
     radius = np.array([m.config.radius(tau) for m in members])
     counts = np.empty(len(subject), dtype=np.intp)
-    step = max(1, _VOTE_CHUNK_ELEMENTS // (len(members) * members[0].dimension))
+    step = max(1, _CHUNK_ELEMENTS // (len(members) * members[0].dimension))
     # A square that overflows is +inf, correctly outside every radius.
     with np.errstate(over="ignore"):
         for start in range(0, len(counts), step):
             chunk = slice(start, start + step)
-            eps = ents[subject[chunk]] - ents[object_[chunk]] - rels[relation[chunk]]
+            eps = terms[subject[chunk]] - terms[object_[chunk]] - rels[relation[chunk]]
             inside = np.sqrt(np.sum(eps * eps, axis=-1)) <= radius
             counts[chunk] = np.count_nonzero(inside, axis=1)
     return counts

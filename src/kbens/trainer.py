@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .embedding import DEFAULT_GAMMA, DEFAULT_TAU_POS, Embedding, EmbeddingConfig
+from .embedding import DEFAULT_GAMMA, DEFAULT_TAU_POS, Embedding, EmbeddingConfig, read_fields
 from .kb import KnowledgeBase, SignedTriple
 
 RNG_ALGORITHM_ID = "numpy-pcg64/per-term-sha256-stream"
@@ -64,9 +64,10 @@ class TrainConfig:
     retry_budget: int = 3
 
     def __post_init__(self) -> None:
+        read_fields(self, learning_rate=float, max_epochs=int, init_scale=float, retry_budget=int)
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be positive and finite: {self.learning_rate!r}")
-        if not isinstance(self.max_epochs, int) or self.max_epochs < 1:
+        if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be a positive integer: {self.max_epochs!r}")
         # The initial draw spans 2 * init_scale, which must itself be finite.
         if not 0.0 < self.init_scale <= np.finfo(float).max / 2:
@@ -222,8 +223,7 @@ def gradients(e: Embedding, kb: KnowledgeBase) -> dict[str, np.ndarray]:
     """
     if e.entity_names != kb.entities or e.relation_names != kb.relations:
         raise ValueError("embedding vocabulary differs from the knowledge base's")
-    terms = np.concatenate([e.entity_array, e.relation_array])
-    _, grads = _Problem(kb).loss_and_grads(terms[None], e.config.gamma)
+    _, grads = _Problem(kb).loss_and_grads(e.term_array[None], e.config.gamma)
     return dict(zip(e.entity_names + e.relation_names, grads[0]))
 
 
@@ -247,7 +247,7 @@ def _descend(
     gamma, eps_fit, max_epochs = cfg.gamma, cfg.eps_fit, tcfg.max_epochs
     n_entities = len(kb.entities)
     live = np.arange(len(seeds))
-    terms = np.array([np.concatenate([e.entity_array, e.relation_array]) for e in starts])
+    terms = np.array([e.term_array for e in starts])
     rates = np.full(len(seeds), tcfg.learning_rate)
     epoch = 0
     # Overflow gives a non-finite error, and the guard below rejects such a
@@ -438,12 +438,10 @@ def satisfiability_oracle(
 
 def _certificate(kb: KnowledgeBase, cfg: EmbeddingConfig, coords: np.ndarray) -> Embedding:
     # The 1-D solution is laid along the first axis; remaining axes are zero.
+    terms = np.zeros((len(coords), cfg.dimension))
+    terms[:, 0] = coords
     n_ent = len(kb.entities)
-    ents = np.zeros((n_ent, cfg.dimension))
-    rels = np.zeros((len(kb.relations), cfg.dimension))
-    ents[:, 0] = coords[:n_ent]
-    rels[:, 0] = coords[n_ent:]
-    return Embedding(kb.entities, kb.relations, ents, rels, cfg, 0)
+    return Embedding(kb.entities, kb.relations, terms[:n_ent], terms[n_ent:], cfg, 0)
 
 
 def reject_unsatisfiable(kb: KnowledgeBase, cfg: EmbeddingConfig) -> None:

@@ -1,5 +1,7 @@
 """Residuals, per-triple losses, satisfaction, and their invariances."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from kbens import (
     KnowledgeBase,
     Query,
     SignedTriple,
+    TrainConfig,
     UnknownTermError,
     parse_kb,
 )
@@ -191,6 +194,34 @@ class TestConfigValidation:
     def test_dimension_must_be_positive_integer(self):
         with pytest.raises(ValueError):
             EmbeddingConfig(dimension=0)
+
+    # Each config, a valid build, and its integer fields: read_field's rule
+    # applies when a config is built, so every config that builds loads back.
+    CONFIGS = [
+        (EmbeddingConfig, {"dimension": 2}, ("dimension",)),
+        (TrainConfig, {}, ("max_epochs", "retry_budget")),
+    ]
+    FIELDS = [
+        pytest.param(c, kw, f.name, id=f"{c.__name__}.{f.name}") for c, kw, _ in CONFIGS for f in fields(c)
+    ]
+    INTEGER_FIELDS = [
+        pytest.param(c, kw, name, id=f"{c.__name__}.{name}") for c, kw, names in CONFIGS for name in names
+    ]
+
+    @pytest.mark.parametrize("config, valid, field", FIELDS)
+    def test_boolean_is_never_a_number(self, config, valid, field):
+        with pytest.raises(ValueError, match=f"field '{field}' must be .*, not True"):
+            config(**{**valid, field: True})
+
+    @pytest.mark.parametrize("config, valid, field", INTEGER_FIELDS)
+    def test_integer_field_holds_an_int(self, config, valid, field):
+        with pytest.raises(ValueError, match=f"field '{field}' must be an integer, not 1.5"):
+            config(**{**valid, field: 1.5})
+
+    def test_numbers_are_held_as_their_field_kind(self):
+        cfg = EmbeddingConfig(dimension=2.0, tau_pos=np.float64(0.25), gamma=1)
+        assert (cfg.dimension, cfg.tau_pos, cfg.gamma) == (2, 0.25, 1.0)
+        assert [type(v) for v in (cfg.dimension, cfg.tau_pos, cfg.gamma)] == [int, float, float]
 
     def test_gamma_must_exceed_tau(self):
         with pytest.raises(ValueError):

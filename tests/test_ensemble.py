@@ -1,6 +1,7 @@
 """Ensemble fitting, ternary query answering, reports, and serialization."""
 
 import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -135,6 +136,19 @@ class TestFitEnsemble:
         ens = fit_ensemble(friend_kb_m, cfg, TrainConfig(), 7, members=members, jobs=jobs)
         assert started == workers
         assert ens.to_json() == fit_ensemble(friend_kb_m, cfg, TrainConfig(), 7, members).to_json()
+
+    def test_pool_members_are_read_only_views(self, friend_kb_m):
+        # The pool sends members back by pickle, which must rebuild them
+        # through the constructor: frozen row views of one term array.
+        ens = fit_ensemble(friend_kb_m, EmbeddingConfig(dimension=1), TrainConfig(), 7, members=2, jobs=2)
+        for member in ens.members + tuple(pickle.loads(pickle.dumps(ens.members))):
+            terms = member.term_array
+            assert not terms.flags.writeable
+            assert member.entity_array.base is terms and member.relation_array.base is terms
+            assert terms.shape == (len(friend_kb_m.entities) + len(friend_kb_m.relations), 1)
+            for rows in (member.entity_array, member.relation_array, terms):
+                with pytest.raises(ValueError, match="read-only"):
+                    rows[0, 0] = 123.0
 
     def test_job_count_validated(self, friend_kb_m):
         with pytest.raises(ValueError, match="jobs must be at least 1: 0"):
@@ -369,6 +383,14 @@ class TestSerialization:
     def test_json_roundtrip_is_byte_identical(self, friend_ensemble):
         text = friend_ensemble.to_json()
         assert Ensemble.from_json(text).to_json() == text
+
+    def test_integer_margin_round_trips(self, friend_kb_m):
+        # An int gamma is held as a float, so the file reads back to the same bytes.
+        cfg = EmbeddingConfig(dimension=1, tau_pos=0.5, gamma=1)
+        text = fit_ensemble(friend_kb_m, cfg, TrainConfig(), 7, members=2).to_json()
+        loaded = Ensemble.from_json(text)
+        assert loaded.config == cfg and type(loaded.config.gamma) is float
+        assert loaded.to_json() == text
 
     def test_from_json_checks_the_frame(self, friend_ensemble):
         doc = friend_ensemble.to_doc()

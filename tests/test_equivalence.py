@@ -1,0 +1,34 @@
+"""Self-test of ``tools/equivalence.py``: its lines are the same on every run
+of one tree, and a ``--jobs 2`` fit gives the lines of its ``--jobs 1`` fit."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "equivalence.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("equivalence", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_friends_subset_is_reproducible():
+    tool = load_tool()
+    cases = [c for c in tool.CASES if c.name.startswith("friends/seed7/")]
+    assert [c.name for c in cases] == ["friends/seed7/jobs1", "friends/seed7/jobs2"]
+    first, second = tool.lines(cases), tool.lines(cases)
+    assert first == second
+    names = [line.split("\t")[0] for line in first]
+    assert len(set(names)) == len(names)
+    assert all(line.count("\t") == 1 for line in first)
+    # Every artifact of a fit and of the commands on it is present.
+    assert "friends/seed7/jobs1/fit/ensemble.json" in names
+    assert "friends/seed7/jobs1/aggregate/clouds.tsv" in names
+    assert not any(line.endswith("\tabsent") for line in first)
+    jobs1 = sorted(line for line in first if "/jobs1/" in line)
+    jobs2 = sorted(line.replace("/jobs2/", "/jobs1/") for line in first if "/jobs2/" in line)
+    assert jobs1 == jobs2

@@ -76,7 +76,7 @@ class TestSatisfiedCounts:
     def test_equals_scalar_count(self, drawn, tau, chunk):
         members, queries = drawn
         # Small chunks make every query set span several chunks.
-        with mock.patch.object(ensemble_module, "_VOTE_CHUNK_ELEMENTS", chunk):
+        with mock.patch.object(ensemble_module, "_CHUNK_ELEMENTS", chunk):
             counts = satisfied_counts(members, queries, tau)
         assert counts.tolist() == scalar_counts(members, queries, tau)
 

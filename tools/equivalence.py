@@ -1,0 +1,150 @@
+"""Hash every artifact of a fixed list of kbens commands, one line each.
+
+    PYTHONPATH=<tree>/src python tools/equivalence.py OUT
+
+Runs each command in process through ``kbens.cli.main``, in a fresh
+temporary directory holding copies of the stores in ``tools/stores``, and
+writes OUT: one line per artifact, its name, a tab and the SHA-256 of its
+bytes.  The artifacts of a command are its stdout, exit code and stderr,
+and the files it writes: the ensemble JSON, the aggregate JSON, the clouds
+TSV and the manifest.  Stderr and the manifest are hashed only after their
+times (``duration_seconds``) and the temporary directory are masked; the
+manifest's ``jobs`` value is masked too, since ``--jobs`` changes nothing
+else by design.
+
+Two trees are byte-equivalent on this set when their OUT files are equal,
+so comparing them is one ``diff``.  Run once per tree, one process each.
+The stores are committed files, so the set does not move when a store
+generator does.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import re
+import shutil
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterator, Optional
+
+from kbens import cli
+from kbens.trainer import OPTIMIZER_ID, RNG_ALGORITHM_ID
+
+STORES = Path(__file__).resolve().parent / "stores"
+
+
+@dataclass(frozen=True)
+class Case:
+    """One ``kbens fit`` and what runs on its ensemble: ``report`` plain and
+    with ``--self-pairs --delta 0.2``, ``query``, and one ``aggregate
+    --clouds-tsv`` per dedup tolerance (``None`` for the default).  A case
+    without a query is a fit only."""
+
+    name: str
+    store: str
+    flags: tuple[str, ...]
+    query: Optional[tuple[str, str, str]] = None
+    dedup_tols: tuple[Optional[str], ...] = (None,)
+
+
+_FRIENDS_QUERY = ("friend", "Mary", "Alice")
+_WIDE_QUERY = ("rel0", "p0_1", "p0_0")
+
+CASES = [
+    *(Case(f"friends/seed{seed}/jobs{jobs}", "friends.kb",
+           ("--seed", str(seed), "--jobs", str(jobs)), _FRIENDS_QUERY)
+      for seed in (1, 2, 3, 4, 7) for jobs in (1, 2)),
+    Case("wide/seed2", "wide.kb", ("--seed", "2"), _WIDE_QUERY),
+    *(Case(f"wide/dim2-members1/seed{seed}", "wide.kb",
+           ("--dim", "2", "--members", "1", "--seed", str(seed)), _WIDE_QUERY)
+      for seed in (2, 3, 4, 5)),
+    Case("cluster150/dim2-members6/seed1", "cluster150.kb",
+         ("--dim", "2", "--members", "6", "--seed", "1"), ("r0", "c0_1", "c0_0")),
+    Case("chain/dim1/seed7", "chain.kb", ("--dim", "1", "--seed", "7"),
+         ("next", "a", "c"), ("1e-6", "1e-3", "1e-2")),
+    Case("unsat/seed7", "unsat.kb", ("--seed", "7")),
+]
+
+
+def _sha(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
+
+
+def _mask(text: str, work: Path) -> str:
+    text = text.replace(str(work), "<work>")
+    text = re.sub(r'"duration_seconds": [^,}]+', '"duration_seconds": "<time>"', text)
+    return re.sub(r'"jobs": \d+', '"jobs": "<jobs>"', text)
+
+
+def _run(name: str, argv: list[str], files: list[Path], work: Path) -> Iterator[str]:
+    # Each of ``files`` and its manifest is hashed, or marked absent, as this
+    # command left it; a file an earlier command wrote is removed first.
+    written = [(path, False) for path in files]
+    written += [(Path(f"{path}.manifest.json"), True) for path in files[:1]]
+    for path, _ in written:
+        path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse ends a usage error this way
+            code = exc.code
+    yield f"{name}/stdout\t{_sha(out.getvalue())}"
+    yield f"{name}/exit\t{_sha(str(code))}"
+    yield f"{name}/stderr\t{_sha(_mask(err.getvalue(), work))}"
+    for path, masked in written:
+        label = "manifest" if masked else path.name
+        if not path.exists():
+            yield f"{name}/{label}\tabsent"
+            continue
+        data = _mask(path.read_text(encoding="utf-8"), work) if masked else path.read_bytes()
+        yield f"{name}/{label}\t{_sha(data)}"
+
+
+def case_lines(case: Case, work: Path) -> Iterator[str]:
+    """The artifact lines of one case, run in the directory ``work``."""
+    store = str(work / case.store)
+    ensemble = work / "ensemble.json"
+    yield from _run(f"{case.name}/fit", ["fit", store, "-o", str(ensemble), *case.flags],
+                    [ensemble], work)
+    if case.query is None:
+        return
+    yield from _run(f"{case.name}/report", ["report", str(ensemble), store], [], work)
+    yield from _run(f"{case.name}/report-self-pairs-delta0.2",
+                    ["report", str(ensemble), store, "--self-pairs", "--delta", "0.2"], [], work)
+    yield from _run(f"{case.name}/query", ["query", str(ensemble), *case.query], [], work)
+    aggregate, clouds = work / "aggregate.json", work / "clouds.tsv"
+    for tol in case.dedup_tols:
+        flags = [] if tol is None else ["--dedup-tol", tol]
+        label = "aggregate" if tol is None else f"aggregate-dedup{tol}"
+        argv = ["aggregate", str(ensemble), "-o", str(aggregate), "--clouds-tsv", str(clouds), *flags]
+        yield from _run(f"{case.name}/{label}", argv, [aggregate, clouds], work)
+
+
+def lines(cases: list[Case]) -> list[str]:
+    """Every artifact line of ``cases``, then the two algorithm ids."""
+    out = []
+    for case in cases:
+        with tempfile.TemporaryDirectory(prefix="kbens-equivalence-") as tmp:
+            work = Path(tmp)
+            shutil.copy(STORES / case.store, work / case.store)
+            out += case_lines(case, work)
+    out.append(f"ids/optimizer\t{_sha(OPTIMIZER_ID)}")
+    out.append(f"ids/rng_algorithm\t{_sha(RNG_ALGORITHM_ID)}")
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: PYTHONPATH=<tree>/src python tools/equivalence.py OUT", file=sys.stderr)
+        return 1
+    Path(argv[0]).write_text("".join(f"{line}\n" for line in lines(CASES)), encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
