@@ -136,7 +136,7 @@ def cmd_fit(args) -> _Output:
         cfg = replace(cfg, dimension=dimension)
     else:
         reject_unsatisfiable(kb, cfg)
-    ensemble = fit_ensemble(kb, cfg, tcfg, args.seed, members=args.members, jobs=args.jobs)
+    ensemble = fit_ensemble(kb, cfg, tcfg, args.seed, members=args.members)
     lines = [f"dimension\t{cfg.dimension}", f"members\t{len(ensemble)}"] + [
         f"member\t{i}\t{r.seed}\t{r.final_error!r}\t{r.epochs_used}"
         for i, r in enumerate(ensemble.reports)
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--init-scale", type=float, default=train_defaults.init_scale)
     fit.add_argument("--max-epochs", type=int, default=train_defaults.max_epochs)
     fit.add_argument("--retry-budget", type=int, default=train_defaults.retry_budget)
-    fit.add_argument("--jobs", type=int, default=1, help="parallel member fitting; output is identical for any value")
+    fit.add_argument("--jobs", type=int, default=1, help="has no effect: members are fitted in this process")
     fit.set_defaults(func=cmd_fit)
 
     query = sub.add_parser("query", help="ask one ternary query against an ensemble")

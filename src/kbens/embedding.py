@@ -154,8 +154,8 @@ class Embedding:
         object.__setattr__(self, "_relation_index", {t: i for i, t in enumerate(self.relation_names)})
 
     def __reduce__(self):
-        # Rebuilt through the constructor, so an unpickled member (one the
-        # --jobs pool sends back) is frozen and checked like any other.
+        # Rebuilt through the constructor, so a member from pickle or
+        # copy.deepcopy is frozen and checked like any other.
         fields = (self.entity_array, self.relation_array, self.config, self.seed)
         return type(self), (self.entity_names, self.relation_names, *fields)
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -159,7 +157,6 @@ def fit_ensemble(
     tcfg: TrainConfig,
     base_seed: int,
     members: int = DEFAULT_MEMBERS,
-    jobs: int = 1,
 ) -> Ensemble:
     """Train members from seeds base_seed, base_seed+1, ... keeping the
     first ``members`` converged fits in seed order.
@@ -167,27 +164,21 @@ def fit_ensemble(
     Seeds that fail to converge are skipped and replaced by the next one;
     when 4x the requested count have been tried without filling the
     ensemble, :class:`EnsembleFitError` is raised.  The result depends only
-    on the arguments, not on ``jobs``.
+    on the arguments.
     """
     if members < 1:
         raise ValueError(f"member count must be at least 1: {members!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1: {jobs!r}")
     cap = _ATTEMPT_CAP_FACTOR * members
     kept: list[tuple[Embedding, FitReport]] = []
     attempted = 0
     # A wave is exactly the number of members still missing, so it never
     # trains a seed that one-at-a-time fitting would have skipped.
-    # No wave is larger than ``members``, so more workers would only idle.
-    workers = min(jobs, members)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
-        while len(kept) < members and attempted < cap:
-            wave = min(members - len(kept), cap - attempted)
-            seeds = range(base_seed + attempted, base_seed + attempted + wave)
-            attempted += wave
-            fits = run(train, [kb] * wave, [cfg] * wave, [tcfg] * wave, seeds)
-            kept.extend(fit for fit in fits if fit[1].converged)
+    while len(kept) < members and attempted < cap:
+        wave = min(members - len(kept), cap - attempted)
+        seeds = range(base_seed + attempted, base_seed + attempted + wave)
+        attempted += wave
+        fits = (train(kb, cfg, tcfg, seed) for seed in seeds)
+        kept.extend(fit for fit in fits if fit[1].converged)
     if len(kept) < members:
         raise EnsembleFitError(
             f"only {len(kept)} of {members} members converged "

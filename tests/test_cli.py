@@ -889,3 +889,13 @@ class TestVersion:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert out.count("\n") == 1 and out.endswith(f"; optimizer: {OPTIMIZER_ID})\n")
+
+
+def test_import_loads_no_process_machinery():
+    # Every member is fitted in this process, so no kbens process needs them.
+    probe = ("import sys, kbens, kbens.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")

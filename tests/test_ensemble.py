@@ -1,5 +1,6 @@
 """Ensemble fitting, ternary query answering, reports, and serialization."""
 
+import copy
 import json
 import pickle
 from dataclasses import replace
@@ -27,7 +28,6 @@ from kbens import (
     train,
     unstated_queries,
 )
-from kbens import ensemble as ensemble_module
 from kbens.ensemble import satisfied_counts
 from kbens.kb import KnowledgeBase, SignedTriple
 
@@ -87,61 +87,18 @@ class TestFitEnsemble:
         with pytest.raises(EnsembleFitError):
             fit_ensemble(kb, EmbeddingConfig(dimension=2), tcfg, 1, members=2)
 
-    def test_parallel_fit_matches_sequential(self, friend_kb_m):
-        cfg = EmbeddingConfig(dimension=1)
-        seq = fit_ensemble(friend_kb_m, cfg, TrainConfig(), 7, members=6, jobs=1)
-        par = fit_ensemble(friend_kb_m, cfg, TrainConfig(), 7, members=6, jobs=3)
-        assert seq.to_json() == par.to_json()
-
     def test_parallel_fit_matches_sequential_when_seeds_fail(self, friend_kb_m):
         # At 6 epochs most seeds fail on the friend store, so filling the
         # ensemble takes several waves of candidate seeds.
-        cfg = EmbeddingConfig(dimension=1)
-        tcfg = TrainConfig(max_epochs=6)
-        seq = fit_ensemble(friend_kb_m, cfg, tcfg, 7, members=4, jobs=1)
-        par = fit_ensemble(friend_kb_m, cfg, tcfg, 7, members=4, jobs=2)
-        assert [m.seed for m in seq.members] == [13, 14, 17, 20]
-        assert seq.to_json() == par.to_json()
+        ens = fit_ensemble(friend_kb_m, EmbeddingConfig(dimension=1), TrainConfig(max_epochs=6), 7, members=4)
+        assert [m.seed for m in ens.members] == [13, 14, 17, 20]
 
-    def test_single_job_starts_no_process(self, friend_kb_m, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("jobs=1 must not start a process pool")
-
-        monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", refuse)
-        ens = fit_ensemble(friend_kb_m, EmbeddingConfig(dimension=1), TrainConfig(), 7, members=3)
-        assert len(ens) == 3
-
-    @pytest.mark.parametrize("members, jobs, workers", [(2, 64, [2]), (1, 4, []), (3, 2, [2])])
-    def test_pool_has_at_most_one_worker_per_member(
-        self, friend_kb_m, monkeypatch, members, jobs, workers
-    ):
-        # A fork start method forks every worker at the first map, however
-        # few seeds a wave has; this stand-in records the count and forks none.
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", RecordingPool)
-        cfg = EmbeddingConfig(dimension=1)
-        ens = fit_ensemble(friend_kb_m, cfg, TrainConfig(), 7, members=members, jobs=jobs)
-        assert started == workers
-        assert ens.to_json() == fit_ensemble(friend_kb_m, cfg, TrainConfig(), 7, members).to_json()
-
-    def test_pool_members_are_read_only_views(self, friend_kb_m):
-        # The pool sends members back by pickle, which must rebuild them
-        # through the constructor: frozen row views of one term array.
-        ens = fit_ensemble(friend_kb_m, EmbeddingConfig(dimension=1), TrainConfig(), 7, members=2, jobs=2)
-        for member in ens.members + tuple(pickle.loads(pickle.dumps(ens.members))):
+    def test_members_are_read_only_views_when_fitted_pickled_or_copied(self, friend_kb_m):
+        # pickle and copy.deepcopy must rebuild a member through the
+        # constructor: frozen row views of one term array.
+        ens = fit_ensemble(friend_kb_m, EmbeddingConfig(dimension=1), TrainConfig(), 7, members=2)
+        copies = pickle.loads(pickle.dumps(ens.members)) + copy.deepcopy(ens.members)
+        for member in ens.members + copies:
             terms = member.term_array
             assert not terms.flags.writeable
             assert member.entity_array.base is terms and member.relation_array.base is terms
@@ -149,10 +106,7 @@ class TestFitEnsemble:
             for rows in (member.entity_array, member.relation_array, terms):
                 with pytest.raises(ValueError, match="read-only"):
                     rows[0, 0] = 123.0
-
-    def test_job_count_validated(self, friend_kb_m):
-        with pytest.raises(ValueError, match="jobs must be at least 1: 0"):
-            fit_ensemble(friend_kb_m, EmbeddingConfig(dimension=1), TrainConfig(), 7, jobs=0)
+        assert [m.to_doc() for m in copies] == [m.to_doc() for m in ens.members * 2]
 
 
 def per_seed_fit(kb, cfg, tcfg, base_seed, members):
@@ -171,15 +125,15 @@ def per_seed_fit(kb, cfg, tcfg, base_seed, members):
     )
 
 
-def assert_fits_like_per_seed_loop(kb, cfg, tcfg, base_seed, members, jobs):
+def assert_fits_like_per_seed_loop(kb, cfg, tcfg, base_seed, members):
     try:
         expected = per_seed_fit(kb, cfg, tcfg, base_seed, members)
     except EnsembleFitError as exc:
         with pytest.raises(EnsembleFitError) as raised:
-            fit_ensemble(kb, cfg, tcfg, base_seed, members=members, jobs=jobs)
+            fit_ensemble(kb, cfg, tcfg, base_seed, members=members)
         assert str(raised.value) == str(exc)
         return
-    ens = fit_ensemble(kb, cfg, tcfg, base_seed, members=members, jobs=jobs)
+    ens = fit_ensemble(kb, cfg, tcfg, base_seed, members=members)
     assert ens.kb_digest == kb.digest()
     assert len(ens) == members
     for member, report, (emb, rep) in zip(ens.members, ens.reports, expected):
@@ -204,7 +158,7 @@ class TestFitMatchesPerSeedLoop:
         kb = random_kb(np.random.default_rng(store_seed), max_entities=5, max_triples=6)
         assert_fits_like_per_seed_loop(
             kb, EmbeddingConfig(dimension=d), TrainConfig(max_epochs=max_epochs),
-            base_seed, members, jobs=1,
+            base_seed, members,
         )
 
     @pytest.mark.parametrize("text, max_epochs, members", [
@@ -215,7 +169,7 @@ class TestFitMatchesPerSeedLoop:
     def test_two_jobs(self, text, max_epochs, members):
         assert_fits_like_per_seed_loop(
             parse_kb(text), EmbeddingConfig(dimension=1), TrainConfig(max_epochs=max_epochs),
-            7, members, jobs=2,
+            7, members,
         )
 
 

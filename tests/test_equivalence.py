@@ -1,5 +1,7 @@
 """Self-test of ``tools/equivalence.py``: its lines are the same on every run
-of one tree, and a ``--jobs 2`` fit gives the lines of its ``--jobs 1`` fit."""
+of one tree, a ``--jobs 2`` fit gives the lines of its ``--jobs 1`` fit, and
+the library lines name one oracle answer per dimension and one member per
+dimension and seed."""
 
 import importlib.util
 import sys
@@ -32,3 +34,19 @@ def test_friends_subset_is_reproducible():
     jobs1 = sorted(line for line in first if "/jobs1/" in line)
     jobs2 = sorted(line.replace("/jobs2/", "/jobs1/") for line in first if "/jobs2/" in line)
     assert jobs1 == jobs2
+
+
+def test_library_subset_is_reproducible():
+    tool = load_tool()
+
+    def subset():
+        return [*tool.oracle_lines("unsat.kb"), *tool.member_lines("friends.kb", seeds=(0, 1))]
+
+    first = subset()
+    assert first == subset()
+    assert [line.split("\t")[0] for line in first] == [
+        "oracle/unsat/dim1", "oracle/unsat/dim2",
+        "train_members/friends/dim1/seed0", "train_members/friends/dim1/seed1",
+        "train_members/friends/dim2/seed0", "train_members/friends/dim2/seed1",
+    ]
+    assert all(len(line.split("\t")[1]) == 64 for line in first)

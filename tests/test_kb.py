@@ -100,6 +100,13 @@ class TestParse:
         for _ in range(25):
             kb = random_kb(rng)
             assert parse_kb(kb.serialize()) == kb
+        # A direct build may declare terms that no triple names.  The file
+        # holds only the triples, so the triples and digest read back, but
+        # those terms do not.
+        kb = KnowledgeBase((SignedTriple("r", "a", "b", True),), ("a", "b", "z"), ("r", "q"))
+        back = parse_kb(kb.serialize())
+        assert (back.triples, back.digest()) == (kb.triples, kb.digest())
+        assert (back.entities, back.relations) == (("a", "b"), ("r",))
 
     def test_digest_is_order_invariant_and_content_sensitive(self, friend_kb):
         shuffled = "\n".join(reversed(FRIEND_KB_TEXT.strip().split("\n"))) + "\n"

@@ -12,6 +12,13 @@ times (``duration_seconds``) and the temporary directory are masked; the
 manifest's ``jobs`` value is masked too, since ``--jobs`` changes nothing
 else by design.
 
+Then the library: ``satisfiability_oracle`` on every store at each
+dimension in ``DIMS`` (one line each hashes the status, the ``repr`` of the
+error floor, the pinned triple's line and the certificate's JSON), and
+``train_members`` at seeds ``MEMBER_SEEDS`` on ``MEMBER_STORES`` at each
+dimension (one line per member hashes its JSON and the ``repr`` of its
+report).
+
 Two trees are byte-equivalent on this set when their OUT files are equal,
 so comparing them is one ``diff``.  Run once per tree, one process each.
 The stores are committed files, so the set does not move when a store
@@ -23,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import re
 import shutil
 import sys
@@ -31,10 +39,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
-from kbens import cli
-from kbens.trainer import OPTIMIZER_ID, RNG_ALGORITHM_ID
+from kbens import Embedding, EmbeddingConfig, KnowledgeBase, TrainConfig, cli, parse_kb
+from kbens.trainer import OPTIMIZER_ID, RNG_ALGORITHM_ID, satisfiability_oracle, train_members
 
 STORES = Path(__file__).resolve().parent / "stores"
+DIMS = (1, 2)
+MEMBER_STORES = ("friends.kb", "wide.kb", "chain.kb")
+MEMBER_SEEDS = tuple(range(8))
 
 
 @dataclass(frozen=True)
@@ -138,11 +149,44 @@ def lines(cases: list[Case]) -> list[str]:
     return out
 
 
+def _store(name: str) -> KnowledgeBase:
+    return parse_kb((STORES / name).read_text(encoding="utf-8"))
+
+
+def _json(member: Optional[Embedding]) -> str:
+    return "null" if member is None else json.dumps(member.to_doc(), sort_keys=True)
+
+
+def oracle_lines(store: str) -> Iterator[str]:
+    """One line per dimension: what ``satisfiability_oracle`` says of ``store``."""
+    kb = _store(store)
+    for dim in DIMS:
+        result = satisfiability_oracle(kb, dim)
+        pinned = "None" if result.pinned is None else result.pinned.as_line()
+        fields = (result.status.value, repr(result.error_floor), pinned, _json(result.certificate))
+        digest = _sha("\n".join(fields))
+        yield f"oracle/{Path(store).stem}/dim{dim}\t{digest}"
+
+
+def member_lines(store: str, seeds: tuple[int, ...] = MEMBER_SEEDS) -> Iterator[str]:
+    """One line per dimension and seed: a member of one ``train_members`` call."""
+    kb = _store(store)
+    for dim in DIMS:
+        for member, report in train_members(kb, EmbeddingConfig(dimension=dim), TrainConfig(), seeds):
+            digest = _sha(f"{_json(member)}\n{report!r}")
+            yield f"train_members/{Path(store).stem}/dim{dim}/seed{member.seed}\t{digest}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: PYTHONPATH=<tree>/src python tools/equivalence.py OUT", file=sys.stderr)
         return 1
-    Path(argv[0]).write_text("".join(f"{line}\n" for line in lines(CASES)), encoding="utf-8")
+    out = lines(CASES)
+    for store in sorted(p.name for p in STORES.glob("*.kb")):
+        out += oracle_lines(store)
+    for store in MEMBER_STORES:
+        out += member_lines(store)
+    Path(argv[0]).write_text("".join(f"{line}\n" for line in out), encoding="utf-8")
     return 0
 
 
