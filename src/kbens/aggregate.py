@@ -8,19 +8,22 @@ contrast, can pull a negative fact inside the margin.  The aggregate keeps
 only members that are not rigid images of each other, maps them by rigid
 maps into the frame of the first retained member, and pools each term's
 isometric images into a cloud whose diameter measures how underdetermined
-that term is.
+that term is.  The aggregate file's layout has one home,
+:mod:`kbens.jsonfile`, and the clouds TSV reuses the numbers it formats.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .embedding import Embedding
 from .ensemble import _CHUNK_ELEMENTS, Ensemble, member_vote
+from .jsonfile import Rows, dumps, rows
 from .kb import Query, UnknownTermError
 from .verdict import TernaryVerdict
 
@@ -28,7 +31,7 @@ DEFAULT_DEDUP_TOLERANCE = 1e-6
 
 
 class DegenerateAggregateError(RuntimeError):
-    """Fewer than two members survived deduplication."""
+    """Fewer than two members survived deduplication, or a cloud is not finite."""
 
 
 class FrameMismatchError(ValueError):
@@ -138,27 +141,46 @@ class AggregateModel:
         raise UnknownTermError(f"unknown term: {term!r}")
 
     def to_doc(self) -> dict:
+        clouds = (self.entity_clouds, self.relation_clouds)
+        return self._doc(*({t: c.tolist() for t, c in kind.items()} for kind in clouds))
+
+    def _doc(self, entity_clouds: dict, relation_clouds: dict) -> dict:
         return {
             "member_indices": list(self.member_indices),
             "reference_index": self.reference_index,
-            "entity_clouds": {t: c.tolist() for t, c in self.entity_clouds.items()},
-            "relation_clouds": {t: c.tolist() for t, c in self.relation_clouds.items()},
+            "entity_clouds": entity_clouds,
+            "relation_clouds": relation_clouds,
             "diameters": dict(self.diameters),
         }
 
+    @cached_property
+    def _blocks(self) -> tuple[dict[str, Rows], dict[str, Rows]]:
+        # Every cloud's numbers, formatted on first use for both the JSON file
+        # and the TSV, and kept: the clouds are read-only.
+        clouds = (self.entity_clouds, self.relation_clouds)
+        return tuple({t: rows(c) for t, c in kind.items()} for kind in clouds)
+
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
+        """The bytes of ``json.dumps(self.to_doc(), sort_keys=True, indent=2)``
+        and a newline, written by :func:`kbens.jsonfile.dumps`."""
+        return dumps(self._doc(*self._blocks))
 
     def clouds_tsv(self) -> str:
-        """Rows ``term member_index x1 ... xN`` for external plotting."""
-        lines = []
-        for term in sorted(self.entity_clouds) + sorted(self.relation_clouds):
-            for idx, point in zip(self.member_indices, self.cloud(term).tolist()):
-                coords = "\t".join(map(repr, point))
-                lines.append(f"{term}\t{idx}\t{coords}")
+        """Rows ``term member_index x1 ... xN`` for external plotting, entity
+        terms then relation terms, each sorted; the numbers are those of the
+        JSON file, spelled by ``repr`` (``inf`` and ``nan`` too)."""
+        lines: list[str] = []
+        for kind in self._blocks:
+            for term, block in sorted(kind.items()):
+                width = block.shape[1]
+                line = "{}\t{}\t" + "\t".join(["{}"] * width)
+                numbers = iter(block.numbers)
+                lines += map(line.format, repeat(term), self.member_indices, *[numbers] * width)
         return "\n".join(lines) + "\n"
 
 
+# An overflow shows as a cloud or a diameter that is not finite, checked below.
+@np.errstate(over="ignore", invalid="ignore")
 def build_aggregate(
     ens: Ensemble,
     dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE,
@@ -173,8 +195,9 @@ def build_aggregate(
     The residuals come from one batched matrix over all member pairs.  Each
     retained member is mapped once, by the rigid :func:`align`, into one row
     of a stack whose read-only views are the clouds.  Raises ``ValueError``
-    on a negative or NaN bound and :class:`DegenerateAggregateError` when
-    fewer than two members survive.
+    on a negative or NaN bound, and :class:`DegenerateAggregateError` when
+    fewer than two members survive or when a cloud or its diameter is not
+    finite (coordinates so large that aligning them overflows).
     """
     bounds = {"dedup tolerance": dedup_tolerance, "max cloud diameter": max_cloud_diameter}
     for name, bound in bounds.items():
@@ -210,12 +233,19 @@ def build_aggregate(
     stack = stack[:len(retained)]
     stack.flags.writeable = False
     terms = reference.entity_names + reference.relation_names
+    diameters = _cloud_diameters(stack)
+    finite = np.isfinite(stack).all(axis=(0, 2)) & np.isfinite(diameters)
+    if not finite.all():
+        term = terms[int(np.argmin(finite))]
+        raise DegenerateAggregateError(
+            f"the cloud of {term!r} is not finite: aligning the members' coordinates overflows"
+        )
     return AggregateModel(
         member_indices=tuple(retained),
         members=tuple(ens.members[idx] for idx in retained),
         entity_clouds={t: stack[:, j] for j, t in enumerate(reference.entity_names)},
         relation_clouds={t: stack[:, n_entities + j] for j, t in enumerate(reference.relation_names)},
-        diameters=dict(zip(terms, _cloud_diameters(stack))),
+        diameters=dict(zip(terms, diameters)),
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -110,15 +110,17 @@ class Embedding:
     """An immutable assignment of coordinates to a vocabulary.
 
     ``entity_array`` has one row per name in ``entity_names`` (sorted), and
-    likewise for relations.  Construction is the one check of the
+    likewise for relations.  Construction is the one check of the names and
     coordinates, whether they are built by hand, fitted, loaded or unpickled:
-    numbers (integer or float, never strings, booleans or objects), exactly
-    ``(len(names), dimension)`` rows (only an empty vocabulary may pass an
-    empty array of any shape), all finite; a mismatched array is never
-    reshaped.  The rows are copied into one frozen ``(E+R, d)`` ``term_array``
-    (entity points first, the layout of every member stack), whose read-only
-    views are ``entity_array`` and ``relation_array``.  Evaluation methods
-    are pure and safe for concurrent use.
+    each name names one term (no repeat, and no entity shares a relation's
+    name); the coordinates are numbers (integer or float, never strings,
+    booleans or objects), exactly ``(len(names), dimension)`` rows (only an
+    empty vocabulary may pass an empty array of any shape), all finite; a
+    mismatched array is never reshaped.  The rows are copied into one frozen
+    ``(E+R, d)`` ``term_array`` (entity points first, the layout of every
+    member stack), whose read-only views are ``entity_array`` and
+    ``relation_array``.  Evaluation methods are pure and safe for concurrent
+    use.
     """
 
     entity_names: tuple[str, ...]
@@ -150,8 +152,15 @@ class Embedding:
         object.__setattr__(self, "term_array", terms)
         object.__setattr__(self, "entity_array", terms[:len(self.entity_names)])
         object.__setattr__(self, "relation_array", terms[len(self.entity_names):])
-        object.__setattr__(self, "_entity_index", {t: i for i, t in enumerate(self.entity_names)})
-        object.__setattr__(self, "_relation_index", {t: i for i, t in enumerate(self.relation_names)})
+        entities = {t: i for i, t in enumerate(self.entity_names)}
+        relations = {t: i for i, t in enumerate(self.relation_names)}
+        distinct = len(entities) + len(relations) == len(self.entity_names) + len(self.relation_names)
+        if not (distinct and entities.keys().isdisjoint(relations)):
+            vocabulary = (*self.entity_names, *self.relation_names)
+            repeat = next(t for i, t in enumerate(vocabulary) if t in vocabulary[:i])
+            raise ValueError(f"term name {repeat!r} names more than one entity or relation")
+        object.__setattr__(self, "_entity_index", entities)
+        object.__setattr__(self, "_relation_index", relations)
 
     def __reduce__(self):
         # Rebuilt through the constructor, so a member from pickle or
@@ -236,12 +245,16 @@ class Embedding:
 
     def to_doc(self) -> dict:
         """JSON-ready document with full round-trip float precision."""
+        return self._doc(lambda array, names: dict(zip(names, array.tolist())))
+
+    def _doc(self, rows: Callable[[np.ndarray, tuple[str, ...]], object]) -> dict:
+        # ``rows(array, names)`` is the value of "entities" and of "relations".
         return {
             "dimension": self.config.dimension,
             "seed": int(self.seed),
             "config": self.config.to_doc(),
-            "entities": dict(zip(self.entity_names, self.entity_array.tolist())),
-            "relations": dict(zip(self.relation_names, self.relation_array.tolist())),
+            "entities": rows(self.entity_array, self.entity_names),
+            "relations": rows(self.relation_array, self.relation_names),
         }
 
     @classmethod

@@ -3,7 +3,8 @@
 Each converged member is one complete candidate world consistent with the
 store.  A query is TRUE when it holds in every member, FALSE when it holds
 in none, and UNKNOWN when the members disagree, which is how the ensemble
-represents partial knowledge the store never wrote down.
+represents partial knowledge the store never wrote down.  The ensemble
+file's layout has one home, :mod:`kbens.jsonfile`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .embedding import Embedding, EmbeddingConfig, read_field
+from .jsonfile import dumps, rows
 from .kb import KnowledgeBase, Query, unstated_index
 from .trainer import FitReport, TrainConfig, train
 from .verdict import TernaryVerdict, Truth
@@ -106,17 +108,22 @@ class Ensemble:
             raise DigestMismatchError("ensemble digest does not match the given knowledge base")
 
     def to_doc(self) -> dict:
+        return self._doc([m.to_doc() for m in self.members])
+
+    def _doc(self, members: list) -> dict:
         return {
             "kb_digest": self.kb_digest,
             "config": asdict(self.config),
-            "members": [m.to_doc() for m in self.members],
+            "members": members,
             "reports": [asdict(r) for r in self.reports],
         }
 
     def to_json(self) -> str:
-        """Canonical serialization: key-sorted, newline-terminated, stable
-        byte-for-byte across runs."""
-        return json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
+        """Canonical serialization, stable byte for byte across runs: the
+        bytes of ``json.dumps(self.to_doc(), sort_keys=True, indent=2)`` and a
+        newline, written by :func:`kbens.jsonfile.dumps` from each member's
+        rows formatted at once."""
+        return dumps(self._doc([m._doc(rows) for m in self.members]))
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Ensemble":

@@ -1,6 +1,7 @@
 """Rigid registration and duplicate detection, isometric cloud pooling, and
 verdicts."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -390,14 +391,32 @@ class TestExport:
         }
         assert doc["reference_index"] == doc["member_indices"][0]
 
-    def test_clouds_tsv_rows(self, friend_ensemble):
-        agg = build_aggregate(friend_ensemble)
-        lines = agg.clouds_tsv().strip().split("\n")
-        # one row per (term, retained member)
-        assert len(lines) == 6 * len(agg.member_indices)
-        term, idx, *coords = lines[0].split("\t")
-        assert idx == "0" and len(coords) == 1
-        float(coords[0])
+    def test_clouds_tsv_rows(self, friend_ensemble, chain_ensemble):
+        # One row per (term, retained member), entity terms first, each row
+        # the JSON cloud's point of that term and member.
+        models = [build_aggregate(friend_ensemble), build_aggregate(chain_ensemble, 1e-2)]
+        cloud = np.array([[0.5, -1.0], [2.0, 3.0]])
+        models.append(AggregateModel((0, 3), (), {"a": cloud}, {"a": -cloud}, {"a": 5.0}))
+        for agg in models:
+            assert_tsv_rows_are_the_json_clouds(agg)
+        assert len(models[0].clouds_tsv().splitlines()) == 6 * len(models[0].member_indices)
+        assert len(models[1].member_indices) == 22
+        # An entity and a relation of one name: each row carries its own kind's cloud.
+        assert models[2].clouds_tsv() == (
+            "a\t0\t0.5\t-1.0\na\t3\t2.0\t3.0\na\t0\t-0.5\t1.0\na\t3\t-2.0\t-3.0\n"
+        )
+
+
+def assert_tsv_rows_are_the_json_clouds(agg):
+    doc = json.loads(agg.to_json())
+    rows = iter(agg.clouds_tsv().splitlines())
+    for kind in ("entity_clouds", "relation_clouds"):
+        for term in sorted(doc[kind]):
+            for member, point in zip(doc["member_indices"], doc[kind][term], strict=True):
+                name, idx, *coords = next(rows).split("\t")
+                assert (name, int(idx)) == (term, member)
+                assert [float(x) for x in coords] == point
+    assert next(rows, None) is None
 
 
 def _toy_aggregate(cloud: np.ndarray) -> AggregateModel:

@@ -12,15 +12,24 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbens import Ensemble, Satisfiability, SatisfiabilityResult, cli, trainer
+from kbens import (
+    Embedding,
+    EmbeddingConfig,
+    Ensemble,
+    Satisfiability,
+    SatisfiabilityResult,
+    cli,
+    trainer,
+)
 from kbens.cli import main
 from kbens.trainer import OPTIMIZER_ID
 
-from conftest import FRIEND_KB_TEXT, FRIEND_UNSAT_KB_TEXT
+from conftest import FRIEND_KB_TEXT, FRIEND_UNSAT_KB_TEXT, hand_made_ensemble
 
 
 # The store's three facts and the README's open question.
@@ -264,6 +273,43 @@ class TestAggregate:
         assert main(["aggregate", str(ens), "-o", str(tmp_path / "agg.json")]) == 2
         assert capsys.readouterr().err == (
             "kbens aggregate: only 1 member(s) retained; aggregate needs at least 2\n"
+        )
+
+    def test_entity_named_like_a_relation_exits_1(self, fitted, tmp_path, capsys):
+        # Else the clouds TSV would print entity Joe's cloud under relation Joe.
+        doc = json.loads(fitted.read_text())
+        for member in doc["members"]:
+            member["relations"]["Joe"] = [0.5]
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["aggregate", str(path), "-o", str(tmp_path / "agg.json"), "--clouds-tsv",
+                str(tmp_path / "clouds.tsv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"kbens aggregate: invalid ensemble file {str(path)!r}:"
+            " term name 'Joe' names more than one entity or relation\n"
+        )
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_overflowing_cloud_exits_2_naming_the_term(self, tmp_path, capsys, dimension):
+        # Finite coordinates near 1e200, whose products in the alignment overflow.
+        rng = np.random.default_rng(0)
+        cfg = EmbeddingConfig(dimension=dimension)
+        members = [
+            Embedding(("a", "b"), ("r",), 1e200 * rng.normal(size=(2, dimension)),
+                      1e200 * rng.normal(size=(1, dimension)), cfg, seed)
+            for seed in range(4)
+        ]
+        path = tmp_path / "large.json"
+        path.write_text(hand_made_ensemble(members).to_json(), encoding="utf-8")
+        out = tmp_path / "agg.json"
+        code = main(["aggregate", str(path), "-o", str(out), "--clouds-tsv",
+                     str(tmp_path / "clouds.tsv")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err == (
+            "kbens aggregate: the cloud of 'a' is not finite:"
+            " aligning the members' coordinates overflows\n"
         )
 
     def test_duplicated_member_file_exits_1(self, fitted, tmp_path, capsys):

@@ -279,6 +279,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             self.build(np.zeros((3, 2)), array)
 
+    @pytest.mark.parametrize("entities, relations, repeat", [
+        (("a", "b", "c"), ("a",), "a"),
+        (("a", "b", "a"), ("r",), "a"),
+        (("a", "b", "c"), ("r", "r"), "r"),
+    ], ids=["entity-and-relation", "entity-twice", "relation-twice"])
+    def test_each_name_names_one_term(self, entities, relations, repeat):
+        rels = np.zeros((len(relations), 2))
+        with pytest.raises(ValueError, match=f"term name '{repeat}' names more than one"):
+            Embedding(entities, relations, np.zeros((3, 2)), rels, EmbeddingConfig(dimension=2), 0)
+
     def test_integer_rows_are_stored_as_floats(self):
         e = self.build(np.arange(6).reshape(3, 2), np.array([[1, 2]], dtype=np.uint8))
         assert e.entity_array.dtype == e.relation_array.dtype == np.float64

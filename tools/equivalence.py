@@ -77,6 +77,9 @@ CASES = [
          ("--dim", "2", "--members", "6", "--seed", "1"), ("r0", "c0_1", "c0_0")),
     Case("chain/dim1/seed7", "chain.kb", ("--dim", "1", "--seed", "7"),
          ("next", "a", "c"), ("1e-6", "1e-3", "1e-2")),
+    # Names the JSON writer escapes: a quote, a backslash, non-ASCII letters
+    # and a C0 control.
+    Case("escapes/seed7", "escapes.kb", ("--seed", "7"), ("knows", 'quote"d', "café")),
     Case("unsat/seed7", "unsat.kb", ("--seed", "7")),
 ]
 
