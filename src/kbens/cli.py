@@ -13,8 +13,10 @@ with one line, after ``--help`` and ``--version`` too.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -185,18 +187,25 @@ def cmd_aggregate(args) -> _Output:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The width argparse would look up for every argument it adds, looked up once.
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = _Parser(
         prog="kbens",
         description=(
             "Represent a signed triple store as an ensemble of translational "
             "embeddings and answer queries with TRUE / FALSE / UNKNOWN."
         ),
+        formatter_class=formatter,
     )
     parser.add_argument(
         "--version", action=_Version, nargs=0, default=argparse.SUPPRESS,
         help="show the version and the fit algorithms, and exit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(_Parser, formatter_class=formatter),
+    )
     train_defaults = TrainConfig()
 
     fit = sub.add_parser("fit", help="fit an ensemble from a KB file")

@@ -56,8 +56,9 @@ def read_fields(config: object, **kinds: type) -> None:
 
 
 def _squared_norm(eps: np.ndarray) -> float:
-    # The trainer's and the batched vote's reduction, so all paths agree bit
-    # for bit.  An overflowing square is +inf, outside every radius and margin.
+    # The order of the trainer's per-triple sums and of the batched vote's
+    # recount near a radius, so all paths agree bit for bit.  An overflowing
+    # square is +inf, outside every finite radius and every margin.
     with np.errstate(over="ignore"):
         return float(np.sum(eps * eps))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -113,9 +113,9 @@ class Ensemble:
     def _doc(self, members: list) -> dict:
         return {
             "kb_digest": self.kb_digest,
-            "config": asdict(self.config),
+            "config": dict(vars(self.config)),
             "members": members,
-            "reports": [asdict(r) for r in self.reports],
+            "reports": [dict(vars(r)) for r in self.reports],
         }
 
     def to_json(self) -> str:
@@ -141,7 +141,7 @@ class Ensemble:
             for r in doc["reports"]
         )
         # The top-level block restates the members' config; a mismatch means an edited file.
-        if members and doc["config"] != asdict(members[0].config):
+        if members and doc["config"] != vars(members[0].config):
             raise ValueError(f"top-level config {doc['config']} differs from the members' config")
         # np.asarray reads a JSON true or false among numbers as 1 or 0: look only
         # there.  Flat, so members of any width (or no member) join.
@@ -208,8 +208,9 @@ def satisfied_counts(
     ``tau`` is given).  Equal bit for bit to counting
     :meth:`Embedding.satisfies`, with its errors: names resolve to rows here,
     and the rows are counted by the vote that :func:`knowledge_report` runs,
-    one or more rows per 64-KiB chunk.  Members with different vocabularies
-    raise ``ValueError``."""
+    one or more rows per 64-KiB chunk, which sums the squares by coordinate
+    column and recounts the rows near a radius the scalar way.  Members with
+    different vocabularies raise ``ValueError``."""
     if not members:
         raise ValueError("a vote needs at least one member")
     first = members[0]
@@ -230,24 +231,51 @@ def _count_rows(
     relation: np.ndarray,
     tau: Optional[float],
 ) -> np.ndarray:
-    # Members sharing one vocabulary, their term arrays stacked member-inner
-    # into (E+R, M, d) (side by side, then reshaped: cheaper than np.stack),
-    # so a chunk of rows is one take along the first axis.  The sum over d
-    # runs along the last contiguous axis, as in Embedding.satisfies, which
-    # keeps each count bit for bit the scalar one.
-    shape = (len(members), members[0].dimension)
-    terms = np.concatenate([m.term_array for m in members], axis=1).reshape(-1, *shape)
-    rels = terms[len(members[0].entity_names):]
-    radius = np.array([m.config.radius(tau) for m in members])
+    """Number of ``members`` (one vocabulary) in which each row of subject,
+    object and relation rows holds, equal bit for bit to counting
+    :meth:`Embedding.satisfies`.
+
+    The term arrays are stacked into one ``(M, E+R, d)`` array, and a chunk
+    of rows is one take along its second axis.  Each norm sums the squared
+    coordinates one coordinate column at a time, which may round otherwise
+    than the scalar ``np.sum`` over d.  Any two orders of summing d
+    non-negative squares give norms within a relative (d + 1) * eps / 2 of
+    each other, so with the slack s = 4 * d * eps a norm at or below
+    radius * (1 - s) holds in the scalar path too, and one above
+    radius * (1 + s) does not.  A row with any member in between is counted
+    again by the scalar reduction, ``np.sqrt(np.sum(squares, axis=-1))``.
+    """
+    d = members[0].dimension
+    terms = np.array([m.term_array for m in members])
+    rels = terms[:, len(members[0].entity_names):]
+    radius = np.array([m.config.radius(tau) for m in members])[:, None]
+    slack = 4 * d * np.finfo(float).eps
+    # A sum of squares near the top of the float range may overflow in one
+    # order only, so neither bound certifies a norm from 2**511 up.
+    inside_below = np.minimum(radius * (1 - slack), 2.0**511)
+    outside_above = radius * (1 + slack)
+    outside_above[outside_above >= 2.0**511] = np.inf
     counts = np.empty(len(subject), dtype=np.intp)
-    step = max(1, _CHUNK_ELEMENTS // (len(members) * members[0].dimension))
-    # A square that overflows is +inf, correctly outside every radius.
+    step = max(1, _CHUNK_ELEMENTS // (len(members) * d))
+    # A square that overflows is +inf, correctly outside every finite radius.
     with np.errstate(over="ignore"):
         for start in range(0, len(counts), step):
             chunk = slice(start, start + step)
-            eps = terms[subject[chunk]] - terms[object_[chunk]] - rels[relation[chunk]]
-            inside = np.sqrt(np.sum(eps * eps, axis=-1)) <= radius
-            counts[chunk] = np.count_nonzero(inside, axis=1)
+            squares = np.take(terms, subject[chunk], axis=1)
+            squares -= np.take(terms, object_[chunk], axis=1)
+            squares -= np.take(rels, relation[chunk], axis=1)
+            squares *= squares
+            norm = squares[..., 0].copy()
+            for k in range(1, d):
+                norm += squares[..., k]
+            np.sqrt(norm, out=norm)
+            inside = norm <= inside_below
+            maybe = norm <= outside_above
+            if np.count_nonzero(maybe) > np.count_nonzero(inside):
+                rows = np.flatnonzero((maybe != inside).any(axis=0))
+                near = np.take(squares, rows, axis=1)
+                inside[:, rows] = np.sqrt(np.sum(near, axis=-1)) <= radius
+            counts[chunk] = np.count_nonzero(inside, axis=0)
     return counts
 
 

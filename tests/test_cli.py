@@ -937,6 +937,22 @@ class TestVersion:
         assert out.count("\n") == 1 and out.endswith(f"; optimizer: {OPTIMIZER_ID})\n")
 
 
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
+    def test_wraps_to_columns(self, capsys, monkeypatch, argv):
+        # argparse wraps help two columns short of the terminal width, which
+        # every parser build reads again.
+        widest = {}
+        for columns in (50, 200):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            widest[columns] = max(map(len, capsys.readouterr().out.splitlines()))
+        assert widest[50] <= 48
+        assert widest[200] > 50
+
+
 def test_import_loads_no_process_machinery():
     # Every member is fitted in this process, so no kbens process needs them.
     probe = ("import sys, kbens, kbens.cli; "

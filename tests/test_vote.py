@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -35,6 +35,9 @@ from kbens.ensemble import ReportRow, member_vote, satisfied_counts
 from conftest import FRIEND_KB_TEXT, hand_made_ensemble, random_satisfiable_kb
 
 COORDINATES = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+# One power of ten per example scales its coordinates and radii: squares and
+# radii whose squares underflow to 0 or overflow to inf are drawn too.
+SCALES = st.integers(-200, 200).map(lambda e: 10.0**e)
 
 
 def scalar_counts(members, queries, tau=None):
@@ -42,7 +45,7 @@ def scalar_counts(members, queries, tau=None):
 
 
 def member(ents, rels, tau_pos, seed=0):
-    config = EmbeddingConfig(dimension=ents.shape[1], tau_pos=tau_pos, gamma=tau_pos + 1.0)
+    config = EmbeddingConfig(dimension=ents.shape[1], tau_pos=tau_pos, gamma=2.0 * tau_pos + 1.0)
     names = tuple(f"e{i}" for i in range(ents.shape[0]))
     relations = tuple(f"r{i}" for i in range(rels.shape[0]))
     return Embedding(names, relations, ents, rels, config, seed)
@@ -50,12 +53,14 @@ def member(ents, rels, tau_pos, seed=0):
 
 @st.composite
 def ensembles_and_queries(draw):
-    d = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 16))
     n_members = draw(st.integers(1, 5))
     n_ent, n_rel = draw(st.integers(1, 4)), draw(st.integers(1, 2))
-    ents = draw(arrays(np.float64, (n_members, n_ent, d), elements=COORDINATES))
-    rels = draw(arrays(np.float64, (n_members, n_rel, d), elements=COORDINATES))
-    taus = draw(st.lists(st.floats(0.0, 6.0), min_size=n_members, max_size=n_members))
+    scale = draw(SCALES)
+    ents = draw(arrays(np.float64, (n_members, n_ent, d), elements=COORDINATES)) * scale
+    rels = draw(arrays(np.float64, (n_members, n_rel, d), elements=COORDINATES)) * scale
+    taus = [t * scale for t in draw(st.lists(st.floats(0.0, 6.0), min_size=n_members,
+                                             max_size=n_members))]
     members = [member(ents[i], rels[i], taus[i], seed=i) for i in range(n_members)]
     query = st.builds(
         Query,
@@ -63,18 +68,37 @@ def ensembles_and_queries(draw):
         st.sampled_from([f"e{i}" for i in range(n_ent)]),
         st.sampled_from([f"e{i}" for i in range(n_ent)]),
     )
-    return members, draw(st.lists(query, max_size=12))
+    return members, draw(st.lists(query, max_size=12)), scale
+
+
+# A residual whose square overflows, outside a radius whose square overflows too.
+OVERFLOW = (
+    [member(np.array([[0.0], [4e200]]), np.zeros((1, 1)), 1e200)], [Query("r0", "e0", "e1")], 1e200
+)
+# Residuals near sqrt(max float) at d = 16, one whose squares overflow when
+# summed in numpy's pairwise order only, one whose squares overflow when
+# added one column at a time only, under a radius above both finite norms.
+ONE_ORDER_OVERFLOW = (
+    [member(np.array([[1.3407807929942596e154, *[math.sqrt(0.4 * 2.0**971)] * 15],
+                      [1.3407807929942587e154, *[math.sqrt(0.51 * 2.0**971)] * 15],
+                      [0.0] * 16]),
+            np.zeros((1, 16)), 2e154)],
+    [Query("r0", "e0", "e2"), Query("r0", "e1", "e2")], 1.0,
+)
 
 
 class TestSatisfiedCounts:
     @settings(deadline=None)
     @given(
         ensembles_and_queries(),
-        st.one_of(st.none(), st.floats(0.0, 8.0)),
+        st.one_of(st.none(), st.just(math.inf), st.floats(0.0, 8.0)),
         st.integers(1, 64),
     )
+    @example(OVERFLOW, 1.0, 64)
+    @example(ONE_ORDER_OVERFLOW, None, 64)
     def test_equals_scalar_count(self, drawn, tau, chunk):
-        members, queries = drawn
+        members, queries, scale = drawn
+        tau = None if tau is None else tau * scale
         # Small chunks make every query set span several chunks.
         with mock.patch.object(ensemble_module, "_CHUNK_ELEMENTS", chunk):
             counts = satisfied_counts(members, queries, tau)
@@ -82,14 +106,17 @@ class TestSatisfiedCounts:
 
     @settings(deadline=None)
     @given(
-        arrays(np.float64, (3, 8), elements=COORDINATES),
-        st.integers(1, 8),
+        arrays(np.float64, (3, 16), elements=COORDINATES, fill=st.nothing()),
+        st.integers(1, 16),
+        SCALES,
     )
-    def test_residual_norm_exactly_at_tau(self, coords, d):
-        subject, object_, relation = coords[:, :d]
+    def test_residual_norm_exactly_at_tau(self, coords, d, scale):
+        # From d = 8, numpy 2's np.sum adds the squares in another order than the vote.
+        subject, object_, relation = coords[:, :d] * scale
         eps = subject - object_ - relation
-        norm = math.sqrt(float(np.sum(eps * eps)))
-        if norm == 0.0:
+        with np.errstate(over="ignore"):
+            norm = math.sqrt(float(np.sum(eps * eps)))
+        if not 0.0 < norm < math.inf:  # a member's tau_pos is finite
             return
         radii = [math.nextafter(norm, 0.0), norm, math.nextafter(norm, math.inf)]
         ents, rels = np.stack([subject, object_]), relation[None, :]

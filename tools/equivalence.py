@@ -69,6 +69,10 @@ CASES = [
     *(Case(f"friends/seed{seed}/jobs{jobs}", "friends.kb",
            ("--seed", str(seed), "--jobs", str(jobs)), _FRIENDS_QUERY)
       for seed in (1, 2, 3, 4, 7) for jobs in (1, 2)),
+    # From d = 8 numpy's np.sum and the vote's column sums round differently,
+    # so these reports rest on the bound the vote certifies its counts with.
+    Case("friends/dim9-members8/seed7", "friends.kb",
+         ("--dim", "9", "--members", "8", "--seed", "7"), _FRIENDS_QUERY),
     Case("wide/seed2", "wide.kb", ("--seed", "2"), _WIDE_QUERY),
     *(Case(f"wide/dim2-members1/seed{seed}", "wide.kb",
            ("--dim", "2", "--members", "1", "--seed", str(seed)), _WIDE_QUERY)
