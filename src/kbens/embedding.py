@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,6 +53,21 @@ def read_fields(config: object, **kinds: type) -> None:
     number as a float), so every config that builds writes a file that loads."""
     for key, kind in kinds.items():
         object.__setattr__(config, key, read_field(vars(config), key, kind))
+
+
+def reject_booleans(docs: Sequence[Mapping], term_arrays: Iterable[np.ndarray]) -> None:
+    """Raise ``ValueError`` when a member doc holds a JSON ``true`` or
+    ``false`` among its coordinates.  ``term_arrays`` are the docs' members
+    as built, where ``np.asarray`` read such a value as 1 or 0, so the docs
+    are scanned only when some array holds a 0 or a 1; a load of many
+    members screens them all in one call."""
+    # Flat, so members of any width (or no member) join.
+    coords = np.concatenate([np.empty(0), *(a.ravel() for a in term_arrays)])
+    if ((coords == 0) | (coords == 1)).any() and any(
+        type(x) is bool for d in docs for key in ("entities", "relations")
+        for x in np.array(list(d[key].values()), dtype=object).flat
+    ):
+        raise ValueError("coordinates must be numbers")
 
 
 def _squared_norm(eps: np.ndarray) -> float:
@@ -262,8 +277,16 @@ class Embedding:
     def from_doc(cls, doc: dict) -> "Embedding":
         """Inverse of :meth:`to_doc`, fields checked by :func:`read_field` (the
         config's by its constructor); the rows go to the constructor, which
-        checks them as it checks any build (``Ensemble.from_doc`` also finds a
-        JSON boolean among numbers)."""
+        checks them as it checks any build, and :func:`reject_booleans` finds
+        a JSON boolean among the numbers."""
+        member = cls._from_doc(doc)
+        reject_booleans([doc], [member.term_array])
+        return member
+
+    @classmethod
+    def _from_doc(cls, doc: dict) -> "Embedding":
+        # from_doc without the boolean screen, which a caller loading many
+        # members runs once over all of them.
         config = EmbeddingConfig(dimension=doc["dimension"], **doc["config"])
         seed = read_field(doc, "seed", int)
         return cls.from_points(doc["entities"], doc["relations"], config, seed)

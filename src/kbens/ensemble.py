@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .embedding import Embedding, EmbeddingConfig, read_field
+from .embedding import Embedding, EmbeddingConfig, read_field, reject_booleans
 from .jsonfile import dumps, rows
 from .kb import KnowledgeBase, Query, unstated_index
 from .trainer import FitReport, TrainConfig, train
@@ -127,8 +127,9 @@ class Ensemble:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Ensemble":
-        """Inverse of :meth:`to_doc`, checked by :func:`read_field` and :meth:`validate`."""
-        members = tuple(Embedding.from_doc(d) for d in doc["members"])
+        """Inverse of :meth:`to_doc`, checked by :func:`read_field`, by one
+        :func:`reject_booleans` over every member, and by :meth:`validate`."""
+        members = tuple(Embedding._from_doc(d) for d in doc["members"])
         reports = tuple(
             FitReport(
                 final_error=read_field(r, "final_error", float),
@@ -143,14 +144,7 @@ class Ensemble:
         # The top-level block restates the members' config; a mismatch means an edited file.
         if members and doc["config"] != vars(members[0].config):
             raise ValueError(f"top-level config {doc['config']} differs from the members' config")
-        # np.asarray reads a JSON true or false among numbers as 1 or 0: look only
-        # there.  Flat, so members of any width (or no member) join.
-        coords = np.concatenate([np.empty(0), *(m.term_array.ravel() for m in members)])
-        if ((coords == 0) | (coords == 1)).any() and any(
-            type(x) is bool for d in doc["members"] for key in ("entities", "relations")
-            for x in np.array(list(d[key].values()), dtype=object).flat
-        ):
-            raise ValueError("coordinates must be numbers")
+        reject_booleans(doc["members"], (m.term_array for m in members))
         return cls(members, doc["kb_digest"], reports)
 
     @classmethod

@@ -126,6 +126,12 @@ class KnowledgeBase:
     equal store; ``entities`` and ``relations`` hold every term a triple
     names, and may declare isolated terms (a term listed twice is one).  A
     fact is stated once: its first repeat in the order given raises.
+
+    Arrays derived from the store are built on first use and kept in its
+    ``__dict__``, read-only, so they are freed with it: ``triple_index``,
+    and the trainer's descent index (``trainer._Problem``), which every
+    descent, retry and dimension searched on the store reuses.  A pickled or
+    copied store is rebuilt through the constructor and carries none of them.
     """
 
     triples: tuple[SignedTriple, ...]
@@ -162,6 +168,12 @@ class KnowledgeBase:
         object.__setattr__(self, "_polarity_index", {t.key: t.positive for t in triples})
         object.__setattr__(self, "_entity_set", entity_set)
         object.__setattr__(self, "_relation_set", relation_set)
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so a copy is checked like any
+        # other store and starts without cached arrays (numpy would unpickle
+        # them writeable).
+        return type(self), (self.triples, self.entities, self.relations)
 
     @classmethod
     def from_triples(cls, triples: Iterable[SignedTriple]) -> "KnowledgeBase":

@@ -118,12 +118,17 @@ def init_embedding(
 
 class _Problem:
     """Index arrays for evaluating the loss and gradients of a stack of
-    members that share one store and one dimension.
+    members that share one store.
 
     A stack is one ``(M, E+R, d)`` term array: each member's entity points
     in vocabulary order, then its relation vectors, so relation r is row
     E + r.  One take then gathers the operands of every residual, and one
-    bincount sums the gradient of every term."""
+    bincount sums the gradient of every term.
+
+    The arrays depend on the store alone, so :meth:`of` builds them once per
+    store and keeps them on it, read-only: every descent, retry and
+    dimension reuses them, and they are freed with the store.  A descent
+    evaluates through a :class:`_Stack` of them."""
 
     def __init__(self, kb: KnowledgeBase):
         subjects, objects, relations, positive = kb.triple_index
@@ -153,6 +158,31 @@ class _Problem:
         # per role (a self-loop twice), a relation once per triple.  A term in
         # no triple has a zero gradient; it counts 1.
         self.incidence = np.maximum(np.bincount(self.rows, minlength=self.n_terms), 1)[:, None]
+        for a in (self.operands, self.sources, self.signs, self.rows, self.incidence):
+            a.flags.writeable = False
+
+    @classmethod
+    def of(cls, kb: KnowledgeBase) -> "_Problem":
+        """The problem of ``kb``, built on its first use and kept in the
+        store's ``__dict__``, as ``functools.cached_property`` keeps a value:
+        a lookup hashes neither the store nor its triples."""
+        problem = vars(kb).get("_problem")
+        if problem is None:
+            problem = vars(kb).setdefault("_problem", cls(kb))
+        return problem
+
+
+class _Stack:
+    """The loss of stacks of members of one store, for one descent.
+
+    It indexes through the store's :class:`_Problem`, but numpy's take and
+    bincount copy a read-only index array on every call, so it keeps
+    writeable copies of the two arrays they take by, and the bincount
+    layout of each stack shape it meets."""
+
+    def __init__(self, kb: KnowledgeBase):
+        self.problem = problem = _Problem.of(kb)
+        self.operands, self.sources = problem.operands.copy(), problem.sources.copy()
         self._layouts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _layout(self, m: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,7 +191,8 @@ class _Problem:
         # kink); computed once per shape.
         if (m, d) not in self._layouts:
             members = np.arange(m)
-            flat = (members[:, None] * self.n_terms + self.rows)[:, :, None] * d + np.arange(d)
+            rows = members[:, None] * self.problem.n_terms + self.problem.rows
+            flat = rows[:, :, None] * d + np.arange(d)
             self._layouts[m, d] = flat.ravel(), members, np.eye(1, d)
         return self._layouts[m, d]
 
@@ -176,7 +207,7 @@ class _Problem:
         the triples' terms in a fixed order, one at a time.
         """
         m, _, d = terms.shape
-        p = self.n_positive
+        p = self.problem.n_positive
         index, members, axis = self._layout(m, d)
         # eps is C-ordered, so each member's squares reduce in the order a
         # single (P, d) array would.
@@ -204,7 +235,7 @@ class _Problem:
             led = np.zeros(m + hit.size)
             led[np.arange(1, hit.size + 1) + hit] = active * active
             totals += np.add.reduceat(led, members + hit.searchsorted(members))
-        weights = pull.take(self.sources, axis=1) * self.signs
+        weights = pull.take(self.sources, axis=1) * self.problem.signs
         grads = np.bincount(index, weights.ravel(), minlength=terms.size)
         return totals, grads.reshape(terms.shape)
 
@@ -219,11 +250,12 @@ def gradients(e: Embedding, kb: KnowledgeBase) -> dict[str, np.ndarray]:
     kink ||eps|| = 0, where the hinge is radially symmetric and every unit
     direction is a subgradient, the first coordinate axis stands in for
     eps/||eps||, so the result depends on the coordinates alone, not on
-    ``e.seed``.  This is a one-member call of the loss the trainer descends.
+    ``e.seed``.  This is a one-member call of the loss the trainer descends,
+    through the descent index cached on ``kb`` (see :class:`_Problem`).
     """
     if e.entity_names != kb.entities or e.relation_names != kb.relations:
         raise ValueError("embedding vocabulary differs from the knowledge base's")
-    _, grads = _Problem(kb).loss_and_grads(e.term_array[None], e.config.gamma)
+    _, grads = _Stack(kb).loss_and_grads(e.term_array[None], e.config.gamma)
     return dict(zip(e.entity_names + e.relation_names, grads[0]))
 
 
@@ -235,15 +267,16 @@ def _descend(
     underflowed.  Members leaving together come in index order; a caller
     that stops iterating stops the descent.
 
-    The live members are one ``(M, E+R, d)`` term array (see
-    :class:`_Problem`), with one gradient array of the same shape, so a step
-    and the merge of a rejected step are a few whole-array operations."""
+    The live members are one ``(M, E+R, d)`` term array, with one gradient
+    array of the same shape, so a step and the merge of a rejected step are a
+    few whole-array operations.  The index arrays come from the store's
+    cached :class:`_Problem`, built by the first descent on the store."""
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         return
     starts = [init_embedding(kb, cfg, tcfg, seed) for seed in seeds]
-    problem = _Problem(kb)
-    loss_and_grads, incidence = problem.loss_and_grads, problem.incidence
+    stack = _Stack(kb)
+    loss_and_grads, incidence = stack.loss_and_grads, stack.problem.incidence
     gamma, eps_fit, max_epochs = cfg.gamma, cfg.eps_fit, tcfg.max_epochs
     n_entities = len(kb.entities)
     live = np.arange(len(seeds))

@@ -336,6 +336,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"coordinate rows must be lists of 1 number\(s\)"):
             Embedding.from_doc(doc)
 
+    @pytest.mark.parametrize("block, coordinate", [
+        ("entities", True), ("entities", False), ("relations", True),
+    ])
+    def test_a_boolean_among_numbers_is_not_a_number(self, friend_embedding, block, coordinate):
+        doc = friend_embedding.to_doc()
+        doc[block][next(iter(doc[block]))] = [coordinate, 0.5]
+        with pytest.raises(ValueError, match="coordinates must be numbers"):
+            Embedding.from_doc(doc)
+
     def test_store_without_terms_loads(self):
         doc = make_embedding({"a": (0.0,)}, {"r": (1.0,)}).to_doc()
         doc["entities"], doc["relations"] = {}, {}

@@ -1,7 +1,7 @@
 """Self-test of ``tools/equivalence.py``: its lines are the same on every run
 of one tree, a ``--jobs 2`` fit gives the lines of its ``--jobs 1`` fit, and
-the library lines name one oracle answer per dimension and one member per
-dimension and seed."""
+the library lines name one oracle answer per dimension, one search per seed
+and one member per dimension and seed."""
 
 import importlib.util
 import sys
@@ -40,12 +40,17 @@ def test_library_subset_is_reproducible():
     tool = load_tool()
 
     def subset():
-        return [*tool.oracle_lines("unsat.kb"), *tool.member_lines("friends.kb", seeds=(0, 1))]
+        kb = tool.read_store("friends.kb")
+        return [
+            *tool.oracle_lines("unsat.kb"),
+            *tool.search_lines("friends.kb", kb, seeds=(0,)),
+            *tool.member_lines("friends.kb", kb, seeds=(0, 1)),
+        ]
 
     first = subset()
     assert first == subset()
     assert [line.split("\t")[0] for line in first] == [
-        "oracle/unsat/dim1", "oracle/unsat/dim2",
+        "oracle/unsat/dim1", "oracle/unsat/dim2", "min_dimension_search/friends/seed0",
         "train_members/friends/dim1/seed0", "train_members/friends/dim1/seed1",
         "train_members/friends/dim2/seed0", "train_members/friends/dim2/seed1",
     ]

@@ -1,8 +1,16 @@
 """Seeded initialization, analytic gradients vs finite differences, guarded
-descent, batched descent vs one-member descent, the zero-error attainability
-check, and the dimension search."""
+descent, batched descent vs one-member descent, the descent index cached on
+a store, the zero-error attainability check, and the dimension search."""
 
+import copy
+import gc
+import os
+import pickle
 import re
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,8 +38,8 @@ from kbens import (
     train_members,
     train_with_retries,
 )
-from kbens import trainer
-from kbens.trainer import _Problem
+from kbens import cli, trainer
+from kbens.trainer import _Problem, _Stack
 
 from conftest import (
     FRIEND_KB_TEXT,
@@ -43,6 +51,8 @@ from conftest import (
     random_kb,
     random_satisfiable_kb,
 )
+
+STORES = Path(__file__).resolve().parent.parent / "tools" / "stores"
 
 
 class TestInitEmbedding:
@@ -449,7 +459,7 @@ class TestBatchedDescent:
         points = data.draw(arrays(np.float64, (m, len(kb.entities), d), elements=COORDINATES))
         vectors = data.draw(arrays(np.float64, (m, len(kb.relations), d), elements=COORDINATES))
         cfg = EmbeddingConfig(dimension=d)
-        totals, grads = _Problem(kb).loss_and_grads(
+        totals, grads = _Stack(kb).loss_and_grads(
             np.concatenate([points, vectors], axis=1), cfg.gamma
         )
         g_points, g_vectors = grads[:, : len(kb.entities)], grads[:, len(kb.entities) :]
@@ -487,7 +497,7 @@ class TestBatchedDescent:
         tcfg = TrainConfig(init_scale=0.5, max_epochs=40)
         seeds = list(range(1, 9))
         members = [init_embedding(kb, cfg, tcfg, s) for s in seeds]
-        totals, _ = _Problem(kb).loss_and_grads(
+        totals, _ = _Stack(kb).loss_and_grads(
             np.array([np.concatenate([e.entity_array, e.relation_array]) for e in members]),
             cfg.gamma,
         )
@@ -852,3 +862,113 @@ class TestMinDimensionProbes:
         with pytest.raises(NoConvergentDimensionError):
             self.search()
         assert probes == [1, 2, 4, 8, 11]
+
+
+class TestCachedDescentIndex:
+    # At 700 epochs the search on the wide store fails at d = 1 and keeps a
+    # member at d = 2, so it leaves the store's index built.
+    TCFG = TrainConfig(max_epochs=700)
+
+    @staticmethod
+    def wide():
+        return parse_kb((STORES / "wide.kb").read_text(encoding="utf-8"))
+
+    def searched_wide(self):
+        kb = self.wide()
+        assert min_dimension_search(kb, EmbeddingConfig(dimension=1), self.TCFG, 0)[0] == 2
+        return kb
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        build = _Problem.__init__
+
+        def counted(problem, kb):
+            builds.append(kb)
+            build(problem, kb)
+
+        monkeypatch.setattr(_Problem, "__init__", counted)
+        return builds
+
+    @pytest.mark.parametrize("store", ["friends.kb", "wide.kb"])
+    def test_a_default_fit_builds_the_index_once(self, monkeypatch, tmp_path, capsys, store):
+        builds = self.count_builds(monkeypatch)
+        assert cli.main(["fit", str(STORES / store), "-o", str(tmp_path / "e.json"), "--seed", "7"]) == 0
+        assert "members\t32" in capsys.readouterr().out
+        assert len(builds) == 1
+
+    def test_a_built_index_trains_the_bytes_of_a_fresh_store(self):
+        searched = self.searched_wide()
+        seeds = [3, 9, 4, 1, 12, 6]
+        for d in (2, 1, 3):
+            cfg = EmbeddingConfig(dimension=d)
+            assert_same_fit(train(searched, cfg, self.TCFG, 5), train(self.wide(), cfg, self.TCFG, 5))
+            for a, b in zip(train_members(searched, cfg, self.TCFG, seeds),
+                            train_members(self.wide(), cfg, self.TCFG, seeds), strict=True):
+                assert_same_fit(a, b)
+            assert_same_fit(train_with_retries(searched, cfg, self.TCFG, 2),
+                            train_with_retries(self.wide(), cfg, self.TCFG, 2))
+            e = init_embedding(searched, cfg, self.TCFG, 8)
+            warm, fresh = gradients(e, searched), gradients(e, self.wide())
+            assert warm.keys() == fresh.keys()
+            assert all(warm[t].tobytes() == fresh[t].tobytes() for t in warm)
+
+    def test_one_index_per_store_read_only(self):
+        kb = self.searched_wide()
+        problem = _Problem.of(kb)
+        assert _Problem.of(kb) is problem and _Problem.of(self.wide()) is not problem
+        for a in (problem.operands, problem.sources, problem.signs, problem.rows, problem.incidence):
+            assert a.size
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_a_lookup_hashes_nothing(self, monkeypatch, friend_kb):
+        def unhashable(self):
+            raise AssertionError("a store was hashed")
+
+        monkeypatch.setattr(KnowledgeBase, "__hash__", unhashable)
+        monkeypatch.setattr(SignedTriple, "__hash__", unhashable)
+        cfg = EmbeddingConfig(dimension=1)
+        assert_same_fit(train(friend_kb, cfg, TrainConfig(), 7), train(friend_kb, cfg, TrainConfig(), 7))
+
+    def test_the_index_dies_with_its_store(self):
+        kb = parse_kb(FRIEND_KB_TEXT)
+        train(kb, EmbeddingConfig(dimension=2), TrainConfig(), 7)
+        refs = weakref.ref(kb), weakref.ref(_Problem.of(kb))
+        del kb
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_threads_sharing_a_store_train_its_bytes(self):
+        # Stacks of several widths and dimensions race to build and read the
+        # store's one index; each must still get its members' own bytes.
+        kb = parse_kb(FRIEND_KB_TEXT)
+        jobs = [(d, seeds) for d in (1, 2, 3) for seeds in ([1], [2, 3], [4, 5, 6, 7])] * 4
+
+        def fit(job, store=kb):
+            return train_members(store, EmbeddingConfig(dimension=job[0]), TrainConfig(), job[1])
+
+        expected = [fit(job, parse_kb(FRIEND_KB_TEXT)) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor((os.cpu_count() or 1) + 2) as pool:
+                fitted = list(pool.map(fit, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(fitted, expected, strict=True):
+            for a, b in zip(got, want, strict=True):
+                assert_same_fit(a, b)
+
+    @pytest.mark.parametrize("copied", [lambda kb: pickle.loads(pickle.dumps(kb)), copy.deepcopy])
+    def test_a_copied_store_rebuilds_its_index(self, copied):
+        kb = self.searched_wide()
+        copy_ = copied(kb)
+        assert copy_ == kb
+        assert not {"triple_index", "_problem"} & vars(copy_).keys()
+        cfg = EmbeddingConfig(dimension=2)
+        assert_same_fit(train(copy_, cfg, self.TCFG, 5), train(kb, cfg, self.TCFG, 5))
+        problem = _Problem.of(copy_)
+        assert problem is not _Problem.of(kb)
+        for a in (*copy_.triple_index, problem.rows, problem.incidence):
+            assert not a.flags.writeable

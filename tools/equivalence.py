@@ -14,10 +14,14 @@ else by design.
 
 Then the library: ``satisfiability_oracle`` on every store at each
 dimension in ``DIMS`` (one line each hashes the status, the ``repr`` of the
-error floor, the pinned triple's line and the certificate's JSON), and
-``train_members`` at seeds ``MEMBER_SEEDS`` on ``MEMBER_STORES`` at each
-dimension (one line per member hashes its JSON and the ``repr`` of its
-report).
+error floor, the pinned triple's line and the certificate's JSON).  Then,
+on one parsed object per store of ``MEMBER_STORES``, ``min_dimension_search``
+at seeds ``SEARCH_SEEDS`` (one line per seed hashes the dimension, the
+winning member's JSON and the ``repr`` of its fit's report), and
+``train_members`` at seeds ``MEMBER_SEEDS`` at each dimension (one line per
+member hashes its JSON and the ``repr`` of its report).  Every search and
+fit but the first on a store thus runs on the descent index an earlier one
+cached on it.
 
 Two trees are byte-equivalent on this set when their OUT files are equal,
 so comparing them is one ``diff``.  Run once per tree, one process each.
@@ -40,12 +44,20 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from kbens import Embedding, EmbeddingConfig, KnowledgeBase, TrainConfig, cli, parse_kb
-from kbens.trainer import OPTIMIZER_ID, RNG_ALGORITHM_ID, satisfiability_oracle, train_members
+from kbens.trainer import (
+    OPTIMIZER_ID,
+    RNG_ALGORITHM_ID,
+    min_dimension_search,
+    satisfiability_oracle,
+    train_members,
+    train_with_retries,
+)
 
 STORES = Path(__file__).resolve().parent / "stores"
 DIMS = (1, 2)
 MEMBER_STORES = ("friends.kb", "wide.kb", "chain.kb")
 MEMBER_SEEDS = tuple(range(8))
+SEARCH_SEEDS = tuple(range(4))
 
 
 @dataclass(frozen=True)
@@ -156,7 +168,7 @@ def lines(cases: list[Case]) -> list[str]:
     return out
 
 
-def _store(name: str) -> KnowledgeBase:
+def read_store(name: str) -> KnowledgeBase:
     return parse_kb((STORES / name).read_text(encoding="utf-8"))
 
 
@@ -166,7 +178,7 @@ def _json(member: Optional[Embedding]) -> str:
 
 def oracle_lines(store: str) -> Iterator[str]:
     """One line per dimension: what ``satisfiability_oracle`` says of ``store``."""
-    kb = _store(store)
+    kb = read_store(store)
     for dim in DIMS:
         result = satisfiability_oracle(kb, dim)
         pinned = "None" if result.pinned is None else result.pinned.as_line()
@@ -175,9 +187,24 @@ def oracle_lines(store: str) -> Iterator[str]:
         yield f"oracle/{Path(store).stem}/dim{dim}\t{digest}"
 
 
-def member_lines(store: str, seeds: tuple[int, ...] = MEMBER_SEEDS) -> Iterator[str]:
-    """One line per dimension and seed: a member of one ``train_members`` call."""
-    kb = _store(store)
+def search_lines(
+    store: str, kb: KnowledgeBase, seeds: tuple[int, ...] = SEARCH_SEEDS
+) -> Iterator[str]:
+    """One line per seed: the dimension ``min_dimension_search`` finds on
+    ``kb``, parsed from ``store``, the member it keeps, and the report of
+    that member's fit (its ``train_with_retries`` call again)."""
+    for seed in seeds:
+        dim, member = min_dimension_search(kb, EmbeddingConfig(dimension=1), TrainConfig(), seed)
+        _, report = train_with_retries(kb, member.config, TrainConfig(), seed)
+        digest = _sha(f"{dim}\n{_json(member)}\n{report!r}")
+        yield f"min_dimension_search/{Path(store).stem}/seed{seed}\t{digest}"
+
+
+def member_lines(
+    store: str, kb: KnowledgeBase, seeds: tuple[int, ...] = MEMBER_SEEDS
+) -> Iterator[str]:
+    """One line per dimension and seed: a member of one ``train_members``
+    call on ``kb``, parsed from ``store``."""
     for dim in DIMS:
         for member, report in train_members(kb, EmbeddingConfig(dimension=dim), TrainConfig(), seeds):
             digest = _sha(f"{_json(member)}\n{report!r}")
@@ -192,7 +219,9 @@ def main(argv: list[str]) -> int:
     for store in sorted(p.name for p in STORES.glob("*.kb")):
         out += oracle_lines(store)
     for store in MEMBER_STORES:
-        out += member_lines(store)
+        kb = read_store(store)
+        out += search_lines(store, kb)
+        out += member_lines(store, kb)
     Path(argv[0]).write_text("".join(f"{line}\n" for line in out), encoding="utf-8")
     return 0
 
