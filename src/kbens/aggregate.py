@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -77,14 +77,14 @@ def align(source: Embedding, reference: Embedding) -> Alignment:
     return Alignment(linear_map=q.T, translation=ref_mean - src_mean @ q, residual=residual)
 
 
-def _rigid_residuals(members: Sequence[Embedding]) -> np.ndarray:
-    """RMS residual of the best rigid map (an orthogonal map, reflections
-    included, plus a translation) between every pair of ``members``, over
-    the entity points and relation vectors as in :func:`align`: symmetric,
-    with a zero diagonal.  The orthogonal part of each pair is the
+def _rigid_residuals(terms: np.ndarray, entities: int) -> np.ndarray:
+    """RMS residual of the best rigid map (orthogonal, reflections included,
+    plus a translation) between every pair of members of the stack
+    ``terms`` (``entities`` rows first), over the rows as in :func:`align`:
+    symmetric, with a zero diagonal.  Each pair's orthogonal part is the
     Procrustes solution, the polar factor of a ``d x d`` cross product."""
-    stack = np.array([m.term_array for m in members])  # (M, E+R, d)
-    ents = stack[:, :len(members[0].entity_names)]
+    stack = terms.copy()
+    ents = stack[:, :entities]
     if ents.shape[1]:  # the mean of no entities would warn
         ents -= ents.mean(axis=1, keepdims=True)
     count, rows, _ = stack.shape
@@ -204,19 +204,19 @@ def build_aggregate(
         if bound is not None and not bound >= 0.0:
             raise ValueError(f"{name} must be a non-negative number: {bound!r}")
     reference = ens.members[0]
-    duplicate = (_rigid_residuals(ens.members) <= dedup_tolerance).tolist()
-    n = reference.dimension
+    entities = len(ens.entity_names)
+    duplicate = (_rigid_residuals(ens.term_stack, entities) <= dedup_tolerance).tolist()
+    n = ens.config.dimension
     identity = Alignment(linear_map=np.eye(n), translation=np.zeros(n), residual=0.0)
-    n_entities = len(reference.entity_names)
-    stack = np.empty((len(ens.members), *reference.term_array.shape))
+    stack = np.empty(ens.term_stack.shape)
     retained: list[int] = []
-    for idx, member in enumerate(ens.members):
+    for idx, (member, coords) in enumerate(zip(ens.members, ens.term_stack)):
         if any(duplicate[idx][kept] for kept in retained):
             continue
         a = align(member, reference) if retained else identity
         image = np.concatenate([
-            member.entity_array @ a.linear_map.T + a.translation,
-            member.relation_array @ a.linear_map.T,
+            coords[:entities] @ a.linear_map.T + a.translation,
+            coords[entities:] @ a.linear_map.T,
         ])
         if retained and max_cloud_diameter is not None:
             # Retained pairs already meet the bound, so only the new pairs
@@ -232,7 +232,7 @@ def build_aggregate(
         )
     stack = stack[:len(retained)]
     stack.flags.writeable = False
-    terms = reference.entity_names + reference.relation_names
+    terms = ens.entity_names + ens.relation_names
     diameters = _cloud_diameters(stack)
     finite = np.isfinite(stack).all(axis=(0, 2)) & np.isfinite(diameters)
     if not finite.all():
@@ -243,8 +243,8 @@ def build_aggregate(
     return AggregateModel(
         member_indices=tuple(retained),
         members=tuple(ens.members[idx] for idx in retained),
-        entity_clouds={t: stack[:, j] for j, t in enumerate(reference.entity_names)},
-        relation_clouds={t: stack[:, n_entities + j] for j, t in enumerate(reference.relation_names)},
+        entity_clouds={t: stack[:, j] for j, t in enumerate(ens.entity_names)},
+        relation_clouds={t: stack[:, entities + j] for j, t in enumerate(ens.relation_names)},
         diameters=dict(zip(terms, diameters)),
     )
 

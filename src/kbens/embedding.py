@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -28,14 +28,16 @@ DEFAULT_GAMMA = 1.0
 DEFAULT_EPS_FIT = 1e-4
 
 
-_FIELD_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+_FIELD_KINDS = {
+    bool: "a boolean", int: "an integer", float: "a number", str: "a string", dict: "an object"
+}
 
 
 def read_field(doc: Mapping, key: str, kind: type) -> Union[bool, int, float, str]:
     """``doc[key]`` from a parsed JSON file or a config being built, checked
     instead of coerced: ``bool`` and ``str`` want that type, ``int`` a
     number with an integral value, ``float`` any number (a numpy float
-    too); a boolean is never a number."""
+    too), ``dict`` a JSON object; a boolean is never a number."""
     value = doc[key]
     if type(value) is kind:
         return value
@@ -53,21 +55,6 @@ def read_fields(config: object, **kinds: type) -> None:
     number as a float), so every config that builds writes a file that loads."""
     for key, kind in kinds.items():
         object.__setattr__(config, key, read_field(vars(config), key, kind))
-
-
-def reject_booleans(docs: Sequence[Mapping], term_arrays: Iterable[np.ndarray]) -> None:
-    """Raise ``ValueError`` when a member doc holds a JSON ``true`` or
-    ``false`` among its coordinates.  ``term_arrays`` are the docs' members
-    as built, where ``np.asarray`` read such a value as 1 or 0, so the docs
-    are scanned only when some array holds a 0 or a 1; a load of many
-    members screens them all in one call."""
-    # Flat, so members of any width (or no member) join.
-    coords = np.concatenate([np.empty(0), *(a.ravel() for a in term_arrays)])
-    if ((coords == 0) | (coords == 1)).any() and any(
-        type(x) is bool for d in docs for key in ("entities", "relations")
-        for x in np.array(list(d[key].values()), dtype=object).flat
-    ):
-        raise ValueError("coordinates must be numbers")
 
 
 def _squared_norm(eps: np.ndarray) -> float:
@@ -117,26 +104,99 @@ class EmbeddingConfig:
             raise ValueError(f"tau must be a non-negative number: {tau!r}")
         return self.tau_pos if tau is None else tau
 
-    def to_doc(self) -> dict:
-        return {"tau_pos": self.tau_pos, "gamma": self.gamma, "eps_fit": self.eps_fit}
+
+class Vocabulary:
+    """``entity_names`` and ``relation_names``, with each name's row."""
+
+    def _index_terms(self) -> None:
+        # Each name names one term: no repeat, and no entity shares a relation's name.
+        entities = {t: i for i, t in enumerate(self.entity_names)}
+        relations = {t: i for i, t in enumerate(self.relation_names)}
+        distinct = len(entities) + len(relations) == len(self.entity_names) + len(self.relation_names)
+        if not (distinct and entities.keys().isdisjoint(relations)):
+            vocabulary = (*self.entity_names, *self.relation_names)
+            repeat = next(t for i, t in enumerate(vocabulary) if t in vocabulary[:i])
+            raise ValueError(f"term name {repeat!r} names more than one entity or relation")
+        vars(self).update(_entity_index=entities, _relation_index=relations)
+
+    def entity_row(self, name: str) -> int:
+        try:
+            return self._entity_index[name]
+        except KeyError:
+            raise UnknownTermError(f"unknown entity: {name!r}") from None
+
+    def relation_row(self, name: str) -> int:
+        try:
+            return self._relation_index[name]
+        except KeyError:
+            raise UnknownTermError(f"unknown relation: {name!r}") from None
+
+
+def member_doc(config: EmbeddingConfig, seed: int, terms: np.ndarray, vocabulary: Vocabulary,
+               block: Optional[Callable[[np.ndarray, tuple[str, ...]], object]] = None) -> dict:
+    """One member's document from its ``(E+R, d)`` rows; ``block(rows, names)``
+    is the value of "entities" and of "relations", by default each name's row as a list."""
+    block = block or (lambda rows, names: dict(zip(names, rows.tolist())))
+    n = len(vocabulary.entity_names)
+    settings = {"tau_pos": config.tau_pos, "gamma": config.gamma, "eps_fit": config.eps_fit}
+    return {"dimension": config.dimension, "seed": int(seed), "config": settings,
+            "entities": block(terms[:n], vocabulary.entity_names),
+            "relations": block(terms[n:], vocabulary.relation_names)}
+
+
+def read_members(docs: Iterable[Mapping]) -> tuple:
+    """Member documents (:meth:`Embedding.to_doc`) read in one pass into
+    their names, config (``None`` without a member), seeds and one frozen
+    ``(M, E+R, d)`` float64 stack of rows, checked at once as the
+    :class:`Embedding` constructor checks one member's rows, with no JSON
+    ``true`` or ``false``; each member needs member 0's config and terms."""
+    docs = list(docs)
+    if not docs:
+        return (), (), None, (), np.empty((0, 0, 0))
+    configs = [EmbeddingConfig(dimension=doc["dimension"], **doc["config"]) for doc in docs]
+    if any(c != configs[0] for c in configs):
+        raise ValueError("members disagree on embedding config")
+    seeds = tuple(read_field(doc, "seed", int) for doc in docs)
+    blocks = [[read_field(doc, key, dict) for key in ("entities", "relations")] for doc in docs]
+    names = [tuple(sorted(block)) for block in blocks[0]]
+    for seed, own in zip(seeds, blocks):
+        if [block.keys() for block in own] != [block.keys() for block in blocks[0]]:
+            raise ValueError(f"member seed={seed} has a different vocabulary than member 0")
+    rows = [block[t] for own in blocks for block, ns in zip(own, names) for t in ns]
+    d = configs[0].dimension
+    try:
+        terms = np.array(rows)
+        if terms.dtype.kind not in "iuf" or rows and terms.shape != (len(rows), d) or not (
+                np.isfinite(terms).all()):
+            raise ValueError("coordinates must be finite numbers")
+    except ValueError:  # the first member that does not build on its own says why
+        for seed, own in zip(seeds, blocks):
+            member_rows = [[block[t] for t in ns] for block, ns in zip(own, names)]
+            Embedding(*names, *member_rows, configs[0], seed)
+        raise
+    terms = np.asarray(terms, dtype=np.float64).reshape(len(docs), -1, d)
+    if ((terms == 0) | (terms == 1)).any() and any(type(x) is bool for row in rows for x in row):
+        raise ValueError("coordinates must be numbers")
+    terms.flags.writeable = False
+    return (*names, configs[0], seeds, terms)
 
 
 @dataclass(frozen=True, eq=False)
-class Embedding:
+class Embedding(Vocabulary):
     """An immutable assignment of coordinates to a vocabulary.
 
     ``entity_array`` has one row per name in ``entity_names`` (sorted), and
-    likewise for relations.  Construction is the one check of the names and
-    coordinates, whether they are built by hand, fitted, loaded or unpickled:
-    each name names one term (no repeat, and no entity shares a relation's
-    name); the coordinates are numbers (integer or float, never strings,
-    booleans or objects), exactly ``(len(names), dimension)`` rows (only an
-    empty vocabulary may pass an empty array of any shape), all finite; a
+    likewise for relations.  Construction checks the names and coordinates,
+    built by hand, fitted or unpickled (a loaded ensemble's members are views
+    of its stack, whose rows the load checked by the same rules): each name
+    names one term (no repeat, and no entity shares a relation's name); the
+    coordinates are numbers (integer or float, never strings, booleans or
+    objects), exactly ``(len(names), dimension)`` rows (only an empty
+    vocabulary may pass an empty array of any shape), all finite; a
     mismatched array is never reshaped.  The rows are copied into one frozen
     ``(E+R, d)`` ``term_array`` (entity points first, the layout of every
     member stack), whose read-only views are ``entity_array`` and
-    ``relation_array``.  Evaluation methods are pure and safe for concurrent
-    use.
+    ``relation_array``.  Evaluation methods are pure and safe for concurrent use.
     """
 
     entity_names: tuple[str, ...]
@@ -168,15 +228,7 @@ class Embedding:
         object.__setattr__(self, "term_array", terms)
         object.__setattr__(self, "entity_array", terms[:len(self.entity_names)])
         object.__setattr__(self, "relation_array", terms[len(self.entity_names):])
-        entities = {t: i for i, t in enumerate(self.entity_names)}
-        relations = {t: i for i, t in enumerate(self.relation_names)}
-        distinct = len(entities) + len(relations) == len(self.entity_names) + len(self.relation_names)
-        if not (distinct and entities.keys().isdisjoint(relations)):
-            vocabulary = (*self.entity_names, *self.relation_names)
-            repeat = next(t for i, t in enumerate(vocabulary) if t in vocabulary[:i])
-            raise ValueError(f"term name {repeat!r} names more than one entity or relation")
-        object.__setattr__(self, "_entity_index", entities)
-        object.__setattr__(self, "_relation_index", relations)
+        self._index_terms()
 
     def __reduce__(self):
         # Rebuilt through the constructor, so a member from pickle or
@@ -193,11 +245,16 @@ class Embedding:
         seed: int = 0,
     ) -> "Embedding":
         """Build from term -> coordinates mappings (names get sorted)."""
-        ent_names = tuple(sorted(entity_points))
-        rel_names = tuple(sorted(relation_vectors))
-        ents = [entity_points[t] for t in ent_names]
-        rels = [relation_vectors[t] for t in rel_names]
-        return cls(ent_names, rel_names, ents, rels, config, seed)
+        ents, rels = tuple(sorted(entity_points)), tuple(sorted(relation_vectors))
+        rows = [entity_points[t] for t in ents], [relation_vectors[t] for t in rels]
+        return cls(ents, rels, *rows, config, seed)
+
+    @classmethod
+    def from_terms(cls, entity_names: tuple[str, ...], relation_names: tuple[str, ...],
+                   terms: np.ndarray, config: EmbeddingConfig, seed: int = 0) -> "Embedding":
+        """Build from one array of rows, the entity points then the relation vectors."""
+        n = len(entity_names)
+        return cls(entity_names, relation_names, terms[:n], terms[n:], config, seed)
 
     @property
     def dimension(self) -> int:
@@ -210,18 +267,6 @@ class Embedding:
     @property
     def relation_vectors(self) -> dict[str, np.ndarray]:
         return {t: self.relation_array[i] for t, i in self._relation_index.items()}
-
-    def entity_row(self, name: str) -> int:
-        try:
-            return self._entity_index[name]
-        except KeyError:
-            raise UnknownTermError(f"unknown entity: {name!r}") from None
-
-    def relation_row(self, name: str) -> int:
-        try:
-            return self._relation_index[name]
-        except KeyError:
-            raise UnknownTermError(f"unknown relation: {name!r}") from None
 
     def entity_point(self, name: str) -> np.ndarray:
         return self.entity_array[self.entity_row(name)]
@@ -261,32 +306,10 @@ class Embedding:
 
     def to_doc(self) -> dict:
         """JSON-ready document with full round-trip float precision."""
-        return self._doc(lambda array, names: dict(zip(names, array.tolist())))
-
-    def _doc(self, rows: Callable[[np.ndarray, tuple[str, ...]], object]) -> dict:
-        # ``rows(array, names)`` is the value of "entities" and of "relations".
-        return {
-            "dimension": self.config.dimension,
-            "seed": int(self.seed),
-            "config": self.config.to_doc(),
-            "entities": rows(self.entity_array, self.entity_names),
-            "relations": rows(self.relation_array, self.relation_names),
-        }
+        return member_doc(self.config, self.seed, self.term_array, self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Embedding":
-        """Inverse of :meth:`to_doc`, fields checked by :func:`read_field` (the
-        config's by its constructor); the rows go to the constructor, which
-        checks them as it checks any build, and :func:`reject_booleans` finds
-        a JSON boolean among the numbers."""
-        member = cls._from_doc(doc)
-        reject_booleans([doc], [member.term_array])
-        return member
-
-    @classmethod
-    def _from_doc(cls, doc: dict) -> "Embedding":
-        # from_doc without the boolean screen, which a caller loading many
-        # members runs once over all of them.
-        config = EmbeddingConfig(dimension=doc["dimension"], **doc["config"])
-        seed = read_field(doc, "seed", int)
-        return cls.from_points(doc["entities"], doc["relations"], config, seed)
+        """Inverse of :meth:`to_doc`, read as :func:`read_members` reads an ensemble's."""
+        entity_names, relation_names, config, (seed,), (terms,) = read_members([doc])
+        return cls.from_terms(entity_names, relation_names, terms, config, seed)

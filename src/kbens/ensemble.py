@@ -12,11 +12,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .embedding import Embedding, EmbeddingConfig, read_field, reject_booleans
+from .embedding import (
+    Embedding, EmbeddingConfig, Vocabulary, member_doc, read_field, read_members,
+)
 from .jsonfile import dumps, rows
 from .kb import KnowledgeBase, Query, unstated_index
 from .trainer import FitReport, TrainConfig, train
@@ -40,58 +43,80 @@ class DigestMismatchError(ValueError):
     """The ensemble was fitted from a different knowledge base."""
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """Converged members plus the digest of the store they model.
+@dataclass(frozen=True, eq=False, init=False)
+class Ensemble(Vocabulary):
+    """Converged members and the digest of their store, as one read-only
+    ``(M, E+R, d)`` float64 ``term_stack`` over one vocabulary, ``config``
+    and the ``seeds``.  ``Ensemble(members, kb_digest, reports)`` stacks and
+    keeps ``members``; a loaded ensemble makes them on first use, read-only
+    views of the stack's rows.  Either way :meth:`validate` runs once."""
 
-    Every value is checked by ``validate`` when it is built;
-    ``validate(kb)`` also checks it against a store.
-    """
-
-    members: tuple[Embedding, ...]
     kb_digest: str
     reports: tuple[FitReport, ...]
+    entity_names: tuple[str, ...]
+    relation_names: tuple[str, ...]
+    config: Optional[EmbeddingConfig]
+    seeds: tuple[int, ...]
+    term_stack: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def config(self) -> EmbeddingConfig:
-        return self.members[0].config
-
-    def validate(self, kb: Optional[KnowledgeBase] = None) -> None:
-        """The digest is a string, as on load; every member shares one
-        vocabulary and config, has a seed of its own and carries one converged
-        report of that seed, with a final error in [0, eps_fit] and no negative
-        epoch count, as a fit writes; cheap enough to run on every value built.
-        With ``kb``, the digest matches and every member fits ``kb`` within
-        eps_fit."""
-        read_field(vars(self), "kb_digest", str)
-        if not self.members:
-            raise ValueError("an ensemble needs at least one member")
-        if len(self.reports) != len(self.members):
-            raise ValueError(f"{len(self.reports)} reports for {len(self.members)} members")
-        first = self.members[0]
-        seeds = set()
-        for i, (m, r) in enumerate(zip(self.members, self.reports)):
-            if (m.entity_names, m.relation_names) != (first.entity_names, first.relation_names):
+    def __init__(self, members: Sequence[Embedding], kb_digest: str, reports: Sequence[FitReport]):
+        members = vars(self)["members"] = tuple(members)
+        first = members[0] if members else None  # with no member, validate names the fault
+        vocabulary = (first.entity_names, first.relation_names) if first else ((), ())
+        for m in members[1:]:
+            if (m.entity_names, m.relation_names) != vocabulary:
                 raise ValueError(f"member seed={m.seed} has a different vocabulary than member 0")
             if m.config != first.config:
                 raise ValueError("members disagree on embedding config")
-            if m.seed in seeds:
-                raise ValueError(f"member seed={m.seed} repeats the seed of an earlier member")
-            seeds.add(m.seed)
-            if r.seed != m.seed:
-                raise ValueError(f"report {i} has seed {r.seed} but member {i} has seed {m.seed}")
+        self._hold(kb_digest, reports, *vocabulary, first and first.config,
+                   tuple(m.seed for m in members), np.array([m.term_array for m in members]))
+
+    def _hold(self, kb_digest, reports, entity_names, relation_names, config, seeds, stack):
+        stack.flags.writeable = False
+        vars(self).update(kb_digest=kb_digest, reports=tuple(reports), seeds=seeds, config=config,
+                          entity_names=entity_names, relation_names=relation_names, term_stack=stack)
+        self._index_terms()
+        self.validate()
+        return self
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so a copy is frozen and checked too.
+        return type(self), (self.members, self.kb_digest, self.reports)
+
+    @cached_property
+    def members(self) -> tuple[Embedding, ...]:
+        # Read-only views of the checked stack's rows, sharing its names, index and config.
+        keys = ("entity_names", "relation_names", "config", "_entity_index", "_relation_index")
+        n, shared = len(self.entity_names), {k: vars(self)[k] for k in keys}
+        members = tuple(object.__new__(Embedding) for _ in self.seeds)
+        for member, terms, seed in zip(members, self.term_stack, self.seeds):
+            vars(member).update(shared, seed=seed, term_array=terms,
+                                entity_array=terms[:n], relation_array=terms[n:])
+        return members
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def validate(self, kb: Optional[KnowledgeBase] = None) -> None:
+        """The digest is a string, as on load; there is a member, each with a seed
+        of its own and one converged report of that seed (final error in [0, eps_fit],
+        no negative epoch count), as a fit writes; cheap enough for every value built.
+        With ``kb``, the digest matches and every member fits ``kb`` within eps_fit."""
+        read_field(vars(self), "kb_digest", str)
+        if not self.seeds:
+            raise ValueError("an ensemble needs at least one member")
+        if len(self.reports) != len(self.seeds):
+            raise ValueError(f"{len(self.reports)} reports for {len(self.seeds)} members")
+        if len(set(self.seeds)) < len(self.seeds):
+            repeat = next(s for i, s in enumerate(self.seeds) if s in self.seeds[:i])
+            raise ValueError(f"member seed={repeat} repeats the seed of an earlier member")
+        for i, (seed, r) in enumerate(zip(self.seeds, self.reports)):
+            if r.seed != seed:
+                raise ValueError(f"report {i} has seed {r.seed} but member {i} has seed {seed}")
             if not r.converged:
-                raise ValueError(f"member seed={m.seed} carries a non-converged report")
-            if not 0.0 <= r.final_error <= m.config.eps_fit:
-                raise ValueError(
-                    f"report {i} has final error {r.final_error!r} outside [0, eps_fit]"
-                )
+                raise ValueError(f"member seed={seed} carries a non-converged report")
+            if not 0.0 <= r.final_error <= self.config.eps_fit:
+                raise ValueError(f"report {i} has final error {r.final_error!r} outside [0, eps_fit]")
             if r.epochs_used < 0:
                 raise ValueError(f"report {i} has a negative epochs_used {r.epochs_used!r}")
         if kb is not None:
@@ -107,45 +132,36 @@ class Ensemble:
         if kb.digest() != self.kb_digest:
             raise DigestMismatchError("ensemble digest does not match the given knowledge base")
 
-    def to_doc(self) -> dict:
-        return self._doc([m.to_doc() for m in self.members])
-
-    def _doc(self, members: list) -> dict:
+    def to_doc(self, block: Optional[Callable] = None) -> dict:
+        """JSON-ready document; ``block(rows, names)`` is each member's "entities"
+        and "relations" value, by default each name's row as a list."""
         return {
             "kb_digest": self.kb_digest,
             "config": dict(vars(self.config)),
-            "members": members,
+            "members": [member_doc(self.config, seed, terms, self, block)
+                        for terms, seed in zip(self.term_stack, self.seeds)],
             "reports": [dict(vars(r)) for r in self.reports],
         }
 
     def to_json(self) -> str:
         """Canonical serialization, stable byte for byte across runs: the
         bytes of ``json.dumps(self.to_doc(), sort_keys=True, indent=2)`` and a
-        newline, written by :func:`kbens.jsonfile.dumps` from each member's
-        rows formatted at once."""
-        return dumps(self._doc([m._doc(rows) for m in self.members]))
+        newline, written by :func:`kbens.jsonfile.dumps` from the stack."""
+        return dumps(self.to_doc(rows))
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Ensemble":
-        """Inverse of :meth:`to_doc`, checked by :func:`read_field`, by one
-        :func:`reject_booleans` over every member, and by :meth:`validate`."""
-        members = tuple(Embedding._from_doc(d) for d in doc["members"])
-        reports = tuple(
-            FitReport(
-                final_error=read_field(r, "final_error", float),
-                epochs_used=read_field(r, "epochs_used", int),
-                converged=read_field(r, "converged", bool),
-                seed=read_field(r, "seed", int),
-                rng_algorithm_id=read_field(r, "rng_algorithm_id", str),
-                optimizer_id=read_field(r, "optimizer_id", str),
-            )
-            for r in doc["reports"]
-        )
+        """Inverse of :meth:`to_doc`: the members read into the stack by
+        :func:`read_members`, building no :class:`Embedding`."""
+        *names, config, seeds, stack = read_members(doc["members"])
+        kinds = {"final_error": float, "epochs_used": int, "converged": bool, "seed": int,
+                 "rng_algorithm_id": str, "optimizer_id": str}
+        reports = tuple(FitReport(**{key: read_field(r, key, kind) for key, kind in kinds.items()})
+                        for r in doc["reports"])
         # The top-level block restates the members' config; a mismatch means an edited file.
-        if members and doc["config"] != vars(members[0].config):
+        if config is not None and doc["config"] != vars(config):
             raise ValueError(f"top-level config {doc['config']} differs from the members' config")
-        reject_booleans(doc["members"], (m.term_array for m in members))
-        return cls(members, doc["kb_digest"], reports)
+        return cls.__new__(cls)._hold(doc["kb_digest"], reports, *names, config, seeds, stack)
 
     @classmethod
     def from_json(cls, text: str) -> "Ensemble":
@@ -185,11 +201,8 @@ def fit_ensemble(
             f"only {len(kept)} of {members} members converged "
             f"within {cap} candidate seeds"
         )
-    return Ensemble(
-        members=tuple(emb for emb, _ in kept),
-        kb_digest=kb.digest(),
-        reports=tuple(report for _, report in kept),
-    )
+    embeddings, reports = zip(*kept)
+    return Ensemble(embeddings, kb.digest(), reports)
 
 
 def satisfied_counts(
@@ -200,49 +213,45 @@ def satisfied_counts(
     """Number of ``members`` in which each query holds, ||eps|| <= radius
     (each member's :meth:`EmbeddingConfig.radius`: its ``tau_pos`` unless
     ``tau`` is given).  Equal bit for bit to counting
-    :meth:`Embedding.satisfies`, with its errors: names resolve to rows here,
-    and the rows are counted by the vote that :func:`knowledge_report` runs,
-    one or more rows per 64-KiB chunk, which sums the squares by coordinate
-    column and recounts the rows near a radius the scalar way.  Members with
-    different vocabularies raise ``ValueError``."""
+    :meth:`Embedding.satisfies`, with its errors, by the vote of
+    :func:`query_truth` on the stacked members; members with different
+    vocabularies raise ``ValueError``."""
     if not members:
         raise ValueError("a vote needs at least one member")
     first = members[0]
-    vocabulary = (first.entity_names, first.relation_names)
-    if any((m.entity_names, m.relation_names) != vocabulary for m in members[1:]):
+    if any((m.entity_names, m.relation_names) != (first.entity_names, first.relation_names)
+           for m in members[1:]):
         raise ValueError("members do not share one vocabulary")
-    rows = np.array([
-        (first.entity_row(q.subject), first.entity_row(q.object), first.relation_row(q.relation))
-        for q in queries
-    ], dtype=np.intp).reshape(-1, 3)
-    return _count_rows(members, *rows.T, tau)
+    rows = _query_rows(first, queries)
+    radii = [m.config.radius(tau) for m in members]
+    return _count_rows(np.array([m.term_array for m in members]), radii, *rows)
 
 
-def _count_rows(
-    members: Sequence[Embedding],
-    subject: np.ndarray,
-    object_: np.ndarray,
-    relation: np.ndarray,
-    tau: Optional[float],
-) -> np.ndarray:
-    """Number of ``members`` (one vocabulary) in which each row of subject,
-    object and relation rows holds, equal bit for bit to counting
-    :meth:`Embedding.satisfies`.
+def _query_rows(vocabulary: Vocabulary, queries: Sequence[Query]) -> np.ndarray:
+    # Each query's subject, object and relation rows (relation r is row E + r), as columns.
+    e, entity = len(vocabulary.entity_names), vocabulary.entity_row
+    rows = [(entity(q.subject), entity(q.object), e + vocabulary.relation_row(q.relation))
+            for q in queries]
+    return np.array(rows, dtype=np.intp).reshape(-1, 3).T
 
-    The term arrays are stacked into one ``(M, E+R, d)`` array, and a chunk
-    of rows is one take along its second axis.  Each norm sums the squared
-    coordinates one coordinate column at a time, which may round otherwise
-    than the scalar ``np.sum`` over d.  Any two orders of summing d
-    non-negative squares give norms within a relative (d + 1) * eps / 2 of
-    each other, so with the slack s = 4 * d * eps a norm at or below
-    radius * (1 - s) holds in the scalar path too, and one above
+
+def _count_rows(terms: np.ndarray, radius: object, subject: np.ndarray, object_: np.ndarray,
+                relation: np.ndarray) -> np.ndarray:
+    """Number of members of the ``(M, E+R, d)`` stack ``terms`` in which each
+    row of subject, object and relation (E + r) rows holds within ``radius``
+    (one per member, or one for all), bit for bit :meth:`Embedding.satisfies`.
+
+    A chunk of rows is one take along the stack's second axis.  Each norm
+    sums the squared coordinates one coordinate column at a time, which may
+    round otherwise than the scalar ``np.sum`` over d.  Any two orders of
+    summing d non-negative squares give norms within a relative (d + 1) *
+    eps / 2 of each other, so with the slack s = 4 * d * eps a norm at or
+    below radius * (1 - s) holds in the scalar path too, and one above
     radius * (1 + s) does not.  A row with any member in between is counted
     again by the scalar reduction, ``np.sqrt(np.sum(squares, axis=-1))``.
     """
-    d = members[0].dimension
-    terms = np.array([m.term_array for m in members])
-    rels = terms[:, len(members[0].entity_names):]
-    radius = np.array([m.config.radius(tau) for m in members])[:, None]
+    count, _, d = terms.shape
+    radius = np.broadcast_to(radius, count)[:, None]
     slack = 4 * d * np.finfo(float).eps
     # A sum of squares near the top of the float range may overflow in one
     # order only, so neither bound certifies a norm from 2**511 up.
@@ -250,14 +259,14 @@ def _count_rows(
     outside_above = radius * (1 + slack)
     outside_above[outside_above >= 2.0**511] = np.inf
     counts = np.empty(len(subject), dtype=np.intp)
-    step = max(1, _CHUNK_ELEMENTS // (len(members) * d))
+    step = max(1, _CHUNK_ELEMENTS // (count * d))
     # A square that overflows is +inf, correctly outside every finite radius.
     with np.errstate(over="ignore"):
         for start in range(0, len(counts), step):
             chunk = slice(start, start + step)
             squares = np.take(terms, subject[chunk], axis=1)
             squares -= np.take(terms, object_[chunk], axis=1)
-            squares -= np.take(rels, relation[chunk], axis=1)
+            squares -= np.take(terms, relation[chunk], axis=1)
             squares *= squares
             norm = squares[..., 0].copy()
             for k in range(1, d):
@@ -290,9 +299,11 @@ def query_truth(
     tau: Optional[float] = None,
     quorum_slack: float = 0.0,
 ) -> TernaryVerdict:
-    """Three-valued answer over the ensemble, by the unanimity rule on the
-    fraction of members in which the fact holds."""
-    return member_vote(ens.members, q, tau, quorum_slack)
+    """:func:`member_vote` on ``ens.members``, counted on the ensemble's
+    stack: the unanimity rule on the fraction of members where the fact holds."""
+    rows = _query_rows(ens, [q])
+    count = int(_count_rows(ens.term_stack, ens.config.radius(tau), *rows)[0])
+    return TernaryVerdict.from_fraction(count / len(ens), len(ens), quorum_slack)
 
 
 @dataclass(frozen=True)
@@ -399,28 +410,6 @@ class KnowledgeReport:
         return "\n".join(lines) + "\n"
 
 
-def _member_rows(
-    first: Embedding, kb: KnowledgeBase, index: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The store's rows as rows of the members' vocabulary.  A term the
-    # members lack raises what Embedding.satisfies raises for the first row
-    # that names it.
-    if (kb.entities, kb.relations) == (first.entity_names, first.relation_names):
-        return index
-    lookups = []
-    for names, own in ((kb.entities, first.entity_names), (kb.relations, first.relation_names)):
-        row = {t: i for i, t in enumerate(own)}
-        lookups.append(np.array([row.get(t, -1) for t in names], dtype=np.intp))
-    subject, object_, relation = index
-    rows = lookups[0][subject], lookups[0][object_], lookups[1][relation]
-    unknown = (rows[0] < 0) | (rows[1] < 0) | (rows[2] < 0)
-    if unknown.any():
-        i = int(np.argmax(unknown))
-        ents, rels = kb.entities, kb.relations
-        first.satisfies(Query(rels[relation[i]], ents[subject[i]], ents[object_[i]]))
-    return rows
-
-
 def knowledge_report(
     ens: Ensemble,
     kb: KnowledgeBase,
@@ -439,11 +428,16 @@ def knowledge_report(
     verdict is its polarity, TRUE or FALSE.
     """
     ens.check_digest(kb)
-    n = len(ens.members)
+    n = len(ens)
     subject, object_, relation, positive = kb.triple_index
     unstated = unstated_index(kb, include_self_pairs)
     index = tuple(np.concatenate(pair) for pair in zip((subject, object_, relation), unstated))
-    counts = _count_rows(ens.members, *_member_rows(ens.members[0], kb, index), tau)
+    rows = index[0], index[1], index[2] + len(kb.entities)
+    if (kb.entities, kb.relations) != (ens.entity_names, ens.relation_names):
+        # The store's rows in the members' vocabulary; a term it lacks raises.
+        rows = _query_rows(ens, [Query(kb.relations[r], kb.entities[s], kb.entities[o])
+                                 for s, o, r in zip(*(a.tolist() for a in index))])
+    counts = _count_rows(ens.term_stack, ens.config.radius(tau), *rows)
     present = np.bincount(counts, minlength=n + 1) > 0
     present[0] = True  # so that from_fraction checks the slack of a report with no rows
     occurring = np.flatnonzero(present).tolist()

@@ -104,16 +104,9 @@ def init_embedding(
 ) -> Embedding:
     """Draw every coordinate i.i.d. uniform on [-init_scale, +init_scale]
     from a per-term stream derived from (seed, term name)."""
-    n = cfg.dimension
     s = tcfg.init_scale
-    return Embedding(
-        entity_names=kb.entities,
-        relation_names=kb.relations,
-        entity_array=np.array([_term_rng(seed, t).uniform(-s, s, n) for t in kb.entities]),
-        relation_array=np.array([_term_rng(seed, t).uniform(-s, s, n) for t in kb.relations]),
-        config=cfg,
-        seed=int(seed),
-    )
+    terms = [_term_rng(seed, t).uniform(-s, s, cfg.dimension) for t in kb.entities + kb.relations]
+    return Embedding.from_terms(kb.entities, kb.relations, np.array(terms), cfg, int(seed))
 
 
 class _Problem:
@@ -274,13 +267,11 @@ def _descend(
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         return
-    starts = [init_embedding(kb, cfg, tcfg, seed) for seed in seeds]
     stack = _Stack(kb)
     loss_and_grads, incidence = stack.loss_and_grads, stack.problem.incidence
     gamma, eps_fit, max_epochs = cfg.gamma, cfg.eps_fit, tcfg.max_epochs
-    n_entities = len(kb.entities)
     live = np.arange(len(seeds))
-    terms = np.array([e.term_array for e in starts])
+    terms = np.array([init_embedding(kb, cfg, tcfg, seed).term_array for seed in seeds])
     rates = np.full(len(seeds), tcfg.learning_rate)
     epoch = 0
     # Overflow gives a non-finite error, and the guard below rejects such a
@@ -314,14 +305,7 @@ def _descend(
         leaving = underflow | ~(err > eps_fit) | (epoch >= max_epochs)
         for j in np.flatnonzero(leaving):
             i = int(live[j])
-            fitted = Embedding(
-                entity_names=starts[i].entity_names,
-                relation_names=starts[i].relation_names,
-                entity_array=terms[j, :n_entities],
-                relation_array=terms[j, n_entities:],
-                config=cfg,
-                seed=seeds[i],
-            )
+            fitted = Embedding.from_terms(kb.entities, kb.relations, terms[j], cfg, seeds[i])
             report = FitReport(
                 final_error=float(err[j]),
                 epochs_used=epoch,
@@ -473,8 +457,7 @@ def _certificate(kb: KnowledgeBase, cfg: EmbeddingConfig, coords: np.ndarray) ->
     # The 1-D solution is laid along the first axis; remaining axes are zero.
     terms = np.zeros((len(coords), cfg.dimension))
     terms[:, 0] = coords
-    n_ent = len(kb.entities)
-    return Embedding(kb.entities, kb.relations, terms[:n_ent], terms[n_ent:], cfg, 0)
+    return Embedding.from_terms(kb.entities, kb.relations, terms, cfg)
 
 
 def reject_unsatisfiable(kb: KnowledgeBase, cfg: EmbeddingConfig) -> None:

@@ -90,6 +90,11 @@ def random_orthogonal(rng, d, reflect):
     return q_mat
 
 
+def rigid_residuals(members):
+    """:func:`_rigid_residuals` on the stack of ``members``."""
+    return _rigid_residuals(np.array([m.term_array for m in members]), len(members[0].entity_names))
+
+
 def assert_residuals_match(members):
     """The batched matrix equals the per-pair :func:`align` residual in every
     entry."""
@@ -98,7 +103,7 @@ def assert_residuals_match(members):
         for m in members
     )
     exact = [[align(s, r).residual for r in members] for s in members]
-    np.testing.assert_allclose(_rigid_residuals(members), exact, rtol=1e-9, atol=1e-12 * scale)
+    np.testing.assert_allclose(rigid_residuals(members), exact, rtol=1e-9, atol=1e-12 * scale)
 
 
 class TestAlign:
@@ -288,7 +293,7 @@ class TestRigidDuplicates:
             other = affine_copy(other, scale * np.eye(d), np.zeros(d))
             copy = affine_copy(base, random_orthogonal(rng, d, reflect), rng.uniform(-3, 3, d) * scale)
             members = (base, replace(copy, seed=1000), replace(other, seed=1001))
-            assert _rigid_residuals(members)[0, 1] <= 1e-12 * scale
+            assert rigid_residuals(members)[0, 1] <= 1e-12 * scale
             assert build_aggregate(hand_made_ensemble(members)).member_indices == (0, 2)
 
     @pytest.mark.parametrize("factor", [0.5, 0.999])
@@ -300,7 +305,7 @@ class TestRigidDuplicates:
             assert build_aggregate(ens).member_indices == (0, 1)
 
     def test_residuals_are_symmetric_and_isometry_invariant(self, planar_members):
-        residual = _rigid_residuals(planar_members)
+        residual = rigid_residuals(planar_members)
         np.testing.assert_array_equal(residual, residual.T)
         np.testing.assert_array_equal(np.diag(residual), np.zeros(len(planar_members)))
         rng = np.random.default_rng(3)
@@ -309,7 +314,7 @@ class TestRigidDuplicates:
             moved[k] = affine_copy(
                 moved[k], random_orthogonal(rng, 2, k % 2 == 1), rng.uniform(-3, 3, 2)
             )
-            np.testing.assert_allclose(_rigid_residuals(moved), residual, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(rigid_residuals(moved), residual, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("tolerance", [1e-3, 1e-2])
     def test_chain_store_keeps_every_unknown_row(self, chain_kb, chain_ensemble, tolerance):

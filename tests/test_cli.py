@@ -566,6 +566,28 @@ class TestEnsembleFileChecks:
                 f" member seed={doc['members'][0]['seed']} repeats the seed of an earlier member\n"
             )
 
+    @pytest.mark.parametrize("block", ["entities", "relations"])
+    def test_block_that_is_an_array_exits_1_on_every_command(
+        self, fitted, kb_file, tmp_path, capsys, block
+    ):
+        doc = json.loads(fitted.read_text())
+        doc["members"][1][block] = [1, 2]
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "agg.json"
+        for argv in (
+            ["query", str(path), "friend", "Mary", "Alice"],
+            ["report", str(path), str(kb_file)],
+            ["aggregate", str(path), "-o", str(out)],
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err == (
+                f"kbens {argv[0]}: invalid ensemble file {str(path)!r}:"
+                f" field {block!r} must be an object, not [1, 2]\n"
+            )
+
     def test_reordered_members_give_the_same_answers(self, fitted, tmp_path, capsys):
         doc = json.loads(fitted.read_text())
         order = [3, 0, 7, 5, 1, 6, 2, 4]
@@ -602,7 +624,7 @@ def at(doc, path):
 
 MUTANT_VALUES = st.sampled_from([
     None, True, False, 2**70, float("nan"), float("inf"), float("-inf"),
-    "x", [], [0.5], {}, {"a": 1},
+    "x", [], [0.5], [0, 1], {}, {"a": 1},
 ])
 
 

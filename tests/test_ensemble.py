@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from kbens import (
     train,
     unstated_queries,
 )
-from kbens.ensemble import satisfied_counts
+from kbens.ensemble import member_vote, satisfied_counts
 from kbens.kb import KnowledgeBase, SignedTriple
 
 from conftest import FRIEND_KB_TEXT, all_queries, random_kb, random_satisfiable_kb
@@ -46,6 +47,19 @@ def friend_ensemble(friend_kb_m):
     return fit_ensemble(
         friend_kb_m, EmbeddingConfig(dimension=1), TrainConfig(), base_seed=7, members=32
     )
+
+
+WIDE_KB = Path(__file__).resolve().parent.parent / "tools" / "stores" / "wide.kb"
+
+
+@pytest.fixture(scope="module")
+def wide_kb_m():
+    return parse_kb(WIDE_KB.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def wide_ensemble(wide_kb_m):
+    return fit_ensemble(wide_kb_m, EmbeddingConfig(dimension=2), TrainConfig(), 2, members=6)
 
 
 class TestFitEnsemble:
@@ -420,3 +434,101 @@ class TestSerialization:
             with pytest.raises(ValueError, match=f"^field 'kb_digest' must be a string, not {digest}$"):
                 Ensemble((), digest, ())
         Ensemble((first, second), friend_ensemble.kb_digest, reports).validate()
+
+
+class TestMemberStack:
+    """An ensemble is one read-only ``(M, E+R, d)`` stack; its members are
+    its rows."""
+
+    def ensembles(self, ens):
+        """``ens`` as fitted, reloaded from its file, and built by hand from
+        the reloaded members."""
+        loaded = Ensemble.from_json(ens.to_json())
+        return [ens, loaded, Ensemble(loaded.members, loaded.kb_digest, loaded.reports)]
+
+    @pytest.mark.parametrize("name", ["friend", "wide"])
+    def test_stacks_agree_and_are_read_only(self, request, name):
+        kb = request.getfixturevalue(f"{name}_kb_m")
+        ens = request.getfixturevalue(f"{name}_ensemble")
+        width = len(kb.entities) + len(kb.relations)
+        for each in self.ensembles(ens):
+            stack = each.term_stack
+            assert stack.shape == (len(ens), width, ens.config.dimension)
+            assert stack.dtype == np.float64 and stack.tobytes() == ens.term_stack.tobytes()
+            assert (each.entity_names, each.relation_names) == (kb.entities, kb.relations)
+            assert each.seeds == tuple(r.seed for r in ens.reports)
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", ["friend", "wide"])
+    def test_members_are_the_stack_rows(self, request, name):
+        ens = request.getfixturevalue(f"{name}_ensemble")
+        for each in self.ensembles(ens):
+            assert len(each.members) == len(each)
+            for row, member, seed in zip(each.term_stack, each.members, each.seeds):
+                assert member.term_array.tobytes() == row.tobytes()
+                assert (member.entity_names, member.relation_names) == (
+                    each.entity_names, each.relation_names
+                )
+                assert (member.config, member.seed) == (each.config, seed)
+
+    def test_pickled_copy_is_rebuilt_and_read_only(self, friend_ensemble):
+        for copied in (pickle.loads(pickle.dumps(friend_ensemble)), copy.deepcopy(friend_ensemble)):
+            assert copied.to_json() == friend_ensemble.to_json()
+            with pytest.raises(ValueError, match="read-only"):
+                copied.term_stack[0, 0, 0] = 1.0
+
+    def test_load_query_and_members_build_no_member(self, friend_ensemble, monkeypatch):
+        text = friend_ensemble.to_json()
+        built = []
+        post_init = Embedding.__post_init__
+
+        def counted(member):
+            built.append(member.seed)
+            post_init(member)
+
+        monkeypatch.setattr(Embedding, "__post_init__", counted)
+        ens = Ensemble.from_json(text)
+        for q in all_queries(parse_kb(FRIEND_KB_TEXT), include_self_pairs=True):
+            query_truth(ens, q)
+        assert built == []
+        # The members are made once, on first use, as read-only views of the stack.
+        assert len(ens.members) == 32 and ens.members is ens.members and built == []
+        for member, row in zip(ens.members, ens.term_stack):
+            assert np.shares_memory(member.term_array, row) and not member.term_array.flags.writeable
+            assert member.entity_array.base is member.relation_array.base
+
+    @pytest.mark.parametrize("name", ["friend", "wide"])
+    def test_query_truth_is_member_vote(self, request, name):
+        kb = request.getfixturevalue(f"{name}_kb_m")
+        ens = Ensemble.from_json(request.getfixturevalue(f"{name}_ensemble").to_json())
+        for q in all_queries(kb, include_self_pairs=True):
+            for tau in (None, 0.0, 0.5, float("inf")):
+                assert query_truth(ens, q, tau) == member_vote(ens.members, q, tau), (q, tau)
+
+    @pytest.mark.parametrize("row", [[0.5, 0.25], [[0.5]], [], 0.5])
+    def test_ragged_member_is_a_one_line_value_error(self, friend_ensemble, row):
+        # The rows of every member are read as one array; a member whose
+        # rows do not build on their own names the fault, as it would alone.
+        doc = friend_ensemble.to_doc()
+        doc["members"][3]["entities"]["Bob"] = row
+        with pytest.raises(ValueError) as loaded:
+            Ensemble.from_doc(doc)
+        with pytest.raises(ValueError) as alone:
+            Embedding.from_doc(doc["members"][3])
+        assert str(loaded.value) == str(alone.value)
+        assert "\n" not in str(loaded.value)
+
+    @pytest.mark.parametrize("block", ["entities", "relations"])
+    @pytest.mark.parametrize("value", [[1, 2], [0, 1], [], "x", None])
+    def test_block_that_is_not_an_object(self, friend_ensemble, block, value):
+        doc = friend_ensemble.to_doc()
+        message = f"field {block!r} must be an object"
+        for i in (0, 2):
+            edited = copy.deepcopy(doc)
+            edited["members"][i][block] = value
+            with pytest.raises(ValueError, match=message):
+                Ensemble.from_doc(edited)
+        doc["members"][0][block] = value
+        with pytest.raises(ValueError, match=message):
+            Embedding.from_doc(doc["members"][0])

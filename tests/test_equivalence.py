@@ -30,6 +30,11 @@ def test_friends_subset_is_reproducible():
     # Every artifact of a fit and of the commands on it is present.
     assert "friends/seed7/jobs1/fit/ensemble.json" in names
     assert "friends/seed7/jobs1/aggregate/clouds.tsv" in names
+    # A loaded ensemble writes the bytes of the file it was read from.
+    hashes = dict(line.split("\t") for line in first)
+    for jobs in ("jobs1", "jobs2"):
+        fit = f"friends/seed7/{jobs}/fit"
+        assert hashes[f"{fit}/round-trip"] == hashes[f"{fit}/ensemble.json"]
     assert not any(line.endswith("\tabsent") for line in first)
     jobs1 = sorted(line for line in first if "/jobs1/" in line)
     jobs2 = sorted(line.replace("/jobs2/", "/jobs1/") for line in first if "/jobs2/" in line)

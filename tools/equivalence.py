@@ -7,7 +7,9 @@ temporary directory holding copies of the stores in ``tools/stores``, and
 writes OUT: one line per artifact, its name, a tab and the SHA-256 of its
 bytes.  The artifacts of a command are its stdout, exit code and stderr,
 and the files it writes: the ensemble JSON, the aggregate JSON, the clouds
-TSV and the manifest.  Stderr and the manifest are hashed only after their
+TSV and the manifest.  Each ensemble a fit writes adds one more line, the
+SHA-256 of ``Ensemble.from_json(text).to_json()``, which must be the hash
+of the file itself: the tool stops with an error when it is not.  Stderr and the manifest are hashed only after their
 times (``duration_seconds``) and the temporary directory are masked; the
 manifest's ``jobs`` value is masked too, since ``--jobs`` changes nothing
 else by design.
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
-from kbens import Embedding, EmbeddingConfig, KnowledgeBase, TrainConfig, cli, parse_kb
+from kbens import Embedding, EmbeddingConfig, Ensemble, KnowledgeBase, TrainConfig, cli, parse_kb
 from kbens.trainer import (
     OPTIMIZER_ID,
     RNG_ALGORITHM_ID,
@@ -135,12 +137,24 @@ def _run(name: str, argv: list[str], files: list[Path], work: Path) -> Iterator[
         yield f"{name}/{label}\t{_sha(data)}"
 
 
+def round_trip_sha(path: Path) -> str:
+    """The hash of the ensemble file at ``path`` as loaded and written
+    again, which must be that of the file."""
+    text = path.read_text(encoding="utf-8")
+    again = Ensemble.from_json(text).to_json()
+    if again != text:
+        raise SystemExit(f"{path}: Ensemble.from_json(text).to_json() changed the bytes")
+    return _sha(again)
+
+
 def case_lines(case: Case, work: Path) -> Iterator[str]:
     """The artifact lines of one case, run in the directory ``work``."""
     store = str(work / case.store)
     ensemble = work / "ensemble.json"
     yield from _run(f"{case.name}/fit", ["fit", store, "-o", str(ensemble), *case.flags],
                     [ensemble], work)
+    if ensemble.exists():
+        yield f"{case.name}/fit/round-trip\t{round_trip_sha(ensemble)}"
     if case.query is None:
         return
     yield from _run(f"{case.name}/report", ["report", str(ensemble), store], [], work)
