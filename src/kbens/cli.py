@@ -6,8 +6,9 @@ failure (store unsatisfiable, fit did not converge, aggregate degenerate).
 Machine-readable output goes to stdout; human summaries and manifests for
 commands without an output file go to stderr.  Each ``cmd_*`` only computes;
 ``main`` writes its files, then the manifest, and only then stdout and the
-summary, so a failed write leaves stdout empty.  A closed stdout exits 1
-with one line, after ``--help`` and ``--version`` too.
+summary, so a failed write leaves stdout empty.  A closed stdout exits 1 with
+one line, after ``--help`` and ``--version`` too.  A process runs one command:
+only its arguments are added, when it is parsed, so none pays for another's.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import shutil
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from gettext import gettext
 from pathlib import Path
 from typing import Optional
 
@@ -55,6 +57,21 @@ EXIT_COMPUTE = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    """``arguments(parser)`` adds the arguments, after ``-h/--help``, on the first
+    :meth:`parse_known_args`, which argparse calls on the chosen command's parser only."""
+
+    def __init__(self, *args, arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            # argparse's own help option and text, translated as argparse translates it.
+            self.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
+                              help=gettext("show this help message and exit"))
+            self._add_arguments = self._add_arguments(self)  # None: they are added once
+        return super().parse_known_args(args, namespace)
+
     # Usage problems are input errors: exit 1, not argparse's default 2.
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -187,6 +204,7 @@ def cmd_aggregate(args) -> _Output:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``kbens`` parser; a command's arguments are added when it is parsed (:class:`_Parser`)."""
     # The width argparse would look up for every argument it adds, looked up once.
     width = shutil.get_terminal_size().columns - 2
     formatter = functools.partial(argparse.HelpFormatter, width=width)
@@ -204,11 +222,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(
         dest="command", required=True,
-        parser_class=functools.partial(_Parser, formatter_class=formatter),
+        parser_class=functools.partial(_Parser, formatter_class=formatter, add_help=False),
     )
-    train_defaults = TrainConfig()
+    sub.add_parser("fit", help="fit an ensemble from a KB file", arguments=_fit_arguments)
+    sub.add_parser("query", help="ask one ternary query against an ensemble", arguments=_query_arguments)
+    sub.add_parser("report", help="evaluate every asserted and unstated fact", arguments=_report_arguments)
+    sub.add_parser("aggregate", help="build the cloud model from an ensemble", arguments=_aggregate_arguments)
+    return parser
 
-    fit = sub.add_parser("fit", help="fit an ensemble from a KB file")
+
+def _fit_arguments(fit: argparse.ArgumentParser) -> None:
+    train_defaults = TrainConfig()
     fit.add_argument("kb", help="KB file (relation<TAB>subject<TAB>object<TAB>+/-)")
     fit.add_argument("-o", "--out", required=True, help="ensemble JSON output path")
     fit.add_argument("--seed", type=int, required=True, help="base seed (reproducibility first; no wall-clock seeding)")
@@ -222,25 +246,25 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--max-epochs", type=int, default=train_defaults.max_epochs)
     fit.add_argument("--retry-budget", type=int, default=train_defaults.retry_budget)
     fit.add_argument("--jobs", type=int, default=1, help="has no effect: members are fitted in this process")
-    fit.set_defaults(func=cmd_fit)
 
-    query = sub.add_parser("query", help="ask one ternary query against an ensemble")
+
+def _query_arguments(query: argparse.ArgumentParser) -> None:
     query.add_argument("ensemble", help="ensemble JSON path")
     query.add_argument("relation")
     query.add_argument("subject")
     query.add_argument("object")
     query.add_argument("--kb", default=None, help="optional KB file to digest-check against")
     query.add_argument("--delta", type=float, default=0.0, help="quorum slack (0 = strict unanimity)")
-    query.set_defaults(func=cmd_query)
 
-    report = sub.add_parser("report", help="evaluate every asserted and unstated fact")
+
+def _report_arguments(report: argparse.ArgumentParser) -> None:
     report.add_argument("ensemble")
     report.add_argument("kb")
     report.add_argument("--self-pairs", action="store_true", help="include r(a, a) queries")
     report.add_argument("--delta", type=float, default=0.0)
-    report.set_defaults(func=cmd_report)
 
-    aggregate = sub.add_parser("aggregate", help="build the cloud model from an ensemble")
+
+def _aggregate_arguments(aggregate: argparse.ArgumentParser) -> None:
     aggregate.add_argument("ensemble")
     aggregate.add_argument("-o", "--out", required=True, help="aggregate JSON output path")
     aggregate.add_argument(
@@ -249,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     aggregate.add_argument("--max-diameter", type=float, default=None)
     aggregate.add_argument("--clouds-tsv", default=None, help="also dump clouds as TSV")
-    aggregate.set_defaults(func=cmd_aggregate)
-    return parser
 
 
 def _print(prog: str, stdout: str = "", summary: str = "") -> int:
@@ -272,11 +294,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        out = args.func(args)
+        out = {"fit": cmd_fit, "query": cmd_query, "report": cmd_report,
+               "aggregate": cmd_aggregate}[args.command](args)
         for path, text in out.files:
             _write_text(path, text)
         # Everything needed to reproduce the run, every parameter resolved.
-        parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+        parameters = {k: v for k, v in vars(args).items() if k != "command"}
         manifest = json.dumps(
             {
                 "command": args.command,

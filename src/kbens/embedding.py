@@ -153,7 +153,9 @@ def read_members(docs: Iterable[Mapping]) -> tuple:
     docs = list(docs)
     if not docs:
         return (), (), None, (), np.empty((0, 0, 0))
-    configs = [EmbeddingConfig(dimension=doc["dimension"], **doc["config"]) for doc in docs]
+    first = repr((docs[0]["dimension"], docs[0]["config"]))  # as JSON: 1, 1.0 and true differ
+    configs = [EmbeddingConfig(dimension=doc["dimension"], **doc["config"]) for doc in docs
+               if doc is docs[0] or repr((doc["dimension"], doc["config"])) != first]
     if any(c != configs[0] for c in configs):
         raise ValueError("members disagree on embedding config")
     seeds = tuple(read_field(doc, "seed", int) for doc in docs)

@@ -1,11 +1,13 @@
 """Exit codes, output formats, manifests, and byte-level determinism of the
 command-line surface."""
 
+import argparse
 import copy
 import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -502,6 +504,35 @@ class TestEnsembleFileChecks:
         assert main(["query", str(path), "friend", "Joe", "Bob"]) == 0
         assert capsys.readouterr().out == "TRUE\t1.000000\n"
 
+    @pytest.mark.parametrize("member", [0, 5])
+    def test_float_dimension_loads_like_the_integer(self, fitted, tmp_path, capsys, member):
+        doc = json.loads(fitted.read_text())
+        doc["members"][member]["dimension"] = 1.0
+        path = tmp_path / "retyped.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert Ensemble.from_json(path.read_text()).to_json() == fitted.read_text()
+        for query in README_QUERIES:
+            answers = []
+            for ens in (fitted, path):
+                assert main(["query", str(ens), *query]) == 0
+                answers.append(capsys.readouterr().out)
+            assert answers[0] == answers[1], query
+
+    # A later member's settings are built only when they differ from member
+    # 0's as JSON; true is == 1 but is still rejected, before any comparison.
+    @pytest.mark.parametrize("field, value, message", [
+        ("dimension", True, "field 'dimension' must be an integer, not True"),
+        ("tau_pos", True, "field 'tau_pos' must be a number, not True"),
+        ("gamma", 3.0, "members disagree on embedding config"),
+    ])
+    def test_later_member_settings(self, fitted, tmp_path, capsys, field, value, message):
+        def retype(doc):
+            member = doc["members"][5]
+            (member if field == "dimension" else member["config"])[field] = value
+
+        err = self._query_mutant(fitted, tmp_path, capsys, retype)
+        assert err == f"kbens query: invalid ensemble file {str(tmp_path / 'mutant.json')!r}: {message}\n"
+
     def test_numeric_digest(self, fitted, tmp_path, capsys):
         def retype(doc):
             doc["kb_digest"] = 5
@@ -928,6 +959,18 @@ class TestUsageErrors:
         (["fit", "friends.kb", "-o", "ens.json", "--seed", "7", "--members", "abc"],
          "argument --members: invalid int value: 'abc'"),
         ([], "the following arguments are required: command"),
+        (["query", "ens.json", "friend", "Joe"], "the following arguments are required: object"),
+        (["report", "ens.json"], "the following arguments are required: kb"),
+        (["aggregate"], "the following arguments are required: ensemble, -o/--out"),
+        (["query", "ens.json", "friend", "Joe", "Bob", "--bogus"], "unrecognized arguments: --bogus"),
+        (["report", "ens.json", "friends.kb", "--members", "8"], "unrecognized arguments: --members 8"),
+        (["aggregate", "ens.json", "-o", "agg.json", "--bogus"], "unrecognized arguments: --bogus"),
+        (["query", "ens.json", "friend", "Joe", "Bob", "--delta", "x"],
+         "argument --delta: invalid float value: 'x'"),
+        (["report", "ens.json", "friends.kb", "--delta", "x"], "argument --delta: invalid float value: 'x'"),
+        (["aggregate", "ens.json", "-o", "agg.json", "--dedup-tol", "x"],
+         "argument --dedup-tol: invalid float value: 'x'"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from {choices})"),
     ])
     def test_exits_1_with_usage_and_one_error_line(self, capsys, argv, message):
         # argparse's own exit code 2 would read as a computational failure.
@@ -939,7 +982,13 @@ class TestUsageErrors:
         lines = captured.err.splitlines()
         assert lines[0].startswith("usage: kbens")
         assert all(line.startswith(" ") for line in lines[1:-1])
-        assert lines[-1].endswith(f": error: {message}")
+        # A command's parser reports its own errors; the root reports words left over.
+        own = argv and argv[0] in COMMAND_OPTIONS and not message.startswith("unrecognized")
+        prog = f"kbens {argv[0]}" if own else "kbens"
+        assert lines[0].startswith(f"usage: {prog} ")
+        # Some Python releases list the choices with repr(), later ones with str().
+        assert lines[-1] in {f"{prog}: error: {message}".format(choices=", ".join(listed))
+                             for listed in (map(repr, COMMAND_OPTIONS), COMMAND_OPTIONS)}
 
 
 class TestVersion:
@@ -959,7 +1008,44 @@ class TestVersion:
         assert out.count("\n") == 1 and out.endswith(f"; optimizer: {OPTIMIZER_ID})\n")
 
 
+# Each command's positional arguments and options, in the order its help lists them.
+COMMAND_OPTIONS = {
+    "fit": (["kb"], ["-h", "--help", "-o", "--out", "--seed", "--members", "--dim", "--tau", "--gamma",
+                     "--fit-tol", "--lr", "--init-scale", "--max-epochs", "--retry-budget", "--jobs"]),
+    "query": (["ensemble", "relation", "subject", "object"], ["-h", "--help", "--kb", "--delta"]),
+    "report": (["ensemble", "kb"], ["-h", "--help", "--self-pairs", "--delta"]),
+    "aggregate": (["ensemble"], ["-h", "--help", "-o", "--out", "--dedup-tol", "--max-diameter",
+                                 "--clouds-tsv"]),
+}
+
+
+def help_sections(argv, monkeypatch, capsys) -> dict[str, list[str]]:
+    """The entry lines of each section of ``kbens <argv>``'s help, by title."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    sections = {}
+    for block in capsys.readouterr().out.split("\n\n"):
+        title, *entries = block.splitlines()
+        sections[title] = [line for line in entries if re.match(r"  \S", line)]
+    return sections
+
+
 class TestHelp:
+    @pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+    def test_lists_exactly_the_commands_arguments(self, capsys, monkeypatch, command):
+        positionals, options = COMMAND_OPTIONS[command]
+        sections = help_sections([command, "--help"], monkeypatch, capsys)
+        assert [line.split()[0] for line in sections["positional arguments:"]] == positionals
+        invocations = [line.split("  ")[1] for line in sections["options:"]]
+        assert [flag for i in invocations for flag in re.findall(r"--?[a-z][\w-]*", i)] == options
+        # The help option leads, in the root parser's words (the padding
+        # follows each parser's widest option).
+        root = help_sections(["--help"], monkeypatch, capsys)["options:"]
+        assert sections["options:"][0].split() == root[0].split()
+        assert root[0].split()[:2] == ["-h,", "--help"]
+
     @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
     def test_wraps_to_columns(self, capsys, monkeypatch, argv):
         # argparse wraps help two columns short of the terminal width, which
@@ -973,6 +1059,41 @@ class TestHelp:
             widest[columns] = max(map(len, capsys.readouterr().out.splitlines()))
         assert widest[50] <= 48
         assert widest[200] > 50
+
+
+class TestLazyArguments:
+    def test_abbreviated_option_parses(self):
+        args = cli.build_parser().parse_args(["query", "ens.json", "friend", "Joe", "Bob", "--del", "0.1"])
+        assert args.delta == 0.1
+
+    def test_only_the_invoked_command_adds_its_arguments(self, fitted, kb_file, tmp_path,
+                                                         capsys, monkeypatch):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def spy(parser, *names, **kwargs):
+            added.append((parser.prog, names))
+            return add_argument(parser, *names, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+        for argv in (
+            ["query", str(fitted), "friend", "Joe", "Bob"],
+            ["report", str(fitted), str(kb_file)],
+            ["aggregate", str(fitted), "-o", str(tmp_path / "agg.json")],
+        ):
+            assert main(argv) == 0
+            assert added and not any("--max-epochs" in names for _, names in added), argv
+            assert {prog for prog, _ in added} == {"kbens", f"kbens {argv[0]}"}
+            added.clear()
+        # The spy sees a fit add its options.
+        assert main(["fit", str(kb_file), "-o", str(tmp_path / "e.json"), "--seed", "7",
+                     "--members", "1", "--dim", "1"]) == 0
+        assert ("kbens fit", ("--max-epochs",)) in added
+
+    def test_parser_parses_twice(self):
+        parser = cli.build_parser()
+        argv = ["report", "ens.json", "friends.kb", "--delta", "0.2"]
+        assert vars(parser.parse_args(argv)) == vars(parser.parse_args(argv))
 
 
 def test_import_loads_no_process_machinery():

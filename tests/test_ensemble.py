@@ -498,6 +498,14 @@ class TestMemberStack:
             assert np.shares_memory(member.term_array, row) and not member.term_array.flags.writeable
             assert member.entity_array.base is member.relation_array.base
 
+    def test_load_builds_one_config(self, friend_ensemble, monkeypatch):
+        # Every member's settings are member 0's, so only member 0's are built.
+        built = []
+        post_init = EmbeddingConfig.__post_init__
+        monkeypatch.setattr(EmbeddingConfig, "__post_init__", lambda c: built.append(post_init(c)))
+        Ensemble.from_json(friend_ensemble.to_json())
+        assert len(built) == 1
+
     @pytest.mark.parametrize("name", ["friend", "wide"])
     def test_query_truth_is_member_vote(self, request, name):
         kb = request.getfixturevalue(f"{name}_kb_m")

@@ -1,9 +1,11 @@
 """Self-test of ``tools/equivalence.py``: its lines are the same on every run
 of one tree, a ``--jobs 2`` fit gives the lines of its ``--jobs 1`` fit, and
 the library lines name one oracle answer per dimension, one search per seed
-and one member per dimension and seed."""
+and one member per dimension and seed; the usage block is the same on every
+run and sets the terminal width around its own runs only."""
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -60,3 +62,20 @@ def test_library_subset_is_reproducible():
         "train_members/friends/dim2/seed0", "train_members/friends/dim2/seed1",
     ]
     assert all(len(line.split("\t")[1]) == 64 for line in first)
+
+
+def test_usage_block_is_reproducible(monkeypatch):
+    tool = load_tool()
+    monkeypatch.setenv("COLUMNS", "123")
+    first = tool.usage_lines()
+    assert first == tool.usage_lines()
+    assert os.environ["COLUMNS"] == "123"  # set around the block only
+    names = [line.split("\t")[0] for line in first]
+    assert len(set(names)) == len(names) == 3 * len(tool.USAGE_ARGVS) * len(tool.USAGE_COLUMNS)
+    assert all(name.startswith("usage/") for name in names)
+    # Help is wrapped to each width, and every case runs at both.
+    hashes = dict(line.split("\t") for line in first)
+    assert hashes["usage/columns80/--help/stdout"] != hashes["usage/columns50/--help/stdout"]
+    cases = {c: [n.split("/", 2)[2] for n in names if n.startswith(f"usage/columns{c}/")]
+             for c in tool.USAGE_COLUMNS}
+    assert cases["80"] == cases["50"]

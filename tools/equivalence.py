@@ -12,7 +12,9 @@ SHA-256 of ``Ensemble.from_json(text).to_json()``, which must be the hash
 of the file itself: the tool stops with an error when it is not.  Stderr and the manifest are hashed only after their
 times (``duration_seconds``) and the temporary directory are masked; the
 manifest's ``jobs`` value is masked too, since ``--jobs`` changes nothing
-else by design.
+else by design.  Then the help, version and usage-error block: stdout, exit
+code and stderr of each argv in ``USAGE_ARGVS``, at each terminal width in
+``USAGE_COLUMNS`` (``COLUMNS`` is set around these runs only).
 
 Then the library: ``satisfiability_oracle`` on every store at each
 dimension in ``DIMS`` (one line each hashes the status, the ``repr`` of the
@@ -37,6 +39,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
 import sys
@@ -44,6 +47,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
+from unittest import mock
 
 from kbens import Embedding, EmbeddingConfig, Ensemble, KnowledgeBase, TrainConfig, cli, parse_kb
 from kbens.trainer import (
@@ -99,6 +103,17 @@ CASES = [
     # and a C0 control.
     Case("escapes/seed7", "escapes.kb", ("--seed", "7"), ("knows", 'quote"d', "café")),
     Case("unsat/seed7", "unsat.kb", ("--seed", "7")),
+]
+
+
+# The CLI's own messages: help, version and usage errors, none of which reads a file.
+USAGE_COLUMNS = ("80", "50")
+USAGE_ARGVS = [
+    ["--help"], ["-h"], ["--version"],
+    *([command, "--help"] for command in ("fit", "query", "report", "aggregate")),
+    [], ["bogus"], ["fit"], ["query"], ["report"], ["aggregate"],
+    ["fit", "friends.kb", "-o", "ensemble.json", "--seed", "7", "--members", "abc"],
+    ["query", "ensemble.json", *_FRIENDS_QUERY, "--delta", "x"],
 ]
 
 
@@ -182,6 +197,19 @@ def lines(cases: list[Case]) -> list[str]:
     return out
 
 
+def usage_lines() -> list[str]:
+    """Three lines per argv in ``USAGE_ARGVS`` and width in ``USAGE_COLUMNS``."""
+    out = []
+    with tempfile.TemporaryDirectory(prefix="kbens-equivalence-") as tmp:
+        for columns in USAGE_COLUMNS:
+            # The terminal width argparse wraps help and usage to, for these runs only.
+            with mock.patch.dict(os.environ, COLUMNS=columns):
+                for argv in USAGE_ARGVS:
+                    name = f"usage/columns{columns}/{' '.join(argv) or '(no arguments)'}"
+                    out += _run(name, argv, [], Path(tmp))
+    return out
+
+
 def read_store(name: str) -> KnowledgeBase:
     return parse_kb((STORES / name).read_text(encoding="utf-8"))
 
@@ -229,7 +257,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: PYTHONPATH=<tree>/src python tools/equivalence.py OUT", file=sys.stderr)
         return 1
-    out = lines(CASES)
+    out = lines(CASES) + usage_lines()
     for store in sorted(p.name for p in STORES.glob("*.kb")):
         out += oracle_lines(store)
     for store in MEMBER_STORES:
