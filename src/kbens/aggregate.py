@@ -77,27 +77,71 @@ def align(source: Embedding, reference: Embedding) -> Alignment:
     return Alignment(linear_map=q.T, translation=ref_mean - src_mean @ q, residual=residual)
 
 
-def _rigid_residuals(terms: np.ndarray, entities: int) -> np.ndarray:
-    """RMS residual of the best rigid map (orthogonal, reflections included,
-    plus a translation) between every pair of members of the stack
-    ``terms`` (``entities`` rows first), over the rows as in :func:`align`:
-    symmetric, with a zero diagonal.  Each pair's orthogonal part is the
-    Procrustes solution, the polar factor of a ``d x d`` cross product."""
+def _centred(terms: np.ndarray, entities: int) -> np.ndarray:
+    """A copy of the member stack ``terms`` with each member's entity points
+    (its first ``entities`` rows) centred on their mean, as in :func:`align`."""
     stack = terms.copy()
     ents = stack[:, :entities]
     if ents.shape[1]:  # the mean of no entities would warn
         ents -= ents.mean(axis=1, keepdims=True)
-    count, rows, _ = stack.shape
-    first, second = np.triu_indices(count, 1)
-    total = np.zeros((count, count))
+    return stack
+
+
+def _rigid_residuals(stack: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """RMS residual of the best rigid map (orthogonal, reflections included,
+    plus a translation) between members ``first[k]`` and ``second[k]`` of the
+    :func:`_centred` stack ``stack``, over the rows as in :func:`align`.  Each
+    pair's orthogonal part is the Procrustes solution, the polar factor of a
+    ``d x d`` cross product."""
+    total = np.empty(len(first))
     step = max(1, _CHUNK_ELEMENTS // max(1, stack[0].size))
     for start in range(0, len(first), step):
-        i, j = first[start:start + step], second[start:start + step]
-        u, _, vt = np.linalg.svd(stack[i].transpose(0, 2, 1) @ stack[j])
-        mismatch = stack[i] @ (u @ vt) - stack[j]
-        total[i, j] = np.sum(mismatch * mismatch, axis=(1, 2))
-    residual = np.sqrt(total / max(1, rows))
-    return residual + residual.T
+        part = slice(start, start + step)
+        x, y = stack[first[part]], stack[second[part]]
+        u, _, vt = np.linalg.svd(x.transpose(0, 2, 1) @ y)
+        mismatch = x @ (u @ vt) - y
+        total[part] = np.sum(mismatch * mismatch, axis=(1, 2))
+    return np.sqrt(total / max(1, stack.shape[1]))
+
+
+def _rigid_duplicates(terms: np.ndarray, entities: int, tolerance: float) -> np.ndarray:
+    """Symmetric boolean matrix: whether each pair of members of the stack
+    ``terms`` (``entities`` rows first) has a :func:`_rigid_residuals` at or
+    below ``tolerance``, that residual computed only for the pairs that a
+    norm bound leaves open.
+
+    Every orthogonal Q has ``||X_i Q - X_j|| >= |n_i - n_j|`` (X the
+    :func:`_centred` stack, n its RMS norm over its rows).  With u = eps / 2,
+    N = rows * d and s = n_i + n_j, the computed residual falls below the
+    computed gap g by at most, to first order: (N/2 + 2) u s from the two norms (N squares
+    summed, a division, a root); 16 d^2 u s from the SVD's Q, whose singular
+    values lie within 1 +- 16 d^2 u (LAPACK's factors are orthogonal to a
+    few ulps, their product adds d^2 u); (d^1.5 + 1) u s from the mismatch's
+    products and difference; (N/2 + 2) u s from its sum of squares, division
+    and root; 2 u s from forming g - m.  The margin m = 4 (rows + 8 d) d eps s
+    is at least twice that sum, plus 2**-509 for underflow (at most 2**-511
+    in each of the three norms).  A pair is settled as no duplicate only when
+    g - m > tolerance.  An overflowing norm makes g - m NaN or -inf, so its
+    pairs stay open, as does any pair with an overflowing product x * y,
+    since x * x or y * y overflows too.
+    """
+    stack = _centred(terms, entities)
+    count, rows, d = stack.shape
+    norm = np.sqrt(np.sum(stack * stack, axis=(1, 2)) / max(1, rows))
+    first, second = np.triu_indices(count, 1)
+    margin = 4 * (rows + 8 * d) * d * np.finfo(float).eps * (norm[first] + norm[second])
+    settled = np.abs(norm[first] - norm[second]) - (margin + 2.0**-509) > tolerance
+    first, second = first[~settled], second[~settled]
+    duplicate = np.eye(count, dtype=bool)
+    duplicate[first, second] = duplicate[second, first] = (
+        _rigid_residuals(stack, first, second) <= tolerance
+    )
+    return duplicate
+
+
+def _check_bound(name: str, bound: Optional[float]) -> None:
+    if bound is not None and not bound >= 0.0:
+        raise ValueError(f"{name} must be a non-negative number: {bound!r}")
 
 
 def is_affine_duplicate(
@@ -108,7 +152,9 @@ def is_affine_duplicate(
     members are rigid duplicates (the name is kept for its callers).  The
     residual is symmetric, ``||x Q - y|| = ||y Q^T - x||``, so one direction
     answers.  :func:`build_aggregate` decides the same question for all pairs
-    at once from :func:`_rigid_residuals`, and does not call it."""
+    at once by :func:`_rigid_duplicates`, and does not call it.  Raises
+    ``ValueError`` on a negative or NaN tolerance."""
+    _check_bound("dedup tolerance", dedup_tolerance)
     return align(m1, m2).residual <= dedup_tolerance
 
 
@@ -192,20 +238,19 @@ def build_aggregate(
     member leaves an RMS residual at or below ``dedup_tolerance``, or (when
     ``max_cloud_diameter`` is set) if its image in the reference frame lies
     farther than the bound from a retained member's image of the same term.
-    The residuals come from one batched matrix over all member pairs.  Each
-    retained member is mapped once, by the rigid :func:`align`, into one row
-    of a stack whose read-only views are the clouds.  Raises ``ValueError``
-    on a negative or NaN bound, and :class:`DegenerateAggregateError` when
+    :func:`_rigid_duplicates` decides every pair at once: a norm bound
+    settles most, and the Procrustes residual the rest.  Each retained
+    member is mapped once, by the rigid :func:`align`, into one row of a
+    stack whose read-only views are the clouds.  Raises ``ValueError`` on a
+    negative or NaN bound, and :class:`DegenerateAggregateError` when
     fewer than two members survive or when a cloud or its diameter is not
     finite (coordinates so large that aligning them overflows).
     """
-    bounds = {"dedup tolerance": dedup_tolerance, "max cloud diameter": max_cloud_diameter}
-    for name, bound in bounds.items():
-        if bound is not None and not bound >= 0.0:
-            raise ValueError(f"{name} must be a non-negative number: {bound!r}")
+    _check_bound("dedup tolerance", dedup_tolerance)
+    _check_bound("max cloud diameter", max_cloud_diameter)
     reference = ens.members[0]
     entities = len(ens.entity_names)
-    duplicate = (_rigid_residuals(ens.term_stack, entities) <= dedup_tolerance).tolist()
+    duplicate = _rigid_duplicates(ens.term_stack, entities, dedup_tolerance).tolist()
     n = ens.config.dimension
     identity = Alignment(linear_map=np.eye(n), translation=np.zeros(n), residual=0.0)
     stack = np.empty(ens.term_stack.shape)

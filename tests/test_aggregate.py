@@ -32,7 +32,7 @@ from kbens import (
 )
 
 from kbens import aggregate
-from kbens.aggregate import _rigid_residuals
+from kbens.aggregate import _centred, _rigid_duplicates, _rigid_residuals
 
 from conftest import all_queries, hand_made_ensemble
 
@@ -90,9 +90,18 @@ def random_orthogonal(rng, d, reflect):
     return q_mat
 
 
+def stack_residuals(terms, entities):
+    """The symmetric matrix of :func:`_rigid_residuals` over every pair of
+    the member stack ``terms``, with a zero diagonal."""
+    first, second = np.triu_indices(len(terms), 1)
+    residual = np.zeros((len(terms), len(terms)))
+    residual[first, second] = _rigid_residuals(_centred(terms, entities), first, second)
+    return residual + residual.T
+
+
 def rigid_residuals(members):
-    """:func:`_rigid_residuals` on the stack of ``members``."""
-    return _rigid_residuals(np.array([m.term_array for m in members]), len(members[0].entity_names))
+    """:func:`stack_residuals` on the stack of ``members``."""
+    return stack_residuals(np.array([m.term_array for m in members]), len(members[0].entity_names))
 
 
 def assert_residuals_match(members):
@@ -169,6 +178,12 @@ class TestAffineDuplicate:
         m1, m2 = friend_ensemble.members[2], friend_ensemble.members[3]
         for tol in (1e-8, 1e-2, 10.0):
             assert is_affine_duplicate(m1, m2, tol) == is_affine_duplicate(m2, m1, tol)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1.0])
+    def test_bad_tolerance_is_rejected(self, tolerance):
+        e = spanning_embedding()
+        with pytest.raises(ValueError, match="dedup tolerance must be a non-negative number"):
+            is_affine_duplicate(e, e, tolerance)
 
 
 class TestBuildAggregate:
@@ -682,6 +697,147 @@ class TestResidualScreen:
         picked = data.draw(st.lists(st.sampled_from(residuals), max_size=4)) if residuals else []
         for tol in around(picked):
             assert_matches_reference(ens, dedup_tolerance=tol)
+
+
+SCREEN_TOLERANCES = [0.0, 1e-12, 1e-6, 1e-2, 1e9]
+
+
+def assert_screen_matches(terms, entities, tolerances=SCREEN_TOLERANCES):
+    """:func:`_rigid_duplicates` equals ``residual <= tol`` over every pair
+    of the stack, at each tolerance; where an overflowing cross product
+    holds a NaN and the SVD raises, it raises too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            residual = stack_residuals(terms, entities)
+        except np.linalg.LinAlgError:
+            for tol in tolerances:
+                with pytest.raises(np.linalg.LinAlgError):
+                    _rigid_duplicates(terms, entities, tol)
+            return
+        for tol in tolerances:
+            np.testing.assert_array_equal(_rigid_duplicates(terms, entities, tol), residual <= tol)
+
+
+@st.composite
+def screen_stacks(draw):
+    """A stack of 2-6 members in d = 1-3 over 0-5 entities and 0-2
+    relations: random members at scale 1, 1e-3 or 1e200 (whose squares
+    overflow), exact rigid images of an earlier member, and images scaled
+    by 1 +- delta, whose norm gap is their whole residual.  Returns the
+    stack and its entity count."""
+    d, n_ent, n_rel = draw(st.integers(1, 3)), draw(st.integers(0, 5)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(draw(st.integers(2, 6))):
+        kind = draw(st.sampled_from(["random", "rigid", "scaled"])) if members else "random"
+        if kind == "random":
+            scale = draw(st.sampled_from([1.0, 1e-3, 1e200]))
+            members.append(scale * rng.uniform(-2.0, 2.0, (n_ent + n_rel, d)))
+            continue
+        factor = 1.0 + (kind == "scaled") * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9, -1)
+        image = factor * members[int(rng.integers(len(members)))] @ random_orthogonal(
+            rng, d, bool(rng.random() < 0.5)).T
+        image[:n_ent] += rng.uniform(-2.0, 2.0, d)
+        members.append(image)
+    return np.array(members), n_ent
+
+
+class TestNormScreen:
+    @settings(max_examples=150, deadline=None)
+    @given(case=screen_stacks(), data=st.data())
+    def test_decisions_match_the_residuals(self, case, data):
+        terms, entities = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                found = stack_residuals(terms, entities)
+            except np.linalg.LinAlgError:
+                found = np.zeros(1)
+        found = sorted({float(r) for r in found.ravel() if np.isfinite(r)})
+        picked = data.draw(st.lists(st.sampled_from(found), max_size=4))
+        nearby = [tol for tol in on_both_sides(picked) if tol >= 0.0]
+        assert_screen_matches(terms, entities, SCREEN_TOLERANCES + nearby)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tight_bound_at_the_residual(self, d):
+        # A scaled copy's norm gap equals its residual in exact arithmetic,
+        # so at a tolerance equal to the computed residual, or one float
+        # either side, only the margin keeps the decision the SVD's.
+        rng = np.random.default_rng(d)
+        for _ in range(40):
+            base = rng.uniform(-2.0, 2.0, (5, d)) * 10.0 ** rng.uniform(-3, 3)
+            factors = 1.0 + rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-12, -1, 4)
+            terms = np.array([base, *(f * base for f in factors)])
+            picked = stack_residuals(terms, 3)[0, 1:]
+            assert_screen_matches(terms, 3, on_both_sides(picked))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("tolerance", [1e-12, 1e-6, 1e-2])
+    def test_straddling_copies_go_to_the_svd(self, monkeypatch, d, tolerance):
+        # A signed permutation of a member, translated by whole numbers, and
+        # perturbed orthogonally to its centred rows to a residual of
+        # tolerance * (1 +- 1e-3): its norm gap is of second order, so the
+        # bound cannot settle it and the SVD decides.
+        rng = np.random.default_rng(d)
+        base = rng.uniform(-2.0, 2.0, (d + 3 + 2, d)) * min(1.0, tolerance * 1e6)
+        centred = _centred(base[None], d + 3)[0]
+        direction = rng.normal(size=base.shape)
+        direction[:d + 3] -= direction[:d + 3].mean(axis=0)
+        direction -= np.sum(direction * centred) / np.sum(centred * centred) * centred
+        signed = np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], d)
+        sent = []
+
+        def counted_residuals(stack, first, second):
+            sent.append(len(first))
+            return _rigid_residuals(stack, first, second)
+
+        monkeypatch.setattr(aggregate, "_rigid_residuals", counted_residuals)
+        for side in (1 - 1e-3, 1 + 1e-3):
+            step = tolerance * side
+            for _ in range(4):  # the residual is nearly linear in the step
+                copy = (base + step * direction) @ signed.T
+                copy[:d + 3] += rng.integers(-3, 4, d)
+                terms = np.array([base, copy])
+                step *= tolerance * side / stack_residuals(terms, d + 3)[0, 1]
+            sent.clear()
+            duplicate = _rigid_duplicates(terms, d + 3, tolerance)
+            assert sent == [1]
+            assert duplicate[0, 1] == (side < 1)
+            assert_screen_matches(terms, d + 3, [tolerance])
+
+    @pytest.mark.parametrize("n_rel", [0, 2])
+    def test_stores_without_entities(self, n_rel):
+        rng = np.random.default_rng(n_rel)
+        terms = rng.uniform(-2.0, 2.0, (4, n_rel, 2))
+        terms[1] = -terms[0]
+        assert_screen_matches(terms, 0, SCREEN_TOLERANCES + list(stack_residuals(terms, 0)[0]))
+
+    def test_default_friends_aggregate_runs_no_procrustes_svd(self, friend_ensemble, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def counted_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        agg = build_aggregate(friend_ensemble)
+        # Only align's one d x d SVD per retained member after the reference.
+        assert shapes == [(1, 1)] * (len(agg.member_indices) - 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_procrustes_factor_is_orthogonal_within_the_margin(self, d):
+        # The margin takes Q's singular values to lie within 1 +- 8 d^2 eps.
+        rng = np.random.default_rng(d)
+        eps = np.finfo(float).eps
+        for k in range(400):
+            cross = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-150, 150)
+            if k % 3 == 1:
+                cross[:, 0] = 0.0
+            elif k % 3 == 2:
+                cross = np.outer(cross[:, 0], rng.normal(size=d))
+            u, _, vt = np.linalg.svd(cross)
+            singular = np.linalg.svd(u @ vt, compute_uv=False)
+            assert np.max(np.abs(singular - 1.0)) <= 8 * d * d * eps
 
 
 def pairwise(points):
