@@ -70,11 +70,24 @@ def align(source: Embedding, reference: Embedding) -> Alignment:
     src_mean, ref_mean = (a[:n].sum(axis=0) / max(1, n) for a in (x, y))
     x[:n] -= src_mean
     y[:n] -= ref_mean
-    u, _, vt = np.linalg.svd(x.T @ y)
-    q = u @ vt
+    q = _polar_factors(x.T @ y)
     mismatch = x @ q - y
     residual = float(np.sqrt(np.sum(mismatch * mismatch) / max(1, len(x))))
     return Alignment(linear_map=q.T, translation=ref_mean - src_mean @ q, residual=residual)
+
+
+def _polar_factors(cross: np.ndarray) -> np.ndarray:
+    """The orthogonal polar factor ``u @ vt`` of each ``d x d`` cross product
+    of the stack ``cross``, from one batched SVD.  A product that overflowed
+    never reaches LAPACK, which may fail to converge on it: its factor is NaN,
+    so its residual is no duplicate's and its image no finite cloud."""
+    if np.count_nonzero(np.isfinite(cross)) == cross.size:
+        u, _, vt = np.linalg.svd(cross)
+        return u @ vt
+    factors = np.full(cross.shape, np.nan)
+    finite = np.isfinite(cross).all(axis=(-2, -1))
+    factors[finite] = _polar_factors(cross[finite])
+    return factors
 
 
 def _centred(terms: np.ndarray, entities: int) -> np.ndarray:
@@ -92,14 +105,13 @@ def _rigid_residuals(stack: np.ndarray, first: np.ndarray, second: np.ndarray) -
     plus a translation) between members ``first[k]`` and ``second[k]`` of the
     :func:`_centred` stack ``stack``, over the rows as in :func:`align`.  Each
     pair's orthogonal part is the Procrustes solution, the polar factor of a
-    ``d x d`` cross product."""
+    ``d x d`` cross product (:func:`_polar_factors`; NaN where it overflowed)."""
     total = np.empty(len(first))
     step = max(1, _CHUNK_ELEMENTS // max(1, stack[0].size))
     for start in range(0, len(first), step):
         part = slice(start, start + step)
         x, y = stack[first[part]], stack[second[part]]
-        u, _, vt = np.linalg.svd(x.transpose(0, 2, 1) @ y)
-        mismatch = x @ (u @ vt) - y
+        mismatch = x @ _polar_factors(x.transpose(0, 2, 1) @ y) - y
         total[part] = np.sum(mismatch * mismatch, axis=(1, 2))
     return np.sqrt(total / max(1, stack.shape[1]))
 

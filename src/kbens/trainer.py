@@ -176,59 +176,58 @@ class _Stack:
     def __init__(self, kb: KnowledgeBase):
         self.problem = problem = _Problem.of(kb)
         self.operands, self.sources = problem.operands.copy(), problem.sources.copy()
-        self._layouts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def _layout(self, m: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Flat bincount indices of every term of m members in d dimensions,
-        # the member numbers, and the first coordinate axis (the push at a
-        # kink); computed once per shape.
-        if (m, d) not in self._layouts:
-            members = np.arange(m)
-            rows = members[:, None] * self.problem.n_terms + self.problem.rows
-            flat = rows[:, :, None] * d + np.arange(d)
-            self._layouts[m, d] = flat.ravel(), members, np.eye(1, d)
-        return self._layouts[m, d]
+        self._layouts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def loss_and_grads(self, terms: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         """Cumulative error ``(M,)`` and its gradient ``(M, E+R, d)`` of M
-        members, from their term array ``(M, E+R, d)``.  At the kink
-        ||eps|| = 0 of an active hinge the push is along the first
-        coordinate axis.
+        members, from their term array ``(M, E+R, d)``.
 
         Each member's numbers are bit-identical to evaluating it alone: every
-        sum keeps the order of a one-member ``np.sum``, and the gradient adds
-        the triples' terms in a fixed order, one at a time.
+        sum keeps the order of a one-member ``np.sum``, the gradient adds the
+        triples' terms in a fixed order, and masks, never a product with 0
+        (``0 * inf`` is NaN), keep an inactive hinge's pull and error at 0.0
+        and push an active one at the kink ||eps|| = 0 along the first axis.
         """
         m, _, d = terms.shape
         p = self.problem.n_positive
-        index, members, axis = self._layout(m, d)
+        layout = self._layouts.get((m, d))
+        if layout is None:
+            # Flat bincount indices of every contribution of m members in d
+            # dimensions, and its sign repeated over them (a broadcast column
+            # multiplies slower).
+            flat = np.arange(m * self.problem.n_terms * d).reshape(m, -1, d)
+            signs = np.repeat(self.problem.signs, d, axis=1)
+            layout = self._layouts[m, d] = flat.take(self.problem.rows, axis=1).ravel(), signs
+        index, signs = layout
         # eps is C-ordered, so each member's squares reduce in the order a
         # single (P, d) array would.
-        operands = terms.take(self.operands, axis=1)
-        eps = operands[:, 0] - operands[:, 1] - operands[:, 2]
+        eps = np.subtract.reduce(terms.take(self.operands, axis=1), axis=1)  # (s - o) - r
         squares = eps * eps
         totals = np.add.reduce(squares[:, :p].reshape(m, -1), axis=1)
         pull = 2.0 * eps  # each triple's gradient at its subject
         pull[:, p:] = 0.0  # an inactive hinge adds nothing
-        norms = np.sqrt(np.add.reduce(squares[:, p:], axis=2))
+        norms = np.sqrt(np.add.reduce(squares[:, p:], axis=2, keepdims=True))
         inside = norms < gamma
-        hit = inside.nonzero()[0]
-        if hit.size:
+        if np.count_nonzero(inside):
             # Evaluated for every negative and kept where its hinge is active:
             # fewer numpy calls than gathering the active ones.
             gaps = gamma - norms
-            unit = np.where(
-                (norms > 0.0)[..., None], eps[:, p:] / np.maximum(norms, 1e-300)[..., None], axis
-            )
-            np.copyto(pull[:, p:], -2.0 * gaps[..., None] * unit, where=inside[..., None])
-            # One segment per member, led by a zero: reduceat starts each sum
-            # from its segment's first entry, so this adds the active squares
-            # exactly as np.sum over them alone would.
-            active = gaps[inside]
-            led = np.zeros(m + hit.size)
-            led[np.arange(1, hit.size + 1) + hit] = active * active
-            totals += np.add.reduceat(led, members + hit.searchsorted(members))
-        weights = pull.take(self.sources, axis=1) * self.problem.signs
+            unit = eps[:, p:] / np.maximum(norms, 1e-300)
+            if np.count_nonzero(norms) < norms.size:
+                unit[norms[..., 0] == 0.0] = np.eye(1, d)
+            np.multiply(-2.0 * gaps, unit, out=pull[:, p:], where=inside)
+            active = np.square(gaps[inside])
+            if m == 1:  # one numpy call where the segments below take eight
+                totals += np.add.reduce(active)
+            else:
+                # One segment per member, led by a zero: reduceat starts each
+                # sum from its segment's first entry, so this adds the active
+                # squares exactly as np.sum over them alone would.
+                members, hit = np.arange(m), inside.nonzero()[0]
+                led = np.zeros(m + hit.size)
+                led[np.arange(1, hit.size + 1) + hit] = active
+                totals += np.add.reduceat(led, members + hit.searchsorted(members))
+        weights = pull.take(self.sources, axis=1) * signs
         grads = np.bincount(index, weights.ravel(), minlength=terms.size)
         return totals, grads.reshape(terms.shape)
 
@@ -272,7 +271,7 @@ def _descend(
     gamma, eps_fit, max_epochs = cfg.gamma, cfg.eps_fit, tcfg.max_epochs
     live = np.arange(len(seeds))
     terms = np.array([init_embedding(kb, cfg, tcfg, seed).term_array for seed in seeds])
-    rates = np.full(len(seeds), tcfg.learning_rate)
+    rates = np.full((len(seeds), 1, 1), tcfg.learning_rate)  # shaped as a step's factor
     epoch = 0
     # Overflow gives a non-finite error, and the guard below rejects such a
     # step, so numpy's overflow warnings would only report what it handles.
@@ -281,16 +280,16 @@ def _descend(
     while live.size:
         underflow = np.zeros(live.size, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            while epoch < max_epochs and np.logical_and.reduce(err > eps_fit):
+            while epoch < max_epochs and np.count_nonzero(err > eps_fit) == err.size:
                 epoch += 1
                 # A term's gradient sums one contribution per triple it is in,
                 # so dividing by that count keeps a rate that is safe for a
                 # relation shared by many triples from being slow for an
                 # entity in a few.
-                new_terms = terms - rates[:, None, None] * (grads / incidence)
+                new_terms = terms - rates * (grads / incidence)
                 new_err, new_grads = loss_and_grads(new_terms, gamma)
                 accepted = (new_err <= err) & np.isfinite(new_err)
-                if np.logical_and.reduce(accepted):  # the common case, without the merges below
+                if np.count_nonzero(accepted) == accepted.size:  # the common case, without the merges below
                     terms, err, grads = new_terms, new_err, new_grads
                     continue
                 # A rejected step halves that member's rate and keeps its state.
@@ -298,9 +297,9 @@ def _descend(
                 terms = np.where(keep, new_terms, terms)
                 grads = np.where(keep, new_grads, grads)
                 err = np.where(accepted, new_err, err)
-                rates = np.where(accepted, rates, 0.5 * rates)
-                underflow = ~accepted & (rates < _MIN_LEARNING_RATE)
-                if np.logical_or.reduce(underflow):
+                rates = np.where(keep, rates, 0.5 * rates)
+                underflow = ~accepted & (rates[:, 0, 0] < _MIN_LEARNING_RATE)
+                if np.count_nonzero(underflow):
                     break
         leaving = underflow | ~(err > eps_fit) | (epoch >= max_epochs)
         for j in np.flatnonzero(leaving):

@@ -331,6 +331,32 @@ class TestRigidDuplicates:
             )
             np.testing.assert_allclose(rigid_residuals(moved), residual, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_overflowing_cross_products_never_reach_lapack(self, monkeypatch, d):
+        # Members 2 and 3 lie near 1e200, so their cross product overflows:
+        # that pair's residual and map are NaN, and every other pair keeps
+        # the residual it has in a stack without the other large member.
+        rng = np.random.default_rng(d)
+        terms = rng.normal(size=(4, 3, d))
+        terms[2:] *= 1e200
+        svd = np.linalg.svd
+
+        def finite_only(a, *args, **kwargs):
+            assert np.isfinite(a).all()
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", finite_only)
+        cfg = EmbeddingConfig(dimension=d)
+        members = [Embedding(("a", "b"), ("r",), t[:2], t[2:], cfg, s) for s, t in enumerate(terms)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = stack_residuals(terms, 2)
+            mapped = align(members[3], members[2])
+            apart = [stack_residuals(terms[[0, 1, k]], 2) for k in (2, 3)]
+        assert np.isnan(residual[2, 3]) and np.isnan(mapped.residual)
+        assert np.isnan(mapped.linear_map).all()
+        np.testing.assert_array_equal(residual[:3, :3], apart[0])
+        np.testing.assert_array_equal(residual[np.ix_([0, 1, 3], [0, 1, 3])], apart[1])
+
     @pytest.mark.parametrize("tolerance", [1e-3, 1e-2])
     def test_chain_store_keeps_every_unknown_row(self, chain_kb, chain_ensemble, tolerance):
         agg = build_aggregate(chain_ensemble, dedup_tolerance=tolerance)

@@ -1,8 +1,9 @@
 """Self-test of ``tools/equivalence.py``: its lines are the same on every run
 of one tree, a ``--jobs 2`` fit gives the lines of its ``--jobs 1`` fit, and
 the library lines name one oracle answer per dimension, one search per seed
-and one member per dimension and seed; the usage block is the same on every
-run and sets the terminal width around its own runs only."""
+and one member per dimension and seed, and the random stores one member per
+seed; the usage block is the same on every run and sets the terminal width
+around its own runs only."""
 
 import importlib.util
 import os
@@ -79,3 +80,18 @@ def test_usage_block_is_reproducible(monkeypatch):
     cases = {c: [n.split("/", 2)[2] for n in names if n.startswith(f"usage/columns{c}/")]
              for c in tool.USAGE_COLUMNS}
     assert cases["80"] == cases["50"]
+
+
+def test_random_stores_are_reproducible():
+    tool = load_tool()
+    stores = sorted(tool.RANDOM_STORES.glob("r*.kb"))
+    assert [p.stem for p in stores] == [f"r{i:02d}" for i in range(64)]
+    # One store per rate, and start scales from 1 to 1e200.
+    picked = [stores[i] for i in (0, 6, 12, 18, 24)]
+    first = list(tool.random_lines(picked))
+    assert first == list(tool.random_lines(picked))
+    assert [line.split("\t")[0] for line in first] == [
+        f"train_members/random/r{i:02d}/seed{seed}"
+        for i in (0, 6, 12, 18, 24) for seed in range(3 * i, 3 * i + 3)
+    ]
+    assert all(len(line.split("\t")[1]) == 64 for line in first)

@@ -535,6 +535,63 @@ class TestBatchedDescent:
         assert train_members(friend_kb, EmbeddingConfig(dimension=1), TrainConfig(), []) == []
 
 
+class TestLossMasks:
+    """The masks the batched loss keeps each member's bytes with, against
+    ``reference_loss_and_grads`` byte for byte: the push along the first
+    axis only in rows exactly at a kink, and an inactive negative adding
+    exactly 0.0 even where its residual overflowed."""
+
+    # c - d - r is the kink member's zero residual; x and y appear only in a
+    # negative, so the positives stay finite when x - y overflows.
+    KB = parse_kb(
+        "r\ta\tb\t+\ns\tb\tc\t+\nr\tc\td\t-\ns\ta\td\t-\nr\tx\ty\t-\n"
+    )
+
+    def member(self, kink, overflow, seed):
+        # Eighths, so that the kink's residual is exactly 0.0.
+        rng = np.random.default_rng(seed)
+        terms = rng.integers(-8, 9, size=(len(self.KB.entities) + len(self.KB.relations), 2)) / 8.0
+        rows = {t: i for i, t in enumerate(self.KB.entities + self.KB.relations)}
+        if kink:
+            terms[rows["c"]] = terms[rows["d"]] + terms[rows["r"]]
+        if overflow:
+            terms[rows["x"]], terms[rows["y"]] = 1e308, -1e308
+        return terms
+
+    def assert_matches_reference(self, terms):
+        n, cfg = len(self.KB.entities), EmbeddingConfig(dimension=terms.shape[2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals, grads = _Stack(self.KB).loss_and_grads(terms, cfg.gamma)
+            for i, t in enumerate(terms):
+                # A namespace, not an Embedding: x - y may overflow.
+                member = SimpleNamespace(
+                    entity_array=t[:n], relation_array=t[n:], config=cfg, dimension=cfg.dimension
+                )
+                total, gp, gv = reference_loss_and_grads(self.KB, member)
+                assert totals[i] == total
+                assert grads[i, :n].tobytes() == gp.tobytes()
+                assert grads[i, n:].tobytes() == gv.tobytes()
+        return totals, grads
+
+    @pytest.mark.parametrize("kinks", [[True], [True, False, True], [False, True, False, False]])
+    def test_kinks_in_some_members(self, kinks):
+        terms = np.array([self.member(k, False, seed) for seed, k in enumerate(kinks)])
+        rows = [(self.KB.entities + self.KB.relations).index(t) for t in "cdr"]
+        residuals = terms[:, rows[0]] - terms[:, rows[1]] - terms[:, rows[2]]
+        assert [not r.any() for r in residuals] == kinks
+        self.assert_matches_reference(terms)
+
+    @pytest.mark.parametrize("overflows", [[True], [False, True], [True, False, True]])
+    def test_an_overflowing_inactive_negative_adds_exactly_zero(self, overflows):
+        terms = np.array([self.member(seed == 1, o, seed) for seed, o in enumerate(overflows)])
+        totals, grads = self.assert_matches_reference(terms)
+        x, y = self.KB.entities.index("x"), self.KB.entities.index("y")
+        for o, total, g in zip(overflows, totals, grads):
+            assert np.isfinite(total) and np.isfinite(g).all()
+            if o:
+                assert g[x].tobytes() == g[y].tobytes() == np.zeros(2).tobytes()
+
+
 class TestDescentRule:
     @settings(max_examples=150, deadline=None)
     @given(

@@ -27,6 +27,13 @@ member hashes its JSON and the ``repr`` of its report).  Every search and
 fit but the first on a store thus runs on the descent index an earlier one
 cached on it.
 
+Last, each random store in ``tools/stores/random`` (``rNN.kb``, drawn once
+and committed) through one ``train_members`` call, at the dimension, rates,
+start scale, epoch budget and seeds :func:`random_config` derives from its
+number NN, one line per member as above.  Rates up to 1e10, start scales up
+to 1e200 and budgets of 1 to 199 epochs make steps rejected, start errors
+overflow and rates underflow.
+
 Two trees are byte-equivalent on this set when their OUT files are equal,
 so comparing them is one ``diff``.  Run once per tree, one process each.
 The stores are committed files, so the set does not move when a store
@@ -64,6 +71,9 @@ DIMS = (1, 2)
 MEMBER_STORES = ("friends.kb", "wide.kb", "chain.kb")
 MEMBER_SEEDS = tuple(range(8))
 SEARCH_SEEDS = tuple(range(4))
+RANDOM_STORES = STORES / "random"
+RANDOM_RATES = (0.1, 0.3, 1.0, 1e3, 1e10)
+RANDOM_SCALES = (1.0, 3.0, 1e10, 1e154, 1e200)
 
 
 @dataclass(frozen=True)
@@ -255,6 +265,28 @@ def member_lines(
             yield f"train_members/{Path(store).stem}/dim{dim}/seed{member.seed}\t{digest}"
 
 
+def random_config(number: int) -> tuple[EmbeddingConfig, TrainConfig, tuple[int, ...]]:
+    """The config, train config and seeds random store ``number`` is fitted
+    with: every rate with every start scale over 25 stores, dimensions 1 to
+    4, and epoch budgets spread over 1 to 199."""
+    tcfg = TrainConfig(
+        learning_rate=RANDOM_RATES[number % 5],
+        max_epochs=1 + 37 * number % 199,
+        init_scale=RANDOM_SCALES[number // 5 % 5],
+    )
+    return EmbeddingConfig(dimension=1 + number % 4), tcfg, tuple(range(3 * number, 3 * number + 3))
+
+
+def random_lines(paths: Optional[list[Path]] = None) -> Iterator[str]:
+    """One line per member of each random store's ``train_members`` call
+    (every store in ``RANDOM_STORES`` unless ``paths`` names some)."""
+    for path in sorted(RANDOM_STORES.glob("r*.kb")) if paths is None else paths:
+        kb = parse_kb(path.read_text(encoding="utf-8"))
+        for member, report in train_members(kb, *random_config(int(path.stem[1:]))):
+            digest = _sha(f"{_json(member)}\n{report!r}")
+            yield f"train_members/random/{path.stem}/seed{member.seed}\t{digest}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: PYTHONPATH=<tree>/src python tools/equivalence.py OUT", file=sys.stderr)
@@ -266,6 +298,7 @@ def main(argv: list[str]) -> int:
         kb = read_store(store)
         out += search_lines(store, kb)
         out += member_lines(store, kb)
+    out += random_lines()
     Path(argv[0]).write_text("".join(f"{line}\n" for line in out), encoding="utf-8")
     return 0
 
