@@ -77,10 +77,11 @@ def align(source: Embedding, reference: Embedding) -> Alignment:
 
 
 def _polar_factors(cross: np.ndarray) -> np.ndarray:
-    """The orthogonal polar factor ``u @ vt`` of each ``d x d`` cross product
-    of the stack ``cross``, from one batched SVD.  A product that overflowed
-    never reaches LAPACK, which may fail to converge on it: its factor is NaN,
-    so its residual is no duplicate's and its image no finite cloud."""
+    """The orthogonal polar factor ``u @ vt`` of the ``d x d`` cross product
+    ``cross``, or of each in a stack of them, from one SVD call.  A product
+    that overflowed never reaches LAPACK, which may fail to converge on it:
+    its factor is NaN, so its residual is no duplicate's and its image no
+    finite cloud."""
     if np.count_nonzero(np.isfinite(cross)) == cross.size:
         u, _, vt = np.linalg.svd(cross)
         return u @ vt

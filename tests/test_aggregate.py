@@ -730,16 +730,10 @@ SCREEN_TOLERANCES = [0.0, 1e-12, 1e-6, 1e-2, 1e9]
 
 def assert_screen_matches(terms, entities, tolerances=SCREEN_TOLERANCES):
     """:func:`_rigid_duplicates` equals ``residual <= tol`` over every pair
-    of the stack, at each tolerance; where an overflowing cross product
-    holds a NaN and the SVD raises, it raises too."""
+    of the stack, at each tolerance; a pair whose cross product overflowed
+    has a NaN residual, so it is no duplicate either way."""
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            residual = stack_residuals(terms, entities)
-        except np.linalg.LinAlgError:
-            for tol in tolerances:
-                with pytest.raises(np.linalg.LinAlgError):
-                    _rigid_duplicates(terms, entities, tol)
-            return
+        residual = stack_residuals(terms, entities)
         for tol in tolerances:
             np.testing.assert_array_equal(_rigid_duplicates(terms, entities, tol), residual <= tol)
 
@@ -774,10 +768,7 @@ class TestNormScreen:
     def test_decisions_match_the_residuals(self, case, data):
         terms, entities = case
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                found = stack_residuals(terms, entities)
-            except np.linalg.LinAlgError:
-                found = np.zeros(1)
+            found = stack_residuals(terms, entities)
         found = sorted({float(r) for r in found.ravel() if np.isfinite(r)})
         picked = data.draw(st.lists(st.sampled_from(found), max_size=4))
         nearby = [tol for tol in on_both_sides(picked) if tol >= 0.0]
