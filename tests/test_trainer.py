@@ -583,6 +583,7 @@ class TestLossMasks:
 
     @pytest.mark.parametrize("overflows", [[True], [False, True], [True, False, True]])
     def test_an_overflowing_inactive_negative_adds_exactly_zero(self, overflows):
+        # Member 1 also sits at the kink, so both masks act in one batch.
         terms = np.array([self.member(seed == 1, o, seed) for seed, o in enumerate(overflows)])
         totals, grads = self.assert_matches_reference(terms)
         x, y = self.KB.entities.index("x"), self.KB.entities.index("y")
