@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .embedding import Embedding
-from .ensemble import _CHUNK_ELEMENTS, Ensemble, member_vote
+from .ensemble import _CHUNK_ELEMENTS, Ensemble, query_truth
 from .jsonfile import Rows, dumps, rows
 from .kb import Query, UnknownTermError
 from .verdict import TernaryVerdict
@@ -178,15 +178,20 @@ class AggregateModel:
     read-only views of one ``(members, entities + relations, dimension)``
     stack, entity points first.
 
-    ``members`` keeps the retained embeddings in their native frames; truth
-    evaluation uses those directly so alignment noise never affects verdicts.
+    ``ensemble`` keeps the retained members in their native frames, with
+    their reports; truth evaluation votes on it directly, so alignment noise
+    never affects verdicts.
     """
 
     member_indices: tuple[int, ...]
-    members: tuple[Embedding, ...]
+    ensemble: Ensemble
     entity_clouds: dict[str, np.ndarray]
     relation_clouds: dict[str, np.ndarray]
     diameters: dict[str, float]
+
+    @property
+    def members(self) -> tuple[Embedding, ...]:
+        return self.ensemble.members
 
     @property
     def reference_index(self) -> int:
@@ -300,7 +305,8 @@ def build_aggregate(
         )
     return AggregateModel(
         member_indices=tuple(retained),
-        members=tuple(ens.members[idx] for idx in retained),
+        ensemble=Ensemble(tuple(ens.members[idx] for idx in retained), ens.kb_digest,
+                          tuple(ens.reports[idx] for idx in retained)),
         entity_clouds={t: stack[:, j] for j, t in enumerate(ens.entity_names)},
         relation_clouds={t: stack[:, entities + j] for j, t in enumerate(ens.relation_names)},
         diameters=dict(zip(terms, diameters)),
@@ -327,9 +333,9 @@ def aggregate_query(
     tau: Optional[float] = None,
     quorum_slack: float = 0.0,
 ) -> TernaryVerdict:
-    """Unanimity verdict over the retained members, each evaluated in its
-    own pre-alignment coordinates."""
-    return member_vote(agg.members, q, tau, quorum_slack)
+    """:func:`query_truth` on ``agg.ensemble``: the unanimity verdict over
+    the retained members, each in its own pre-alignment coordinates."""
+    return query_truth(agg.ensemble, q, tau, quorum_slack)
 
 
 def cloud_diameter(agg: AggregateModel, term: str) -> float:

@@ -277,12 +277,12 @@ class Embedding(Vocabulary):
         return self.relation_array[self.relation_row(name)]
 
     def residual(self, t: TripleLike) -> np.ndarray:
-        """eps = (subject - object) - relation, component-exact."""
-        return (
-            self.entity_point(t.subject)
-            - self.entity_point(t.object)
-            - self.relation_vector(t.relation)
-        )
+        """eps = (subject - object) - relation, component-exact; a component
+        that overflows is +-inf, as in the batched vote."""
+        subject, object_ = self.entity_point(t.subject), self.entity_point(t.object)
+        relation = self.relation_vector(t.relation)
+        with np.errstate(over="ignore"):
+            return subject - object_ - relation
 
     def triple_error(self, t: SignedTriple) -> float:
         """||eps||^2 for a positive fact, max(0, gamma - ||eps||)^2 for a

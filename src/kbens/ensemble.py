@@ -206,25 +206,16 @@ def fit_ensemble(
 
 
 def satisfied_counts(
-    members: Sequence[Embedding],
+    ens: Ensemble,
     queries: Sequence[Query],
     tau: Optional[float] = None,
 ) -> np.ndarray:
-    """Number of ``members`` in which each query holds, ||eps|| <= radius
-    (each member's :meth:`EmbeddingConfig.radius`: its ``tau_pos`` unless
-    ``tau`` is given).  Equal bit for bit to counting
-    :meth:`Embedding.satisfies`, with its errors, by the vote of
-    :func:`query_truth` on the stacked members; members with different
-    vocabularies raise ``ValueError``."""
-    if not members:
-        raise ValueError("a vote needs at least one member")
-    first = members[0]
-    if any((m.entity_names, m.relation_names) != (first.entity_names, first.relation_names)
-           for m in members[1:]):
-        raise ValueError("members do not share one vocabulary")
-    rows = _query_rows(first, queries)
-    radii = [m.config.radius(tau) for m in members]
-    return _count_rows(np.array([m.term_array for m in members]), radii, *rows)
+    """Number of members of ``ens`` in which each query holds, ||eps|| <=
+    :meth:`EmbeddingConfig.radius` (``tau_pos`` unless ``tau`` is given),
+    counted on the ensemble's stack.  Equal bit for bit to counting
+    :meth:`Embedding.satisfies`, with its errors."""
+    rows = _query_rows(ens, queries)
+    return _count_rows(ens.term_stack, ens.config.radius(tau), *rows)
 
 
 def _query_rows(vocabulary: Vocabulary, queries: Sequence[Query]) -> np.ndarray:
@@ -235,11 +226,11 @@ def _query_rows(vocabulary: Vocabulary, queries: Sequence[Query]) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(-1, 3).T
 
 
-def _count_rows(terms: np.ndarray, radius: object, subject: np.ndarray, object_: np.ndarray,
+def _count_rows(terms: np.ndarray, radius: float, subject: np.ndarray, object_: np.ndarray,
                 relation: np.ndarray) -> np.ndarray:
     """Number of members of the ``(M, E+R, d)`` stack ``terms`` in which each
-    row of subject, object and relation (E + r) rows holds within ``radius``
-    (one per member, or one for all), bit for bit :meth:`Embedding.satisfies`.
+    row of subject, object and relation (E + r) rows holds within ``radius``,
+    bit for bit :meth:`Embedding.satisfies`.
 
     A chunk of rows is one take along the stack's second axis.  Each norm
     sums the squared coordinates one coordinate column at a time, which may
@@ -251,17 +242,17 @@ def _count_rows(terms: np.ndarray, radius: object, subject: np.ndarray, object_:
     again by the scalar reduction, ``np.sqrt(np.sum(squares, axis=-1))``.
     """
     count, _, d = terms.shape
-    radius = np.broadcast_to(radius, count)[:, None]
     slack = 4 * d * np.finfo(float).eps
-    # A sum of squares near the top of the float range may overflow in one
-    # order only, so neither bound certifies a norm from 2**511 up.
-    inside_below = np.minimum(radius * (1 - slack), 2.0**511)
-    outside_above = radius * (1 + slack)
-    outside_above[outside_above >= 2.0**511] = np.inf
     counts = np.empty(len(subject), dtype=np.intp)
     step = max(1, _CHUNK_ELEMENTS // (count * d))
-    # A square that overflows is +inf, correctly outside every finite radius.
+    # An overflowing square is +inf, outside every finite radius, and so is an overflowing bound.
     with np.errstate(over="ignore"):
+        # A sum of squares near the top of the float range may overflow in one
+        # order only, so neither bound certifies a norm from 2**511 up.
+        inside_below = min(radius * (1 - slack), 2.0**511)
+        outside_above = radius * (1 + slack)
+        if outside_above >= 2.0**511:
+            outside_above = np.inf
         for start in range(0, len(counts), step):
             chunk = slice(start, start + step)
             squares = np.take(terms, subject[chunk], axis=1)
@@ -282,27 +273,15 @@ def _count_rows(terms: np.ndarray, radius: object, subject: np.ndarray, object_:
     return counts
 
 
-def member_vote(
-    members: Sequence[Embedding],
-    q: Query,
-    tau: Optional[float] = None,
-    quorum_slack: float = 0.0,
-) -> TernaryVerdict:
-    """Unanimity rule on the fraction of ``members`` in which the fact holds."""
-    count = int(satisfied_counts(members, [q], tau)[0])
-    return TernaryVerdict.from_fraction(count / len(members), len(members), quorum_slack)
-
-
 def query_truth(
     ens: Ensemble,
     q: Query,
     tau: Optional[float] = None,
     quorum_slack: float = 0.0,
 ) -> TernaryVerdict:
-    """:func:`member_vote` on ``ens.members``, counted on the ensemble's
-    stack: the unanimity rule on the fraction of members where the fact holds."""
-    rows = _query_rows(ens, [q])
-    count = int(_count_rows(ens.term_stack, ens.config.radius(tau), *rows)[0])
+    """The unanimity rule on the fraction of the members of ``ens`` in which
+    the fact holds: :func:`satisfied_counts` of one query."""
+    count = int(satisfied_counts(ens, [q], tau)[0])
     return TernaryVerdict.from_fraction(count / len(ens), len(ens), quorum_slack)
 
 

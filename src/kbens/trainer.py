@@ -247,7 +247,9 @@ def gradients(e: Embedding, kb: KnowledgeBase) -> dict[str, np.ndarray]:
     """
     if e.entity_names != kb.entities or e.relation_names != kb.relations:
         raise ValueError("embedding vocabulary differs from the knowledge base's")
-    _, grads = _Stack(kb).loss_and_grads(e.term_array[None], e.config.gamma)
+    # As in the descent, an overflow shows in the result, so numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, grads = _Stack(kb).loss_and_grads(e.term_array[None], e.config.gamma)
     return dict(zip(e.entity_names + e.relation_names, grads[0]))
 
 

@@ -361,10 +361,9 @@ class TestRigidDuplicates:
     def test_chain_store_keeps_every_unknown_row(self, chain_kb, chain_ensemble, tolerance):
         agg = build_aggregate(chain_ensemble, dedup_tolerance=tolerance)
         assert len(agg.member_indices) >= 2
-        kept = hand_made_ensemble(agg.members, chain_ensemble.kb_digest)
         verdicts = [
             [row.verdict.value for row in knowledge_report(ens, chain_kb).unstated_rows]
-            for ens in (chain_ensemble, kept)
+            for ens in (chain_ensemble, agg.ensemble)
         ]
         assert verdicts[0].count(Truth.UNKNOWN) == 7
         assert verdicts[1] == verdicts[0]
@@ -391,6 +390,17 @@ class TestAggregateQuery:
         agg = build_aggregate(friend_ensemble)
         with pytest.raises(UnknownTermError):
             aggregate_query(agg, Query("friend", "Mary", "Zed"))
+
+    def test_ensemble_holds_the_retained_members_and_reports(self, chain_ensemble):
+        agg = build_aggregate(chain_ensemble, dedup_tolerance=1e-2)
+        kept = agg.member_indices
+        assert 2 <= len(kept) < len(chain_ensemble)
+        assert agg.ensemble.kb_digest == chain_ensemble.kb_digest
+        assert agg.ensemble.reports == tuple(chain_ensemble.reports[i] for i in kept)
+        assert all(m is chain_ensemble.members[i] for m, i in zip(agg.members, kept, strict=True))
+        np.testing.assert_array_equal(
+            agg.ensemble.term_stack, chain_ensemble.term_stack[list(kept)]
+        )
 
 
 class TestCloudDiameter:
@@ -442,7 +452,9 @@ class TestExport:
         # the JSON cloud's point of that term and member.
         models = [build_aggregate(friend_ensemble), build_aggregate(chain_ensemble, 1e-2)]
         cloud = np.array([[0.5, -1.0], [2.0, 3.0]])
-        models.append(AggregateModel((0, 3), (), {"a": cloud}, {"a": -cloud}, {"a": 5.0}))
+        models.append(
+            AggregateModel((0, 3), friend_ensemble, {"a": cloud}, {"a": -cloud}, {"a": 5.0})
+        )
         for agg in models:
             assert_tsv_rows_are_the_json_clouds(agg)
         assert len(models[0].clouds_tsv().splitlines()) == 6 * len(models[0].member_indices)
@@ -469,9 +481,11 @@ def _toy_aggregate(cloud: np.ndarray) -> AggregateModel:
     k = cloud.shape[0]
     diff = cloud[:, None, :] - cloud[None, :, :]
     diameter = float(np.sqrt(np.max(np.sum(diff * diff, axis=2))))
+    d = cloud.shape[1]
+    member = Embedding(("e",), (), cloud[:1], np.zeros((0, d)), EmbeddingConfig(dimension=d), 0)
     return AggregateModel(
         member_indices=tuple(range(k)),
-        members=(),
+        ensemble=hand_made_ensemble([member]),
         entity_clouds={"e": cloud},
         relation_clouds={},
         diameters={"e": diameter},
@@ -516,7 +530,8 @@ def reference_build_aggregate(ens, dedup_tolerance=1e-6, max_cloud_diameter=None
     diameters.update({t: _reference_diameter(c) for t, c in relation_clouds.items()})
     return AggregateModel(
         member_indices=tuple(idx for idx, _, _ in retained),
-        members=tuple(member for _, member, _ in retained),
+        ensemble=Ensemble(tuple(member for _, member, _ in retained), ens.kb_digest,
+                          tuple(ens.reports[idx] for idx, _, _ in retained)),
         entity_clouds=entity_clouds,
         relation_clouds=relation_clouds,
         diameters=diameters,

@@ -18,6 +18,7 @@ from kbens import (
     EnsembleFitError,
     EmbeddingConfig,
     Query,
+    TernaryVerdict,
     TrainConfig,
     Truth,
     aggregate_query,
@@ -29,7 +30,7 @@ from kbens import (
     train,
     unstated_queries,
 )
-from kbens.ensemble import member_vote, satisfied_counts
+from kbens.ensemble import satisfied_counts
 from kbens.kb import KnowledgeBase, SignedTriple
 
 from conftest import FRIEND_KB_TEXT, all_queries, random_kb, random_satisfiable_kb
@@ -278,8 +279,8 @@ class TestRadiusOverride:
         message = f"^tau must be a non-negative number: {tau!r}$"
         votes = [
             lambda: friend_ensemble.members[0].satisfies(self.JOE_BOB, tau),
-            lambda: satisfied_counts(friend_ensemble.members, [self.JOE_BOB], tau),
-            lambda: satisfied_counts(friend_ensemble.members, [], tau),
+            lambda: satisfied_counts(friend_ensemble, [self.JOE_BOB], tau),
+            lambda: satisfied_counts(friend_ensemble, [], tau),
             lambda: query_truth(friend_ensemble, self.JOE_BOB, tau=tau),
             lambda: aggregate_query(build_aggregate(friend_ensemble), self.JOE_BOB, tau=tau),
             lambda: knowledge_report(friend_ensemble, friend_kb_m, tau=tau),
@@ -507,12 +508,17 @@ class TestMemberStack:
         assert len(built) == 1
 
     @pytest.mark.parametrize("name", ["friend", "wide"])
-    def test_query_truth_is_member_vote(self, request, name):
+    def test_query_truth_is_the_scalar_count(self, request, name):
+        # On the stack of a loaded ensemble, each verdict counts the members
+        # whose Embedding.satisfies holds.
         kb = request.getfixturevalue(f"{name}_kb_m")
         ens = Ensemble.from_json(request.getfixturevalue(f"{name}_ensemble").to_json())
+        n = len(ens)
         for q in all_queries(kb, include_self_pairs=True):
             for tau in (None, 0.0, 0.5, float("inf")):
-                assert query_truth(ens, q, tau) == member_vote(ens.members, q, tau), (q, tau)
+                count = sum(m.satisfies(q, tau) for m in ens.members)
+                expected = TernaryVerdict.from_fraction(count / n, n)
+                assert query_truth(ens, q, tau) == expected, (q, tau)
 
     @pytest.mark.parametrize("row", [[0.5, 0.25], [[0.5]], [], 0.5])
     def test_ragged_member_is_a_one_line_value_error(self, friend_ensemble, row):

@@ -172,6 +172,19 @@ class TestGradients:
         for g in (again, g6):
             assert {t: v.tobytes() for t, v in g.items()} == {t: v.tobytes() for t, v in g5.items()}
 
+    @pytest.mark.parametrize("positive", [False, True])
+    def test_overflowing_residual_warns_nothing(self, positive):
+        # x - y overflows to +inf: a negative fact that far out is exactly
+        # outside its hinge, a positive one pulls with 2 * eps = +-inf, and
+        # numpy warns of neither (the suite turns a RuntimeWarning into an error).
+        kb = KnowledgeBase.from_triples([SignedTriple("r", "x", "y", positive)])
+        e = Embedding.from_points(
+            {"x": (1e308,), "y": (-1e308,)}, {"r": (0.0,)}, EmbeddingConfig(dimension=1)
+        )
+        pull = np.inf if positive else 0.0
+        g = gradients(e, kb)
+        assert {t: v.tolist() for t, v in g.items()} == {"x": [pull], "y": [-pull], "r": [-pull]}
+
     def test_vocabulary_mismatch_rejected(self, friend_kb):
         cfg = EmbeddingConfig(dimension=1)
         e = init_embedding(friend_kb, cfg, TrainConfig(), 7)

@@ -5,6 +5,7 @@
 """
 
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -27,10 +28,11 @@ from kbens import (
     fit_ensemble,
     knowledge_report,
     parse_kb,
+    query_truth,
     unstated_queries,
 )
 from kbens import ensemble as ensemble_module
-from kbens.ensemble import ReportRow, member_vote, satisfied_counts
+from kbens.ensemble import ReportRow, satisfied_counts
 
 from conftest import FRIEND_KB_TEXT, hand_made_ensemble, random_satisfiable_kb
 
@@ -53,36 +55,45 @@ def member(ents, rels, tau_pos, seed=0):
 
 @st.composite
 def ensembles_and_queries(draw):
+    """An ensemble of hand-made members under one drawn config, queries over
+    its vocabulary, and the scale of its coordinates and radius."""
     d = draw(st.integers(1, 16))
     n_members = draw(st.integers(1, 5))
     n_ent, n_rel = draw(st.integers(1, 4)), draw(st.integers(1, 2))
     scale = draw(SCALES)
     ents = draw(arrays(np.float64, (n_members, n_ent, d), elements=COORDINATES)) * scale
     rels = draw(arrays(np.float64, (n_members, n_rel, d), elements=COORDINATES)) * scale
-    taus = [t * scale for t in draw(st.lists(st.floats(0.0, 6.0), min_size=n_members,
-                                             max_size=n_members))]
-    members = [member(ents[i], rels[i], taus[i], seed=i) for i in range(n_members)]
+    tau = draw(st.floats(0.0, 6.0)) * scale
+    ens = hand_made_ensemble(member(ents[i], rels[i], tau, seed=i) for i in range(n_members))
     query = st.builds(
         Query,
         st.sampled_from([f"r{i}" for i in range(n_rel)]),
         st.sampled_from([f"e{i}" for i in range(n_ent)]),
         st.sampled_from([f"e{i}" for i in range(n_ent)]),
     )
-    return members, draw(st.lists(query, max_size=12)), scale
+    return ens, draw(st.lists(query, max_size=12)), scale
 
 
 # A residual whose square overflows, outside a radius whose square overflows too.
 OVERFLOW = (
-    [member(np.array([[0.0], [4e200]]), np.zeros((1, 1)), 1e200)], [Query("r0", "e0", "e1")], 1e200
+    hand_made_ensemble([member(np.array([[0.0], [4e200]]), np.zeros((1, 1)), 1e200)]),
+    [Query("r0", "e0", "e1")], 1e200,
+)
+# A residual whose subject - object already overflows, to +inf and to -inf.
+DIFFERENCE_OVERFLOW = (
+    hand_made_ensemble([member(np.array([[1e308], [-1e308]]), np.zeros((1, 1)), 1.0)]),
+    [Query("r0", "e0", "e1"), Query("r0", "e1", "e0")], 1.0,
 )
 # Residuals near sqrt(max float) at d = 16, one whose squares overflow when
 # summed in numpy's pairwise order only, one whose squares overflow when
 # added one column at a time only, under a radius above both finite norms.
 ONE_ORDER_OVERFLOW = (
-    [member(np.array([[1.3407807929942596e154, *[math.sqrt(0.4 * 2.0**971)] * 15],
-                      [1.3407807929942587e154, *[math.sqrt(0.51 * 2.0**971)] * 15],
-                      [0.0] * 16]),
-            np.zeros((1, 16)), 2e154)],
+    hand_made_ensemble([member(
+        np.array([[1.3407807929942596e154, *[math.sqrt(0.4 * 2.0**971)] * 15],
+                  [1.3407807929942587e154, *[math.sqrt(0.51 * 2.0**971)] * 15],
+                  [0.0] * 16]),
+        np.zeros((1, 16)), 2e154,
+    )]),
     [Query("r0", "e0", "e2"), Query("r0", "e1", "e2")], 1.0,
 )
 
@@ -96,13 +107,15 @@ class TestSatisfiedCounts:
     )
     @example(OVERFLOW, 1.0, 64)
     @example(ONE_ORDER_OVERFLOW, None, 64)
+    @example(ONE_ORDER_OVERFLOW, sys.float_info.max, 64)  # radius * (1 + slack) overflows
+    @example(DIFFERENCE_OVERFLOW, None, 64)
     def test_equals_scalar_count(self, drawn, tau, chunk):
-        members, queries, scale = drawn
+        ens, queries, scale = drawn
         tau = None if tau is None else tau * scale
         # Small chunks make every query set span several chunks.
         with mock.patch.object(ensemble_module, "_CHUNK_ELEMENTS", chunk):
-            counts = satisfied_counts(members, queries, tau)
-        assert counts.tolist() == scalar_counts(members, queries, tau)
+            counts = satisfied_counts(ens, queries, tau)
+        assert counts.tolist() == scalar_counts(ens.members, queries, tau)
 
     @settings(deadline=None)
     @given(
@@ -121,14 +134,16 @@ class TestSatisfiedCounts:
         radii = [math.nextafter(norm, 0.0), norm, math.nextafter(norm, math.inf)]
         ents, rels = np.stack([subject, object_]), relation[None, :]
         q = Query("r0", "e0", "e1")
-        # Per-member radii from each member's tau_pos.
-        members = [member(ents, rels, radius, seed=i) for i, radius in enumerate(radii)]
-        assert satisfied_counts(members, [q]).tolist() == [2]
-        assert scalar_counts(members, [q]) == [2]
+        # The radius from the member's tau_pos, one member at a time.
+        for radius, expected in zip(radii, (0, 1, 1)):
+            ens = hand_made_ensemble([member(ents, rels, radius)])
+            assert satisfied_counts(ens, [q]).tolist() == [expected]
+            assert scalar_counts(ens.members, [q]) == [expected]
         # One overriding radius for every member.
+        ens = hand_made_ensemble(member(ents, rels, 1.0, seed=i) for i in range(3))
         for radius, expected in zip(radii, (0, 3, 3)):
-            assert satisfied_counts(members, [q], tau=radius).tolist() == [expected]
-            assert scalar_counts(members, [q], tau=radius) == [expected]
+            assert satisfied_counts(ens, [q], tau=radius).tolist() == [expected]
+            assert scalar_counts(ens.members, [q], tau=radius) == [expected]
 
     def test_unknown_terms_in_scalar_order(self):
         m = member(np.zeros((2, 1)), np.zeros((1, 1)), 0.5)
@@ -139,25 +154,26 @@ class TestSatisfiedCounts:
         ]
         for q, message in cases:
             with pytest.raises(UnknownTermError) as batched:
-                satisfied_counts([m, m], [Query("r0", "e0", "e1"), q])
+                satisfied_counts(hand_made_ensemble([m]), [Query("r0", "e0", "e1"), q])
             with pytest.raises(UnknownTermError) as scalar:
                 m.satisfies(q)
             assert str(batched.value) == str(scalar.value) == message
 
     def test_mixed_vocabulary_is_rejected(self):
+        # Members of two vocabularies, or none, make no ensemble, so no vote.
         a = member(np.zeros((2, 1)), np.zeros((1, 1)), 0.5)
-        b = member(np.zeros((3, 1)), np.zeros((1, 1)), 0.5)
+        b = member(np.zeros((3, 1)), np.zeros((1, 1)), 0.5, seed=1)
         with pytest.raises(ValueError, match="vocabulary"):
-            satisfied_counts([a, b], [Query("r0", "e0", "e1")])
+            hand_made_ensemble([a, b])
         with pytest.raises(ValueError):
-            satisfied_counts([], [Query("r0", "e0", "e1")])
+            hand_made_ensemble([])
 
-    def test_member_vote_is_a_one_query_vote(self):
-        members = [
+    def test_query_truth_is_a_one_query_vote(self):
+        ens = hand_made_ensemble(
             member(np.array([[0.0], [x]]), np.zeros((1, 1)), 0.5, seed=i)
             for i, x in enumerate((0.1, 0.4, 2.0))
-        ]
-        verdict = member_vote(members, Query("r0", "e0", "e1"))
+        )
+        verdict = query_truth(ens, Query("r0", "e0", "e1"))
         assert verdict == TernaryVerdict.from_fraction(2 / 3, 3)
 
 

@@ -34,6 +34,13 @@ number NN, one line per member as above.  Rates up to 1e10, start scales up
 to 1e200 and budgets of 1 to 199 epochs make steps rejected, start errors
 overflow and rates underflow.
 
+Then the votes: on each store of ``MEMBER_STORES``, the ensemble
+``fit_ensemble`` fits at the dimension and base seed ``VOTE_FITS`` gives it
+(32 members), and its aggregate at the dedup tolerance given there.  One
+line per ``tau`` in ``VOTE_TAUS`` hashes the ``repr`` of ``query_truth``'s
+verdict on every query over the store's vocabulary, self pairs included,
+and one more the same for ``aggregate_query``.
+
 Two trees are byte-equivalent on this set when their OUT files are equal,
 so comparing them is one ``diff``.  Run once per tree, one process each.
 The stores are committed files, so the set does not move when a store
@@ -46,6 +53,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -56,7 +64,10 @@ from pathlib import Path
 from typing import Iterator, Optional
 from unittest import mock
 
-from kbens import Embedding, EmbeddingConfig, Ensemble, KnowledgeBase, TrainConfig, cli, parse_kb
+from kbens import (
+    Embedding, EmbeddingConfig, Ensemble, KnowledgeBase, Query, TrainConfig, aggregate_query,
+    build_aggregate, cli, fit_ensemble, parse_kb, query_truth,
+)
 from kbens.trainer import (
     OPTIMIZER_ID,
     RNG_ALGORITHM_ID,
@@ -74,6 +85,10 @@ SEARCH_SEEDS = tuple(range(4))
 RANDOM_STORES = STORES / "random"
 RANDOM_RATES = (0.1, 0.3, 1.0, 1e3, 1e10)
 RANDOM_SCALES = (1.0, 3.0, 1e10, 1e154, 1e200)
+# Store: dimension, base seed and dedup tolerance.  Chain at 1e-2 keeps 22
+# of its 32 members, so its aggregate votes on fewer members than its ensemble.
+VOTE_FITS = {"friends.kb": (1, 7, 1e-6), "wide.kb": (2, 2, 1e-6), "chain.kb": (1, 7, 1e-2)}
+VOTE_TAUS = (None, 0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -287,6 +302,21 @@ def random_lines(paths: Optional[list[Path]] = None) -> Iterator[str]:
             yield f"train_members/random/{path.stem}/seed{member.seed}\t{digest}"
 
 
+def vote_lines(store: str, kb: KnowledgeBase) -> Iterator[str]:
+    """Two lines per ``tau``: every query's verdict by ``query_truth`` on the
+    ensemble of ``kb``, parsed from ``store``, and by ``aggregate_query`` on
+    its aggregate."""
+    dim, seed, dedup_tolerance = VOTE_FITS[store]
+    ens = fit_ensemble(kb, EmbeddingConfig(dimension=dim), TrainConfig(), seed)
+    agg = build_aggregate(ens, dedup_tolerance)
+    models = (("query_truth", query_truth, ens), ("aggregate_query", aggregate_query, agg))
+    queries = [Query(r, s, o) for r in kb.relations for s in kb.entities for o in kb.entities]
+    for tau in VOTE_TAUS:
+        for name, vote, model in models:
+            digest = _sha("\n".join(repr(vote(model, q, tau)) for q in queries))
+            yield f"{name}/{Path(store).stem}/tau{tau}\t{digest}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: PYTHONPATH=<tree>/src python tools/equivalence.py OUT", file=sys.stderr)
@@ -299,6 +329,8 @@ def main(argv: list[str]) -> int:
         out += search_lines(store, kb)
         out += member_lines(store, kb)
     out += random_lines()
+    for store in MEMBER_STORES:
+        out += vote_lines(store, read_store(store))
     Path(argv[0]).write_text("".join(f"{line}\n" for line in out), encoding="utf-8")
     return 0
 
