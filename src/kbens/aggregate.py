@@ -171,7 +171,7 @@ def is_affine_duplicate(
     return align(m1, m2).residual <= dedup_tolerance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AggregateModel:
     """Clouds of corresponding points for every term, one point per retained
     member, expressed in the reference member's frame.  The clouds are

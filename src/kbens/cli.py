@@ -161,7 +161,7 @@ def cmd_fit(args) -> _Output:
         for i, r in enumerate(ensemble.reports)
     ]
     return _Output(
-        "\n".join(lines) + "\n", kb.digest(), files=((args.out, ensemble.to_json()),),
+        "\n".join(lines) + "\n", ensemble.kb_digest, files=((args.out, ensemble.to_json()),),
         resolved={"dim": cfg.dimension, "dim_searched": args.dim is None},
         summary=f"fitted {len(ensemble)} members at dimension {cfg.dimension} -> {args.out}\n",
     )
@@ -182,7 +182,7 @@ def cmd_report(args) -> _Output:
     report = knowledge_report(
         ensemble, kb, include_self_pairs=args.self_pairs, quorum_slack=args.delta
     )
-    return _Output(report.to_tsv(), kb.digest())
+    return _Output(report.to_tsv(), report.kb_digest)
 
 
 def cmd_aggregate(args) -> _Output:

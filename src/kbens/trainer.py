@@ -4,16 +4,19 @@ Members descend as one batch, held as one term array: each member's
 entity points, then its relation vectors.  The cumulative error and its
 analytic gradient are evaluated for the whole stack at once, each member
 keeps its own rate and accept mask, and each one's fit is bit-identical to
-training it alone.  ``train`` is the one-seed call, and
-``train_with_retries`` trains its reseeded attempts as one batch.  Also
-includes a linear-algebra check for whether zero error is attainable at
-all, with a lower bound on the error when it is not, and a search for the
-smallest dimension at which training reaches it.
+training it alone.  A batch down to one member, as every ``train`` call
+is, runs its epochs on that member's error and rate as Python floats.
+``train`` is the one-seed call, and ``train_with_retries`` trains its
+reseeded attempts as one batch.  Also includes a linear-algebra check for
+whether zero error is attainable at all, with a lower bound on the error
+when it is not, and a search for the smallest dimension at which training
+reaches it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Optional, Sequence
@@ -263,8 +266,11 @@ def _descend(
 
     The live members are one ``(M, E+R, d)`` term array, with one gradient
     array of the same shape, so a step and the merge of a rejected step are a
-    few whole-array operations.  The index arrays come from the store's
-    cached :class:`_Problem`, built by the first descent on the store."""
+    few whole-array operations.  Once one member is live, its error and rate
+    are Python floats and its loop tests them without numpy masks; the step
+    and the loss are the batch's, so its bytes are too.  The index arrays
+    come from the store's cached :class:`_Problem`, built by the first
+    descent on the store."""
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         return
@@ -281,28 +287,45 @@ def _descend(
         err, grads = loss_and_grads(terms, gamma)
     while live.size:
         underflow = np.zeros(live.size, dtype=bool)
+        # A term's gradient sums one contribution per triple it is in, so
+        # dividing by that count keeps a rate that is safe for a relation
+        # shared by many triples from being slow for an entity in a few.
         with np.errstate(over="ignore", invalid="ignore"):
-            while epoch < max_epochs and np.count_nonzero(err > eps_fit) == err.size:
-                epoch += 1
-                # A term's gradient sums one contribution per triple it is in,
-                # so dividing by that count keeps a rate that is safe for a
-                # relation shared by many triples from being slow for an
-                # entity in a few.
-                new_terms = terms - rates * (grads / incidence)
-                new_err, new_grads = loss_and_grads(new_terms, gamma)
-                accepted = (new_err <= err) & np.isfinite(new_err)
-                if np.count_nonzero(accepted) == accepted.size:  # the common case, without the merges below
-                    terms, err, grads = new_terms, new_err, new_grads
-                    continue
-                # A rejected step halves that member's rate and keeps its state.
-                keep = accepted[:, None, None]
-                terms = np.where(keep, new_terms, terms)
-                grads = np.where(keep, new_grads, grads)
-                err = np.where(accepted, new_err, err)
-                rates = np.where(keep, rates, 0.5 * rates)
-                underflow = ~accepted & (rates[:, 0, 0] < _MIN_LEARNING_RATE)
-                if np.count_nonzero(underflow):
-                    break
+            if live.size == 1:
+                # The batch's rule with the error and rate as Python floats:
+                # the same comparisons and the same step, without the numpy
+                # calls its masks cost on arrays of one element.
+                e, rate = err.item(), rates.item()
+                while epoch < max_epochs and e > eps_fit:
+                    epoch += 1
+                    new_terms = terms - rate * (grads / incidence)
+                    new_err, new_grads = loss_and_grads(new_terms, gamma)
+                    ne = new_err.item()
+                    if ne <= e and math.isfinite(ne):
+                        terms, err, grads, e = new_terms, new_err, new_grads, ne
+                        continue
+                    rate *= 0.5
+                    if rate < _MIN_LEARNING_RATE:
+                        underflow[0] = True
+                        break
+            else:
+                while epoch < max_epochs and np.count_nonzero(err > eps_fit) == err.size:
+                    epoch += 1
+                    new_terms = terms - rates * (grads / incidence)
+                    new_err, new_grads = loss_and_grads(new_terms, gamma)
+                    accepted = (new_err <= err) & np.isfinite(new_err)
+                    if np.count_nonzero(accepted) == accepted.size:  # the common case, without the merges below
+                        terms, err, grads = new_terms, new_err, new_grads
+                        continue
+                    # A rejected step halves that member's rate and keeps its state.
+                    keep = accepted[:, None, None]
+                    terms = np.where(keep, new_terms, terms)
+                    grads = np.where(keep, new_grads, grads)
+                    err = np.where(accepted, new_err, err)
+                    rates = np.where(keep, rates, 0.5 * rates)
+                    underflow = ~accepted & (rates[:, 0, 0] < _MIN_LEARNING_RATE)
+                    if np.count_nonzero(underflow):
+                        break
         leaving = underflow | ~(err > eps_fit) | (epoch >= max_epochs)
         for j in np.flatnonzero(leaving):
             i = int(live[j])
@@ -337,7 +360,8 @@ def train(
     """Full-batch guarded gradient descent until the cumulative error drops
     to eps_fit, the epoch budget runs out, or the guarded rate underflows.
 
-    The one-seed call of :func:`train_members`.  Pure in all arguments:
+    The one-seed call of :func:`train_members`, so its epochs take the
+    one-member loop of the descent.  Pure in all arguments:
     repeated calls are bit-identical.  The embedding is returned even when
     the fit does not converge.
     """

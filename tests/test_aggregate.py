@@ -195,6 +195,14 @@ class TestBuildAggregate:
         with pytest.raises(DegenerateAggregateError):
             build_aggregate(forced)
 
+    def test_models_compare_by_identity(self, friend_ensemble):
+        # As Ensemble: a model holds dicts of clouds, which neither hash nor
+        # compare to one truth value.
+        first, second = build_aggregate(friend_ensemble), build_aggregate(friend_ensemble)
+        assert hash(first) == hash(first)
+        assert first == first
+        assert first != second
+
     def test_friend_ensemble_retains_everyone(self, friend_ensemble):
         agg = build_aggregate(friend_ensemble, dedup_tolerance=1e-6)
         assert agg.member_indices == tuple(range(32))

@@ -23,6 +23,7 @@ from kbens import (
     Embedding,
     EmbeddingConfig,
     Ensemble,
+    KnowledgeBase,
     Satisfiability,
     SatisfiabilityResult,
     cli,
@@ -245,6 +246,30 @@ class TestReport:
         other = tmp_path / "other.kb"
         other.write_text("friend\tJoe\tBob\t+\n", encoding="utf-8")
         assert main(["report", str(fitted), str(other)]) == 1
+
+
+class TestStoreHashedOnce:
+    """A command that reads a store hashes it once, and its manifest
+    carries that digest."""
+
+    def digest_calls(self, argv):
+        with mock.patch.object(
+            KnowledgeBase, "digest", autospec=True, side_effect=KnowledgeBase.digest
+        ) as digest:
+            assert main(argv) == 0
+        return digest.call_count
+
+    def test_fit(self, tmp_path, kb_file, capsys):
+        out = tmp_path / "ens.json"
+        argv = ["fit", str(kb_file), "-o", str(out), "--seed", "7", "--members", "2"]
+        assert self.digest_calls(argv) == 1
+        manifest = json.loads((tmp_path / "ens.json.manifest.json").read_text())
+        assert manifest["kb_digest"] == json.loads(out.read_text())["kb_digest"]
+
+    def test_report(self, fitted, kb_file, capsys):
+        assert self.digest_calls(["report", str(fitted), str(kb_file)]) == 1
+        manifest = json.loads(capsys.readouterr().err)
+        assert manifest["kb_digest"] == json.loads(fitted.read_text())["kb_digest"]
 
 
 class TestAggregate:

@@ -523,16 +523,27 @@ class TestBatchedDescent:
         for seed, fit in zip(seeds, train_members(kb, cfg, tcfg, seeds)):
             assert_same_fit(fit, train(kb, cfg, tcfg, seed))
 
-    def test_members_leave_the_batch_at_different_epochs(self, friend_kb):
+    @pytest.mark.parametrize(
+        "last_seed, epochs, converged",
+        [
+            (6, [59, 52, 53, 120, 120, 55], [False, True, True, False, False, True]),
+            (4, [59, 52, 53, 120], [False, True, True, False]),
+        ],
+        ids=["seeds-1-6", "seeds-1-4"],
+    )
+    def test_members_leave_the_batch_at_different_epochs(
+        self, friend_kb, last_seed, epochs, converged
+    ):
         # At this scale seed 1 starts with an infinite error, so every step is
         # rejected until its rate underflows (epoch 59); seeds 2, 3 and 6
         # converge at epochs 52, 53 and 55; seeds 4 and 5 run out of epochs.
+        # Of seeds 1 to 4, seed 4 runs epochs 60 to 120 as the batch's last member.
         cfg = EmbeddingConfig(dimension=1)
         tcfg = TrainConfig(init_scale=2e154, max_epochs=120)
-        seeds = list(range(1, 7))
+        seeds = list(range(1, last_seed + 1))
         batch = train_members(friend_kb, cfg, tcfg, seeds)
-        assert [r.epochs_used for _, r in batch] == [59, 52, 53, 120, 120, 55]
-        assert [r.converged for _, r in batch] == [False, True, True, False, False, True]
+        assert [r.epochs_used for _, r in batch] == epochs
+        assert [r.converged for _, r in batch] == converged
         for seed, fit in zip(seeds, batch):
             assert_same_fit(fit, train(friend_kb, cfg, tcfg, seed))
 
