@@ -8,7 +8,7 @@ commands without an output file go to stderr.  Each ``cmd_*`` only computes;
 ``main`` writes its files, then the manifest, and only then stdout and the
 summary, so a failed write leaves stdout empty.  A closed stdout exits 1 with
 one line, after ``--help`` and ``--version`` too.  A process runs one command:
-only its arguments are added, when it is parsed, so none pays for another's.
+only its parser is built, when it is parsed, so none pays for another's.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import shutil
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from gettext import gettext
 from pathlib import Path
 from typing import Optional
 
@@ -57,20 +56,7 @@ EXIT_COMPUTE = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """``arguments(parser)`` adds the arguments, after ``-h/--help``, on the first
-    :meth:`parse_known_args`, which argparse calls on the chosen command's parser only."""
-
-    def __init__(self, *args, arguments=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_arguments = arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._add_arguments is not None:
-            # argparse's own help option and text, translated as argparse translates it.
-            self.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
-                              help=gettext("show this help message and exit"))
-            self._add_arguments = self._add_arguments(self)  # None: they are added once
-        return super().parse_known_args(args, namespace)
+    """argparse's parser with kbens's usage exit code and help writer."""
 
     # Usage problems are input errors: exit 1, not argparse's default 2.
     def error(self, message):
@@ -80,6 +66,20 @@ class _Parser(argparse.ArgumentParser):
     # argparse drops a failed write of help text; write it as main writes stdout.
     def print_help(self, file=None):
         self.exit(_print("kbens", self.format_help()))
+
+
+class _Command:
+    """A command's parser, built with ``-h`` and ``arguments(parser)`` only in
+    :meth:`parse_known_args`, which argparse calls on the chosen command alone."""
+
+    def __init__(self, arguments, **kwargs):
+        self._arguments = arguments
+        self._kwargs = kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _Parser(**self._kwargs)
+        self._arguments(parser)
+        return parser.parse_known_args(args, namespace)
 
 
 class _Version(argparse.Action):
@@ -204,7 +204,7 @@ def cmd_aggregate(args) -> _Output:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``kbens`` parser; a command's arguments are added when it is parsed (:class:`_Parser`)."""
+    """The ``kbens`` parser; a command's parser is built when it is parsed (:class:`_Command`)."""
     # The width argparse would look up for every argument it adds, looked up once.
     width = shutil.get_terminal_size().columns - 2
     formatter = functools.partial(argparse.HelpFormatter, width=width)
@@ -220,10 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action=_Version, nargs=0, default=argparse.SUPPRESS,
         help="show the version and the fit algorithms, and exit",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        parser_class=functools.partial(_Parser, formatter_class=formatter, add_help=False),
-    )
+    # Given prog, argparse does not format the root usage to find the commands' prefix.
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog,
+                                parser_class=functools.partial(_Command, formatter_class=formatter))
     sub.add_parser("fit", help="fit an ensemble from a KB file", arguments=_fit_arguments)
     sub.add_parser("query", help="ask one ternary query against an ensemble", arguments=_query_arguments)
     sub.add_parser("report", help="evaluate every asserted and unstated fact", arguments=_report_arguments)

@@ -154,9 +154,9 @@ class Ensemble(Vocabulary):
         """Inverse of :meth:`to_doc`: the members read into the stack by
         :func:`read_members`, building no :class:`Embedding`."""
         *names, config, seeds, stack = read_members(doc["members"])
-        kinds = {"final_error": float, "epochs_used": int, "converged": bool, "seed": int,
-                 "rng_algorithm_id": str, "optimizer_id": str}
-        reports = tuple(FitReport(**{key: read_field(r, key, kind) for key, kind in kinds.items()})
+        reports = tuple(FitReport(read_field(r, "final_error", float), read_field(r, "epochs_used", int),
+                                  read_field(r, "converged", bool), read_field(r, "seed", int),
+                                  read_field(r, "rng_algorithm_id", str), read_field(r, "optimizer_id", str))
                         for r in doc["reports"])
         # The top-level block restates the members' config; a mismatch means an edited file.
         if config is not None and doc["config"] != vars(config):

@@ -1118,6 +1118,33 @@ class TestLazyArguments:
                      "--members", "1", "--dim", "1"]) == 0
         assert ("kbens fit", ("--max-epochs",)) in added
 
+    def test_only_the_invoked_command_builds_a_parser(self, fitted, kb_file, tmp_path,
+                                                      capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            built.append(parser.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for argv in (
+            ["fit", str(kb_file), "-o", str(tmp_path / "e.json"), "--seed", "7",
+             "--members", "1", "--dim", "1"],
+            ["query", str(fitted), "friend", "Joe", "Bob"],
+            ["report", str(fitted), str(kb_file)],
+            ["aggregate", str(fitted), "-o", str(tmp_path / "agg.json")],
+        ):
+            assert main(argv) == 0
+            assert built == ["kbens", f"kbens {argv[0]}"], argv
+            built.clear()
+        # Help and an unknown command end in the root parser: no command's is built.
+        for argv in (["--help"], ["bogus"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert built == ["kbens"], argv
+            built.clear()
+
     def test_parser_parses_twice(self):
         parser = cli.build_parser()
         argv = ["report", "ens.json", "friends.kb", "--delta", "0.2"]

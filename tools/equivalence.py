@@ -141,6 +141,9 @@ USAGE_ARGVS = [
     [], ["bogus"], ["fit"], ["query"], ["report"], ["aggregate"],
     ["fit", "friends.kb", "-o", "ensemble.json", "--seed", "7", "--members", "abc"],
     ["query", "ensemble.json", *_FRIENDS_QUERY, "--delta", "x"],
+    # The command parses what it knows and hands the rest back: the root reports it.
+    ["report", "ensemble.json", "friends.kb", "--members", "8"],
+    ["query", "ensemble.json", "friend", "Joe", "Bob", "--version"],
 ]
 
 
