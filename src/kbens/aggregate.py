@@ -7,9 +7,10 @@ verdict and carry the same information; a contracting affine map, in
 contrast, can pull a negative fact inside the margin.  The aggregate keeps
 only members that are not rigid images of each other, maps them by rigid
 maps into the frame of the first retained member, and pools each term's
-isometric images into a cloud whose diameter measures how underdetermined
-that term is.  The aggregate file's layout has one home,
-:mod:`kbens.jsonfile`, and the clouds TSV reuses the numbers it formats.
+isometric images into a cloud.  Its diameter grows with the term's distance
+from the entity centroid the maps turn about, not with what the store
+leaves open.  The aggregate file's layout has one home, :mod:`kbens.jsonfile`,
+and the clouds TSV reuses the numbers it formats.
 """
 
 from __future__ import annotations
@@ -243,7 +244,8 @@ class AggregateModel:
         return "\n".join(lines) + "\n"
 
 
-# An overflow shows as a cloud or a diameter that is not finite, checked below.
+# An overflowing image lies a NaN or infinite distance from the first, finite
+# one, so it shows as a diameter that is not finite, checked below.
 @np.errstate(over="ignore", invalid="ignore")
 def build_aggregate(
     ens: Ensemble,
@@ -259,10 +261,11 @@ def build_aggregate(
     :func:`_rigid_duplicates` decides every pair at once: a norm bound
     settles most, and the Procrustes residual the rest.  Each retained
     member is mapped once, by the rigid :func:`align`, into one row of a
-    stack whose read-only views are the clouds.  Raises ``ValueError`` on a
-    negative or NaN bound, and :class:`DegenerateAggregateError` when
-    fewer than two members survive or when a cloud or its diameter is not
-    finite (coordinates so large that aligning them overflows).
+    stack whose read-only views are the clouds; its image is measured once,
+    against the rows kept before it, for both the bound and each cloud's
+    diameter.  Raises ``ValueError`` on a negative or NaN bound, and
+    :class:`DegenerateAggregateError` when fewer than two members survive
+    or when a cloud is not finite (aligning the coordinates overflows).
     """
     _check_bound("dedup tolerance", dedup_tolerance)
     _check_bound("max cloud diameter", max_cloud_diameter)
@@ -272,22 +275,24 @@ def build_aggregate(
     n = ens.config.dimension
     identity = Alignment(linear_map=np.eye(n), translation=np.zeros(n), residual=0.0)
     stack = np.empty(ens.term_stack.shape)
+    squared = np.zeros(stack.shape[1])  # each cloud's largest squared distance so far
     retained: list[int] = []
     for idx, (member, coords) in enumerate(zip(ens.members, ens.term_stack)):
         if any(duplicate[idx][kept] for kept in retained):
             continue
         a = align(member, reference) if retained else identity
-        image = np.concatenate([
-            coords[:entities] @ a.linear_map.T + a.translation,
-            coords[entities:] @ a.linear_map.T,
-        ])
-        if retained and max_cloud_diameter is not None:
-            # Retained pairs already meet the bound, so only the new pairs
-            # can push a cloud's diameter past it.
-            diff = stack[:len(retained)] - image
-            if np.sqrt(np.max(np.sum(diff * diff, axis=2), initial=0.0)) > max_cloud_diameter:
-                continue
-        stack[len(retained)] = image
+        image = stack[len(retained)]  # the candidate's row, kept only if it is retained
+        np.matmul(coords[:entities], a.linear_map.T, out=image[:entities])
+        np.matmul(coords[entities:], a.linear_map.T, out=image[entities:])
+        image[:entities] += a.translation
+        diff = stack[:len(retained)] - image
+        diff *= diff
+        row = diff.sum(axis=2).max(axis=0, initial=0.0)
+        # Retained pairs already meet the bound, so only the new row can push
+        # a cloud's diameter past it.
+        if max_cloud_diameter is not None and np.sqrt(row.max(initial=0.0)) > max_cloud_diameter:
+            continue
+        np.maximum(squared, row, out=squared)
         retained.append(idx)
     if len(retained) < 2:
         raise DegenerateAggregateError(
@@ -296,8 +301,8 @@ def build_aggregate(
     stack = stack[:len(retained)]
     stack.flags.writeable = False
     terms = ens.entity_names + ens.relation_names
-    diameters = _cloud_diameters(stack)
-    finite = np.isfinite(stack).all(axis=(0, 2)) & np.isfinite(diameters)
+    diameters = np.sqrt(squared)
+    finite = np.isfinite(diameters)
     if not finite.all():
         term = terms[int(np.argmin(finite))]
         raise DegenerateAggregateError(
@@ -309,22 +314,8 @@ def build_aggregate(
                           tuple(ens.reports[idx] for idx in retained)),
         entity_clouds={t: stack[:, j] for j, t in enumerate(ens.entity_names)},
         relation_clouds={t: stack[:, entities + j] for j, t in enumerate(ens.relation_names)},
-        diameters=dict(zip(terms, diameters)),
+        diameters=dict(zip(terms, diameters.tolist())),
     )
-
-
-def _cloud_diameters(stack: np.ndarray) -> list[float]:
-    """Largest pairwise distance within each term's cloud of a ``(k, terms,
-    d)`` stack, over pairs ``i < j`` (a pair's squared distance is the same
-    in either order), one chunk of terms at a time."""
-    first, second = np.triu_indices(stack.shape[0], 1)
-    diameters: list[float] = []
-    step = max(1, _CHUNK_ELEMENTS // (len(first) * stack.shape[2]))
-    for start in range(0, stack.shape[1], step):
-        diff = stack[first, start:start + step] - stack[second, start:start + step]
-        squared = np.max(np.sum(diff * diff, axis=2), axis=0, initial=0.0)
-        diameters.extend(float(v) for v in np.sqrt(squared))
-    return diameters
 
 
 def aggregate_query(
@@ -339,8 +330,9 @@ def aggregate_query(
 
 
 def cloud_diameter(agg: AggregateModel, term: str) -> float:
-    """Largest pairwise distance inside the term's aligned cloud; a proxy
-    for how wide the term's range of possible meanings is."""
+    """Largest distance between two kept members' images of the term, each
+    member rigidly aligned to the first about the entity centroid; it grows
+    with the term's distance from that centroid."""
     if term not in agg.diameters:
         raise UnknownTermError(f"unknown term: {term!r}")
     return agg.diameters[term]

@@ -31,7 +31,7 @@ DEFAULT_MEMBERS = 32
 _ATTEMPT_CAP_FACTOR = 4
 
 # Largest temporary of a batched pass over members, in float64 elements
-# (64 KiB): the vote here, the rigid residuals and cloud diameters in aggregate.
+# (64 KiB): the vote here and the rigid residuals in aggregate.
 _CHUNK_ELEMENTS = 2**13
 
 

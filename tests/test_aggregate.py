@@ -291,6 +291,7 @@ class TestBuildAggregate:
 
     def test_cloud_of_unknown_term(self, friend_ensemble):
         agg = build_aggregate(friend_ensemble)
+        assert agg.cloud("Mary") is agg.entity_clouds["Mary"]
         np.testing.assert_array_equal(agg.cloud("friend"), agg.relation_clouds["friend"])
         with pytest.raises(UnknownTermError, match="nobody"):
             agg.cloud("nobody")

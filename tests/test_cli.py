@@ -317,11 +317,16 @@ class TestAggregate:
             " term name 'Joe' names more than one entity or relation\n"
         )
 
-    @pytest.mark.parametrize("dimension", [1, 2, 3])
-    def test_overflowing_cloud_exits_2_naming_the_term(self, tmp_path, capsys, dimension):
+    @pytest.mark.parametrize("dimension, bound", [
+        *(pytest.param(d, [], id=str(d)) for d in (1, 2, 3)),
+        *(pytest.param(d, ["--max-diameter", b], id=f"{d}-max-diameter{b}")
+          for d in (1, 2, 3) for b in ("1.0", "inf")),
+    ])
+    def test_overflowing_cloud_exits_2_naming_the_term(self, tmp_path, capsys, dimension, bound):
         # Finite coordinates near 1e200, whose products in the alignment
         # overflow.  From d = 3 LAPACK fails to converge on such a cross
-        # product, so none may reach it.
+        # product, so none may reach it.  A NaN distance does not exceed a
+        # diameter bound, so the bound keeps the overflowing members too.
         cfg = EmbeddingConfig(dimension=dimension)
         for draw in range(20):
             rng = np.random.default_rng(draw)
@@ -334,7 +339,7 @@ class TestAggregate:
             path.write_text(hand_made_ensemble(members).to_json(), encoding="utf-8")
             out = tmp_path / "agg.json"
             code = main(["aggregate", str(path), "-o", str(out), "--clouds-tsv",
-                         str(tmp_path / "clouds.tsv")])
+                         str(tmp_path / "clouds.tsv"), *bound])
             captured = capsys.readouterr()
             assert code == 2 and captured.out == "" and not out.exists(), (draw, captured.err)
             assert captured.err == (
@@ -560,6 +565,16 @@ class TestEnsembleFileChecks:
 
         err = self._query_mutant(fitted, tmp_path, capsys, retype)
         assert err == f"kbens query: invalid ensemble file {str(tmp_path / 'mutant.json')!r}: {message}\n"
+
+    def test_no_members(self, fitted, tmp_path, capsys):
+        def empty(doc):
+            doc["members"] = []
+
+        err = self._query_mutant(fitted, tmp_path, capsys, empty)
+        assert err == (
+            f"kbens query: invalid ensemble file {str(tmp_path / 'mutant.json')!r}:"
+            " an ensemble needs at least one member\n"
+        )
 
     def test_numeric_digest(self, fitted, tmp_path, capsys):
         def retype(doc):

@@ -262,6 +262,11 @@ class TestQueryTruth:
         slack = query_truth(friend_ensemble, q, quorum_slack=0.49)
         assert slack.value in (Truth.TRUE, Truth.FALSE)
 
+    @pytest.mark.parametrize("fraction", [-0.25, 1.5, float("nan")])
+    def test_fraction_outside_the_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match="satisfied fraction out of range"):
+            TernaryVerdict.from_fraction(fraction, 4)
+
     def test_unknown_term_rejected(self, friend_ensemble):
         from kbens import UnknownTermError
 

@@ -33,6 +33,7 @@ def test_friends_subset_is_reproducible():
     # Every artifact of a fit and of the commands on it is present.
     assert "friends/seed7/jobs1/fit/ensemble.json" in names
     assert "friends/seed7/jobs1/aggregate/clouds.tsv" in names
+    assert "friends/seed7/jobs1/aggregate-max-diameter1.0/clouds.tsv" in names
     # A loaded ensemble writes the bytes of the file it was read from.
     hashes = dict(line.split("\t") for line in first)
     for jobs in ("jobs1", "jobs2"):

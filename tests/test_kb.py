@@ -316,6 +316,8 @@ class TestAssertionOracle:
     def test_unknown_term(self, friend_kb):
         with pytest.raises(UnknownTermError):
             assertion_oracle(friend_kb, Query("friend", "Mary", "Zed"))
+        with pytest.raises(UnknownTermError, match="unknown entity: 'Zed'"):
+            assertion_oracle(friend_kb, Query("friend", "Zed", "Mary"))
         with pytest.raises(UnknownTermError):
             assertion_oracle(friend_kb, Query("enemy", "Mary", "John"))
 

@@ -95,22 +95,25 @@ VOTE_TAUS = (None, 0.0, math.inf)
 class Case:
     """One ``kbens fit`` and what runs on its ensemble: ``report`` plain and
     with ``--self-pairs --delta 0.2``, ``query``, and one ``aggregate
-    --clouds-tsv`` per dedup tolerance (``None`` for the default).  A case
-    without a query is a fit only."""
+    --clouds-tsv`` per pair of ``--dedup-tol`` and ``--max-diameter`` in
+    ``aggregates`` (``None`` for the default).  A case without a query is a
+    fit only."""
 
     name: str
     store: str
     flags: tuple[str, ...]
     query: Optional[tuple[str, str, str]] = None
-    dedup_tols: tuple[Optional[str], ...] = (None,)
+    aggregates: tuple[tuple[Optional[str], Optional[str]], ...] = ((None, None),)
 
 
 _FRIENDS_QUERY = ("friend", "Mary", "Alice")
 _WIDE_QUERY = ("rel0", "p0_1", "p0_0")
 
 CASES = [
+    # At seed 7 a diameter bound of 1.0 keeps 18 of the 32 members.
     *(Case(f"friends/seed{seed}/jobs{jobs}", "friends.kb",
-           ("--seed", str(seed), "--jobs", str(jobs)), _FRIENDS_QUERY)
+           ("--seed", str(seed), "--jobs", str(jobs)), _FRIENDS_QUERY,
+           ((None, None), (None, "1.0")) if seed == 7 else ((None, None),))
       for seed in (1, 2, 3, 4, 7) for jobs in (1, 2)),
     # From d = 8 numpy's np.sum and the vote's column sums round differently,
     # so these reports rest on the bound the vote certifies its counts with.
@@ -118,14 +121,17 @@ CASES = [
          ("--dim", "9", "--members", "8", "--seed", "7"), _FRIENDS_QUERY),
     # The nearest pair of wide/seed2 is 0.25 apart, so at 0.3 the norm bound
     # settles no pair, the Procrustes residuals decide, and 30 members stay.
-    Case("wide/seed2", "wide.kb", ("--seed", "2"), _WIDE_QUERY, (None, "0.3")),
+    # A diameter bound of 1.5 keeps 22.
+    Case("wide/seed2", "wide.kb", ("--seed", "2"), _WIDE_QUERY,
+         ((None, None), ("0.3", None), (None, "1.5"))),
     *(Case(f"wide/dim2-members1/seed{seed}", "wide.kb",
            ("--dim", "2", "--members", "1", "--seed", str(seed)), _WIDE_QUERY)
       for seed in (2, 3, 4, 5)),
     Case("cluster150/dim2-members6/seed1", "cluster150.kb",
          ("--dim", "2", "--members", "6", "--seed", "1"), ("r0", "c0_1", "c0_0")),
-    Case("chain/dim1/seed7", "chain.kb", ("--dim", "1", "--seed", "7"),
-         ("next", "a", "c"), ("1e-6", "1e-3", "1e-2")),
+    # At dedup tolerance 1e-2 a diameter bound of 0.35 keeps 11 members.
+    Case("chain/dim1/seed7", "chain.kb", ("--dim", "1", "--seed", "7"), ("next", "a", "c"),
+         (("1e-6", None), ("1e-3", None), ("1e-2", None), ("1e-2", "0.35"))),
     # Names the JSON writer escapes: a quote, a backslash, non-ASCII letters
     # and a C0 control.
     Case("escapes/seed7", "escapes.kb", ("--seed", "7"), ("knows", 'quote"d', "café")),
@@ -207,9 +213,12 @@ def case_lines(case: Case, work: Path) -> Iterator[str]:
                     ["report", str(ensemble), store, "--self-pairs", "--delta", "0.2"], [], work)
     yield from _run(f"{case.name}/query", ["query", str(ensemble), *case.query], [], work)
     aggregate, clouds = work / "aggregate.json", work / "clouds.tsv"
-    for tol in case.dedup_tols:
-        flags = [] if tol is None else ["--dedup-tol", tol]
-        label = "aggregate" if tol is None else f"aggregate-dedup{tol}"
+    for tol, bound in case.aggregates:
+        flags, label = [], "aggregate"
+        if tol is not None:
+            flags, label = ["--dedup-tol", tol], f"{label}-dedup{tol}"
+        if bound is not None:
+            flags, label = [*flags, "--max-diameter", bound], f"{label}-max-diameter{bound}"
         argv = ["aggregate", str(ensemble), "-o", str(aggregate), "--clouds-tsv", str(clouds), *flags]
         yield from _run(f"{case.name}/{label}", argv, [aggregate, clouds], work)
 
