@@ -134,12 +134,13 @@ class Vocabulary:
 
 def member_doc(config: EmbeddingConfig, seed: int, terms: np.ndarray, vocabulary: Vocabulary,
                block: Optional[Callable[[np.ndarray, tuple[str, ...]], object]] = None) -> dict:
-    """One member's document from its ``(E+R, d)`` rows; ``block(rows, names)``
-    is the value of "entities" and of "relations", by default each name's row as a list."""
+    """One member's document from its ``(E+R, d)`` rows and its ``seed``, as
+    given; ``block(rows, names)`` is the value of "entities" and of
+    "relations", by default each name's row as a list."""
     block = block or (lambda rows, names: dict(zip(names, rows.tolist())))
     n = len(vocabulary.entity_names)
     settings = {"tau_pos": config.tau_pos, "gamma": config.gamma, "eps_fit": config.eps_fit}
-    return {"dimension": config.dimension, "seed": int(seed), "config": settings,
+    return {"dimension": config.dimension, "seed": seed, "config": settings,
             "entities": block(terms[:n], vocabulary.entity_names),
             "relations": block(terms[n:], vocabulary.relation_names)}
 
@@ -308,7 +309,7 @@ class Embedding(Vocabulary):
 
     def to_doc(self) -> dict:
         """JSON-ready document with full round-trip float precision."""
-        return member_doc(self.config, self.seed, self.term_array, self)
+        return member_doc(self.config, int(self.seed), self.term_array, self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Embedding":

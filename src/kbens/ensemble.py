@@ -13,14 +13,14 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .embedding import (
     Embedding, EmbeddingConfig, Vocabulary, member_doc, read_field, read_members,
 )
-from .jsonfile import dumps, rows
+from .jsonfile import Field, Records, dumps, fields, scalar
 from .kb import KnowledgeBase, Query, unstated_index
 from .trainer import FitReport, TrainConfig, train
 from .verdict import TernaryVerdict, Truth
@@ -132,22 +132,33 @@ class Ensemble(Vocabulary):
         if kb.digest() != self.kb_digest:
             raise DigestMismatchError("ensemble digest does not match the given knowledge base")
 
-    def to_doc(self, block: Optional[Callable] = None) -> dict:
-        """JSON-ready document; ``block(rows, names)`` is each member's "entities"
-        and "relations" value, by default each name's row as a list."""
-        return {
-            "kb_digest": self.kb_digest,
-            "config": dict(vars(self.config)),
-            "members": [member_doc(self.config, seed, terms, self, block)
-                        for terms, seed in zip(self.term_stack, self.seeds)],
-            "reports": [dict(vars(r)) for r in self.reports],
-        }
+    def to_doc(self) -> dict:
+        """JSON-ready document."""
+        return self._doc([member_doc(self.config, int(seed), terms, self)
+                          for terms, seed in zip(self.term_stack, self.seeds)],
+                         [dict(vars(r)) for r in self.reports])
+
+    def _doc(self, members: object, reports: object) -> dict:
+        return {"kb_digest": self.kb_digest, "config": dict(vars(self.config)),
+                "members": members, "reports": reports}
 
     def to_json(self) -> str:
         """Canonical serialization, stable byte for byte across runs: the
         bytes of ``json.dumps(self.to_doc(), sort_keys=True, indent=2)`` and a
-        newline, written by :func:`kbens.jsonfile.dumps` from the stack."""
-        return dumps(self.to_doc(rows))
+        newline, written by :func:`kbens.jsonfile.dumps`.  Every member is
+        laid out from one template, filled with its numbers (the stack's, all
+        formatted in one pass) and its seed, and every report from another."""
+        _, terms, d = self.term_stack.shape
+        width = terms * d
+        layout = member_doc(self.config, Field(width), np.arange(width).reshape(terms, d), self,
+                            fields)
+        numbers = list(map(repr, self.term_stack.ravel().tolist()))  # the stack is finite
+        members = [numbers[i * width:(i + 1) * width] + [scalar(int(seed))]
+                   for i, seed in enumerate(self.seeds)]
+        keys = list(vars(self.reports[0]))
+        reports = [[scalar(vars(r)[key]) for key in keys] for r in self.reports]
+        return dumps(self._doc(Records(layout, members),
+                               Records({key: Field(i) for i, key in enumerate(keys)}, reports)))
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Ensemble":

@@ -8,7 +8,9 @@ escapes, ``true`` / ``false`` / ``null``, ``int.__repr__``, and
 indent, the standard encoder of CPython 3.13 and earlier runs in pure
 Python, one call per number; here a block of coordinates is a
 :class:`Rows` value, whose numbers :func:`rows` formats in one pass and
-whose rows are laid out from one template per row width.
+whose rows are laid out from one template per row width, and a list of
+documents of one layout (the ensemble's members, its reports) is a
+:class:`Records` value, laid out from one template of that layout.
 """
 
 from __future__ import annotations
@@ -40,6 +42,30 @@ class Rows:
     finite: bool = True
 
 
+@dataclass(frozen=True)
+class Field:
+    """Where a :class:`Records` layout takes each record's ``index``-th value."""
+
+    index: int
+
+
+@dataclass(frozen=True)
+class Records:
+    """The JSON array of documents that share one ``layout``: a document
+    with a :class:`Field`, or a :func:`fields` block, wherever a record has a
+    value of its own.  ``values`` holds each record's values, already
+    spelled as JSON (:func:`scalar`, or the ``repr`` of a finite float)."""
+
+    layout: object
+    values: Sequence[Sequence[str]]
+
+
+def fields(indices: np.ndarray, names: Optional[Sequence[str]] = None) -> Rows:
+    """The layout of a block of numbers that each record fills in: the 2-D
+    integer array ``indices`` holds the index of each number's field."""
+    return Rows([_mark(i) for i in indices.ravel().tolist()], indices.shape, names)
+
+
 def rows(array: np.ndarray, names: Optional[Sequence[str]] = None) -> Rows:
     """Format every number of a 2-D integer or float array at once: one
     ``tolist`` and one ``repr`` pass."""
@@ -62,10 +88,12 @@ def dumps(doc: object) -> str:
 def _encode(value: object, newline: str, out: list[str]) -> None:
     # ``newline`` is a line break and the indentation of the line ``value`` starts on.
     inner = newline + _INDENT
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, Rows):
+    if isinstance(value, Rows):
         out.append(_rows(value, newline))
+    elif isinstance(value, Records):
+        out.append(_records(value, newline))
+    elif isinstance(value, Field):
+        out.append(_mark(value.index))
     elif isinstance(value, (list, tuple)) and value:
         for i, item in enumerate(value):
             out.append(("," if i else "[") + inner)
@@ -81,10 +109,14 @@ def _encode(value: object, newline: str, out: list[str]) -> None:
     elif isinstance(value, dict):
         out.append("{}")
     else:
-        out.append(_scalar(value))
+        out.append(scalar(value))
 
 
-def _scalar(value: object) -> str:
+def scalar(value: object) -> str:
+    """A string's, number's, boolean's or ``None``'s JSON text, as
+    :func:`dumps` writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if value is None:
         return "null"
     if value is True:
@@ -103,7 +135,7 @@ def _key(key: object) -> str:
     if isinstance(key, str):
         return key
     if key is None or isinstance(key, (int, float)):
-        return _scalar(key)
+        return scalar(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
@@ -126,3 +158,26 @@ def _rows(block: Rows, newline: str) -> str:
     if not items:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _records(records: Records, newline: str) -> str:
+    if not records.values:
+        return "[]"
+    inner = newline + _INDENT
+    fill = _template(records.layout, inner).format
+    return "[" + inner + ("," + inner).join([fill(*v) for v in records.values]) + newline + "]"
+
+
+def _mark(index: int) -> str:
+    # A field's place in a layout's text: between two control characters,
+    # which encode_basestring_ascii escapes in every string and key.
+    return f"\x00{index}\x01"
+
+
+def _template(layout: object, newline: str) -> str:
+    # ``layout`` as _encode writes it, as a str.format template: every brace
+    # doubled, then each field's mark made its numbered replacement field.
+    out: list[str] = []
+    _encode(layout, newline, out)
+    text = "".join(out).replace("{", "{{").replace("}", "}}")
+    return text.replace("\x00", "{").replace("\x01", "}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -83,6 +83,19 @@ def check_relation_name(name: str) -> str:
     return name
 
 
+def _checked_names(names: tuple, check: Callable[[str], str]) -> frozenset:
+    # Each distinct name checked once, in the order given, and before
+    # anything sorts them, so a name that is not a string is a KBError, not a
+    # TypeError.  An unhashable name is checked where it stands, and fails.
+    try:
+        distinct = dict.fromkeys(names)
+    except TypeError:
+        distinct = names
+    for name in distinct:
+        check(name)
+    return frozenset(distinct)
+
+
 @dataclass(frozen=True, order=True)
 class Query:
     """An unsigned triple pattern to be evaluated against a store or model."""
@@ -139,10 +152,8 @@ class KnowledgeBase:
     relations: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        # Names are checked before anything sorts them, so a name that is
-        # not a string is a KBError, not a TypeError.
-        entity_set = frozenset(check_term_name(n) for n in self.entities)
-        relation_set = frozenset(check_relation_name(n) for n in self.relations)
+        entity_set = _checked_names(self.entities, check_term_name)
+        relation_set = _checked_names(self.relations, check_relation_name)
         first_at: dict[tuple[str, str, str], int] = {}
         for i, t in enumerate(self.triples):
             if not (t.relation in relation_set and t.subject in entity_set

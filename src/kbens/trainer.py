@@ -91,14 +91,28 @@ class FitReport:
     optimizer_id: str = OPTIMIZER_ID
 
 
-def _term_rng(seed: int, name: str) -> np.random.Generator:
-    # One stream per (seed, term name): initialization is then independent
-    # of vocabulary iteration order.  The term key is the first 8 bytes of
-    # SHA-256, stable across platforms and processes.  Seeds are treated as
-    # 64-bit unsigned words.
-    key = int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "big")
+def _term_key(name: str) -> int:
+    # The first 8 bytes of the name's SHA-256, stable across platforms and processes.
+    return int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "big")
+
+
+def _uint32_words(n: int) -> list[int]:
+    # How numpy's SeedSequence reads a non-negative int of its entropy: its
+    # little-endian 32-bit words, [0] for 0.
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def term_rng(seed: int, name: str) -> np.random.Generator:
+    """The generator of one term's start: one stream per (seed, term name),
+    so initialization is independent of vocabulary iteration order.  Seeds
+    are treated as 64-bit unsigned words.  The reference for the stream
+    :func:`init_embedding` draws from."""
     return np.random.default_rng(
-        np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, key])
+        np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, _term_key(name)])
     )
 
 
@@ -106,9 +120,25 @@ def init_embedding(
     kb: KnowledgeBase, cfg: EmbeddingConfig, tcfg: TrainConfig, seed: int
 ) -> Embedding:
     """Draw every coordinate i.i.d. uniform on [-init_scale, +init_scale]
-    from a per-term stream derived from (seed, term name)."""
-    s = tcfg.init_scale
-    terms = [_term_rng(seed, t).uniform(-s, s, cfg.dimension) for t in kb.entities + kb.relations]
+    from a per-term stream derived from (seed, term name).
+
+    Each term's stream is :func:`term_rng`'s, numpy's ``SeedSequence`` →
+    ``PCG64`` → ``Generator.uniform``, but its entropy goes in as the one
+    uint32 array numpy would derive from ``[seed, key]``: the seed's words,
+    then the term's key words, which the store's :class:`_Problem` keeps.
+    numpy takes such an array as it is, without reading each int word by word.
+    """
+    problem = _Problem.of(kb)
+    seed_words = _uint32_words(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    n, s = len(seed_words), tcfg.init_scale
+    entropy = np.empty((problem.n_terms, n + 2), dtype=np.uint32)
+    entropy[:, :n] = seed_words
+    entropy[:, n:] = problem.key_words
+    terms = [
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(words[:n + size])))
+        .uniform(-s, s, cfg.dimension)
+        for words, size in zip(entropy, problem.key_sizes)
+    ]
     return Embedding.from_terms(kb.entities, kb.relations, np.array(terms), cfg, int(seed))
 
 
@@ -119,10 +149,12 @@ class _Problem:
     A stack is one ``(M, E+R, d)`` term array: each member's entity points
     in vocabulary order, then its relation vectors, so relation r is row
     E + r.  One take then gathers the operands of every residual, and one
-    bincount sums the gradient of every term.
+    bincount sums the gradient of every term.  It also keeps each term's
+    SHA-256 key as the uint32 entropy words of its start (see
+    :func:`init_embedding`), so that no start hashes a name.
 
     The arrays depend on the store alone, so :meth:`of` builds them once per
-    store and keeps them on it, read-only: every descent, retry and
+    store and keeps them on it, read-only: every start, descent, retry and
     dimension reuses them, and they are freed with the store.  A descent
     evaluates through a :class:`_Stack` of them."""
 
@@ -154,7 +186,15 @@ class _Problem:
         # per role (a self-loop twice), a relation once per triple.  A term in
         # no triple has a zero gradient; it counts 1.
         self.incidence = np.maximum(np.bincount(self.rows, minlength=self.n_terms), 1)[:, None]
-        for a in (self.operands, self.sources, self.signs, self.rows, self.incidence):
+        # Each term's start key (see _term_key) as init_embedding's entropy
+        # words: ``key_sizes`` of them, left-aligned in a row of ``key_words``.
+        keys = [_uint32_words(_term_key(t)) for t in kb.entities + kb.relations]
+        self.key_sizes = tuple(map(len, keys))
+        self.key_words = np.zeros((self.n_terms, 2), dtype=np.uint32)
+        for row, words in zip(self.key_words, keys):
+            row[:len(words)] = words
+        for a in (self.operands, self.sources, self.signs, self.rows, self.incidence,
+                  self.key_words):
             a.flags.writeable = False
 
     @classmethod

@@ -8,11 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kbens import EmbeddingConfig, TrainConfig, build_aggregate, fit_ensemble, parse_kb
-from kbens.jsonfile import dumps, rows
+from kbens import (
+    Embedding, EmbeddingConfig, Ensemble, FitReport, KnowledgeBase, TrainConfig, build_aggregate,
+    fit_ensemble, parse_kb,
+)
+from kbens.jsonfile import Field, Records, dumps, rows
 
 STORES = Path(__file__).resolve().parent.parent / "tools" / "stores"
 
@@ -111,3 +114,51 @@ def test_ensemble_and_aggregate_files(store, dimension, members, tolerance):
     assert ens.to_json() == reference(ens.to_doc())
     agg = build_aggregate(ens, dedup_tolerance=tolerance)
     assert agg.to_json() == reference(agg.to_doc())
+
+
+# Names a template must escape (its braces, and what another template
+# language would use), JSON escapes and non-ASCII names, and any other.
+MEMBER_NAMES = st.sampled_from(
+    ["{", "}", "{}", "{0}", "{{x}}", "%", "%s", '"', "\\", "é", "知识", "\U0001f600", "a{b}%\"\\c"]
+) | st.text(max_size=4)
+SEEDS = st.sampled_from([0, -1, -2**63, 2**63 - 1, 2**63, 2**64, 2**64 + 5]) | st.integers(-2**70, 2**70)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    names=st.lists(MEMBER_NAMES, max_size=6, unique=True),
+    split=st.integers(0, 6),
+    d=st.integers(1, 4),
+    seeds=st.lists(SEEDS, min_size=1, max_size=3, unique=True) | st.lists(SEEDS, min_size=32,
+                                                                      max_size=32, unique=True),
+    scale=st.sampled_from([1.0, 1e-300, 1e300]),
+)
+@example(names=["{0}", "}", "%s", '"', "\\", "é"], split=3, d=2, seeds=[-1, 2**63], scale=1.0)
+@example(names=[], split=0, d=1, seeds=[7], scale=1.0)
+def test_ensemble_file_is_json_dumps_of_its_document(names, split, d, seeds, scale):
+    # The names keep the order drawn, so a member's rows are not in key order.
+    entities, relations = tuple(names[:split]), tuple(names[split:])
+    rng = np.random.default_rng(len(names) + 7 * d + len(seeds))
+    config = EmbeddingConfig(dimension=d)
+    members = [Embedding(entities, relations, rng.normal(size=(len(entities), d)) * scale,
+                         rng.normal(size=(len(relations), d)) * scale, config, seed)
+               for seed in seeds]
+    reports = [FitReport(float(rng.uniform(0.0, 1e-4)), int(rng.integers(0, 5000)), True, seed)
+               for seed in seeds]
+    ens = Ensemble(members, "digest \"{0}\" %s", reports)
+    assert ens.to_json() == reference(ens.to_doc())
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_file_of_the_empty_store(d):
+    kb = KnowledgeBase((), (), ())
+    ens = fit_ensemble(kb, EmbeddingConfig(dimension=d), TrainConfig(), -3, 4)
+    assert ens.to_json() == reference(ens.to_doc())
+    assert '"entities": {},' in ens.to_json()
+
+
+def test_records_of_a_layout():
+    layout = {"b": [Field(1), "{0}"], "a": Field(0), "%": {"}": Field(1)}}
+    doc = dumps([Records(layout, [["1", "true"], ['"x"', "null"]]), Records(layout, [])])
+    assert doc == reference([[{"%": {"}": True}, "a": 1, "b": [True, "{0}"]},
+                              {"%": {"}": None}, "a": "x", "b": [None, "{0}"]}], []])

@@ -1,6 +1,7 @@
 """Parsing, validation, vocabulary, and text-level truth."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +22,13 @@ from kbens import (
     parse_kb,
     unstated_queries,
 )
+from kbens import kb as kbmodule
 from kbens.cli import _read_text
 from kbens.kb import RepeatedTripleError
 
 from conftest import FRIEND_KB_TEXT, random_kb
+
+STORES = Path(__file__).resolve().parent.parent / "tools" / "stores"
 
 # Few names, so that a drawn sequence often repeats a key.
 SMALL_TRIPLES = st.builds(
@@ -148,6 +152,37 @@ class TestDirectConstruction:
             KnowledgeBase.from_triples(triples)
         with pytest.raises(KBError, match="outside the vocabulary"):
             KnowledgeBase(triples, ("a", "b"), ("r",))
+
+    def test_each_distinct_name_is_checked_once(self, monkeypatch):
+        kb = parse_kb((STORES / "wide.kb").read_text(encoding="utf-8"))
+        checked = []
+
+        def spy(check):
+            def counted(name):
+                checked.append((check.__name__, name))
+                return check(name)
+            return counted
+
+        for name in ("check_term_name", "check_relation_name"):
+            monkeypatch.setattr(kbmodule, name, spy(getattr(kbmodule, name)))
+        assert KnowledgeBase.from_triples(kb.triples) == kb
+        # check_relation_name runs check_term_name on the relation too.
+        assert sorted(n for c, n in checked if c == "check_term_name") == sorted(
+            kb.entities + kb.relations)
+        assert sorted(n for c, n in checked if c == "check_relation_name") == sorted(kb.relations)
+        # from_triples passes each name once per triple that names it.
+        assert len(checked) == len(kb.entities) + 2 * len(kb.relations) < 3 * len(kb.triples)
+
+    @pytest.mark.parametrize("entities, relations, message", [
+        (("a", "b", " x", "a", "", "b"), ("r",), "leading or trailing whitespace: ' x'"),
+        (("a", "b", "a", 1, ["x"], "b"), ("r",), "non-empty string, got 1"),
+        (("a", "b", ["x"], 1, "a"), ("r",), r"non-empty string, got \['x'\]"),
+        (("a", "b"), ("r", "r", {"s"}, "#t"), r"non-empty string, got \{'s'\}"),
+        (("a", "b"), ("r", "#t", "r", {"s"}), "starts with '#'"),
+    ])
+    def test_first_bad_name_in_the_order_given(self, entities, relations, message):
+        with pytest.raises(KBError, match=message):
+            KnowledgeBase((SignedTriple("r", "a", "b", True),), entities, relations)
 
 
 

@@ -4,6 +4,7 @@ a store, the zero-error attainability check, and the dimension search."""
 
 import copy
 import gc
+import hashlib
 import os
 import pickle
 import re
@@ -15,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -53,6 +54,13 @@ from conftest import (
 )
 
 STORES = Path(__file__).resolve().parent.parent / "tools" / "stores"
+
+# Seeds at the edges of the 64-bit words a start reads them as, and beyond.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, 2**64 + 5]
+# Term names: ASCII, non-ASCII, astral-plane, and any other that a store takes.
+TERM_NAMES = st.sampled_from(["Alice", "café", "知识", "\U0001f600", "\U0001d518x", "a{b}%c"]) | st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1, max_size=8
+)
 
 
 class TestInitEmbedding:
@@ -94,6 +102,60 @@ class TestInitEmbedding:
         for scale in (np.nextafter(widest, np.inf), np.inf, np.nan, 0.0):
             with pytest.raises(ValueError, match="init_scale"):
                 TrainConfig(init_scale=scale)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1),
+        names=st.lists(TERM_NAMES, min_size=2, max_size=6, unique=True),
+        d=st.integers(1, 4),
+        scale=st.sampled_from([1e-300, 1.0, 5e307]),
+    )
+    def test_draws_the_list_form_stream_of_every_term(self, seed, names, d, scale):
+        # The last name is the relation; a fresh store holds no cached keys.
+        assume(not names[-1].startswith(("#", "\ufeff")))
+        kb = KnowledgeBase((), tuple(names[:-1]), (names[-1],))
+        start = init_embedding(kb, EmbeddingConfig(dimension=d), TrainConfig(init_scale=scale), seed)
+        keys = [int.from_bytes(hashlib.sha256(t.encode("utf-8")).digest()[:8], "big")
+                for t in kb.entities + kb.relations]
+        streams = [np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), key]))
+                   for key in keys]
+        expected = np.array([rng.uniform(-scale, scale, d) for rng in streams])
+        assert start.term_array.tobytes() == expected.tobytes()
+        reference = [trainer.term_rng(seed, t).uniform(-scale, scale, d)
+                     for t in kb.entities + kb.relations]
+        assert start.term_array.tobytes() == np.array(reference).tobytes()
+
+    @pytest.mark.parametrize("n, words", [
+        (0, [0]), (2**32 - 1, [2**32 - 1]), (2**32, [0, 1]), (2**64 - 1, [2**32 - 1] * 2),
+        (0x9E3779B9, [0x9E3779B9]),  # a key whose high word is zero
+        (0x9E3779B9 << 32, [0, 0x9E3779B9]),
+    ])
+    def test_entropy_words_are_numpys_split_of_an_int(self, n, words):
+        # An int and the words after it feed SeedSequence's pool in order, so
+        # a word too many or too few before the marker changes the pool.
+        assert trainer._uint32_words(n) == words
+        marker = 0x5EED
+
+        def pool(entropy):
+            return np.random.SeedSequence(entropy).pool.tolist()
+
+        assert pool([n, marker]) == pool(np.array(words + [marker], dtype=np.uint32))
+        assert pool([n, marker]) != pool(np.array(words + [0, marker], dtype=np.uint32))
+        assert pool([n, marker]) != pool(np.array(words[:-1] + [marker], dtype=np.uint32))
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**32, 2**64 - 1, -1])
+    def test_keys_of_every_word_count_draw_the_list_form_stream(self, monkeypatch, seed):
+        # No fixture name's key has a zero high word, so keys are set here:
+        # one, two and one zero word, on a store built after the change.
+        keys = {"a": 0x9E3779B9, "b": 2**64 - 1, "c": 0, "r": 2**32, "s": 1 << 63}
+        monkeypatch.setattr(trainer, "_term_key", keys.__getitem__)
+        kb = KnowledgeBase((), ("a", "b", "c"), ("r", "s"))
+        start = init_embedding(kb, EmbeddingConfig(dimension=2), TrainConfig(), seed)
+        expected = [np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), keys[t]]))
+                    .uniform(-1.0, 1.0, 2) for t in kb.entities + kb.relations]
+        assert start.term_array.tobytes() == np.array(expected).tobytes()
+        assert _Problem.of(kb).key_sizes == (1, 2, 1, 2, 2)
+
 
 class TestGradients:
     def test_zero_at_global_minimum(self, friend_kb):
