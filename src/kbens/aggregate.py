@@ -24,7 +24,7 @@ import numpy as np
 
 from .embedding import Embedding
 from .ensemble import _CHUNK_ELEMENTS, Ensemble, query_truth
-from .jsonfile import Rows, dumps, rows
+from .jsonfile import Field, Records, dumps, scalar, spelled
 from .kb import Query, UnknownTermError
 from .verdict import TernaryVerdict
 
@@ -181,7 +181,9 @@ class AggregateModel:
 
     ``ensemble`` keeps the retained members in their native frames, with
     their reports; truth evaluation votes on it directly, so alignment noise
-    never affects verdicts.
+    never affects verdicts.  Every cloud, in a model built by hand too, must
+    be a float array of ``len(member_indices)`` rows, all of one width;
+    otherwise construction raises ``ValueError`` naming the term.
     """
 
     member_indices: tuple[int, ...]
@@ -189,6 +191,21 @@ class AggregateModel:
     entity_clouds: dict[str, np.ndarray]
     relation_clouds: dict[str, np.ndarray]
     diameters: dict[str, float]
+
+    def __post_init__(self) -> None:
+        # Every cloud holds one point per kept member, all of one width, so
+        # that each kind's clouds spell as one block and share one layout.
+        k, clouds = len(self.member_indices), [*self.entity_clouds.items(),
+                                               *self.relation_clouds.items()]
+        width = next((c.shape[1] for _, c in clouds if isinstance(c, np.ndarray) and c.ndim == 2), 0)
+        for term, cloud in clouds:
+            if not (isinstance(cloud, np.ndarray) and cloud.dtype.kind == "f"
+                    and cloud.shape == (k, width)):
+                got = (f"{cloud.dtype} of shape {cloud.shape}" if isinstance(cloud, np.ndarray)
+                       else type(cloud).__name__)
+                raise ValueError(f"the cloud of {term!r} must be a float array of shape "
+                                 f"{(k, width)}, not {got}")
+        object.__setattr__(self, "_width", width)
 
     @property
     def members(self) -> tuple[Embedding, ...]:
@@ -209,7 +226,7 @@ class AggregateModel:
         clouds = (self.entity_clouds, self.relation_clouds)
         return self._doc(*({t: c.tolist() for t, c in kind.items()} for kind in clouds))
 
-    def _doc(self, entity_clouds: dict, relation_clouds: dict) -> dict:
+    def _doc(self, entity_clouds: object, relation_clouds: object) -> dict:
         return {
             "member_indices": list(self.member_indices),
             "reference_index": self.reference_index,
@@ -219,28 +236,43 @@ class AggregateModel:
         }
 
     @cached_property
-    def _blocks(self) -> tuple[dict[str, Rows], dict[str, Rows]]:
-        # Every cloud's numbers, formatted on first use for both the JSON file
-        # and the TSV, and kept: the clouds are read-only.
-        clouds = (self.entity_clouds, self.relation_clouds)
-        return tuple({t: rows(c) for t, c in kind.items()} for kind in clouds)
+    def _spellings(self) -> tuple[tuple[list[str], list[list[str]], list[list[str]]], ...]:
+        # Each kind's terms, and each term's numbers spelled by one repr pass
+        # over the kind for the TSV and, where one is not finite, spelled
+        # again as JSON for the file; kept, as the clouds are read-only.
+        size = len(self.member_indices) * self._width
+        out = []
+        for kind in (self.entity_clouds, self.relation_clouds):
+            block = np.array(list(kind.values()))
+            numbers = spelled(block)
+            finite = np.isfinite(block).all()
+            written = numbers if finite else list(map(scalar, block.ravel().tolist()))
+            out.append((list(kind), *([n[i * size:(i + 1) * size] for i in range(len(kind))]
+                                      for n in (numbers, written))))
+        return tuple(out)
 
     def to_json(self) -> str:
         """The bytes of ``json.dumps(self.to_doc(), sort_keys=True, indent=2)``
-        and a newline, written by :func:`kbens.jsonfile.dumps`."""
-        return dumps(self._doc(*self._blocks))
+        and a newline, written by :func:`kbens.jsonfile.dumps`.  Each kind of
+        cloud is one named :class:`~kbens.jsonfile.Records` whose layout is
+        one cloud, ``len(member_indices)`` rows of d numbers, filled once per
+        term."""
+        k, d = len(self.member_indices), self._width
+        layout = np.array(list(map(Field, range(k * d))), dtype=object).reshape(k, d).tolist()
+        return dumps(self._doc(*(Records(layout, points, terms)
+                                 for terms, _, points in self._spellings)))
 
     def clouds_tsv(self) -> str:
         """Rows ``term member_index x1 ... xN`` for external plotting, entity
-        terms then relation terms, each sorted; the numbers are those of the
-        JSON file, spelled by ``repr`` (``inf`` and ``nan`` too)."""
+        terms then relation terms, each sorted; the numbers are the JSON
+        file's, spelled by ``repr`` in the same pass (``inf`` and ``nan`` too)."""
+        line = "{}\t{}\t" + "\t".join(["{}"] * self._width)
         lines: list[str] = []
-        for kind in self._blocks:
-            for term, block in sorted(kind.items()):
-                width = block.shape[1]
-                line = "{}\t{}\t" + "\t".join(["{}"] * width)
-                numbers = iter(block.numbers)
-                lines += map(line.format, repeat(term), self.member_indices, *[numbers] * width)
+        for terms, points, _ in self._spellings:
+            for term, point in sorted(zip(terms, points)):
+                numbers = iter(point)
+                lines += map(line.format, repeat(term), self.member_indices,
+                             *[numbers] * self._width)
         return "\n".join(lines) + "\n"
 
 

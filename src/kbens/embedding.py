@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -132,17 +132,16 @@ class Vocabulary:
             raise UnknownTermError(f"unknown relation: {name!r}") from None
 
 
-def member_doc(config: EmbeddingConfig, seed: int, terms: np.ndarray, vocabulary: Vocabulary,
-               block: Optional[Callable[[np.ndarray, tuple[str, ...]], object]] = None) -> dict:
+def member_doc(config: EmbeddingConfig, seed: object, terms: np.ndarray,
+               vocabulary: Vocabulary) -> dict:
     """One member's document from its ``(E+R, d)`` rows and its ``seed``, as
-    given; ``block(rows, names)`` is the value of "entities" and of
-    "relations", by default each name's row as a list."""
-    block = block or (lambda rows, names: dict(zip(names, rows.tolist())))
+    given, each name's row as a list: of numbers, or of the
+    :class:`kbens.jsonfile.Field` values of a writer's template."""
     n = len(vocabulary.entity_names)
     settings = {"tau_pos": config.tau_pos, "gamma": config.gamma, "eps_fit": config.eps_fit}
     return {"dimension": config.dimension, "seed": seed, "config": settings,
-            "entities": block(terms[:n], vocabulary.entity_names),
-            "relations": block(terms[n:], vocabulary.relation_names)}
+            "entities": dict(zip(vocabulary.entity_names, terms[:n].tolist())),
+            "relations": dict(zip(vocabulary.relation_names, terms[n:].tolist()))}
 
 
 def read_members(docs: Iterable[Mapping]) -> tuple:

@@ -20,7 +20,7 @@ import numpy as np
 from .embedding import (
     Embedding, EmbeddingConfig, Vocabulary, member_doc, read_field, read_members,
 )
-from .jsonfile import Field, Records, dumps, fields, scalar
+from .jsonfile import Field, Records, dumps, scalar, spelled
 from .kb import KnowledgeBase, Query, unstated_index
 from .trainer import FitReport, TrainConfig, train
 from .verdict import TernaryVerdict, Truth
@@ -150,9 +150,9 @@ class Ensemble(Vocabulary):
         formatted in one pass) and its seed, and every report from another."""
         _, terms, d = self.term_stack.shape
         width = terms * d
-        layout = member_doc(self.config, Field(width), np.arange(width).reshape(terms, d), self,
-                            fields)
-        numbers = list(map(repr, self.term_stack.ravel().tolist()))  # the stack is finite
+        places = np.array(list(map(Field, range(width))), dtype=object).reshape(terms, d)
+        layout = member_doc(self.config, Field(width), places, self)
+        numbers = spelled(self.term_stack)  # the stack is finite
         members = [numbers[i * width:(i + 1) * width] + [scalar(int(seed))]
                    for i, seed in enumerate(self.seeds)]
         keys = list(vars(self.reports[0]))

@@ -123,21 +123,25 @@ def init_embedding(
     from a per-term stream derived from (seed, term name).
 
     Each term's stream is :func:`term_rng`'s, numpy's ``SeedSequence`` →
-    ``PCG64`` → ``Generator.uniform``, but its entropy goes in as the one
-    uint32 array numpy would derive from ``[seed, key]``: the seed's words,
-    then the term's key words, which the store's :class:`_Problem` keeps.
+    ``PCG64`` → ``Generator.uniform``, but its entropy goes in as one uint32
+    array: the words numpy would derive from the seed, then the low and
+    high words of the term's key, which the store's :class:`_Problem` keeps.
     numpy takes such an array as it is, without reading each int word by word.
     """
     problem = _Problem.of(kb)
     seed_words = _uint32_words(int(seed) & 0xFFFFFFFFFFFFFFFF)
     n, s = len(seed_words), tcfg.init_scale
+    # At most 2 seed words and 2 key words fill no more than SeedSequence's
+    # 4-word pool, and inside the pool a trailing zero word mixes exactly as
+    # a missing one: a key whose high word is zero, which the list form
+    # passes as one word, gives the same stream.
     entropy = np.empty((problem.n_terms, n + 2), dtype=np.uint32)
     entropy[:, :n] = seed_words
     entropy[:, n:] = problem.key_words
     terms = [
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence(words[:n + size])))
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
         .uniform(-s, s, cfg.dimension)
-        for words, size in zip(entropy, problem.key_sizes)
+        for words in entropy
     ]
     return Embedding.from_terms(kb.entities, kb.relations, np.array(terms), cfg, int(seed))
 
@@ -187,12 +191,10 @@ class _Problem:
         # no triple has a zero gradient; it counts 1.
         self.incidence = np.maximum(np.bincount(self.rows, minlength=self.n_terms), 1)[:, None]
         # Each term's start key (see _term_key) as init_embedding's entropy
-        # words: ``key_sizes`` of them, left-aligned in a row of ``key_words``.
-        keys = [_uint32_words(_term_key(t)) for t in kb.entities + kb.relations]
-        self.key_sizes = tuple(map(len, keys))
-        self.key_words = np.zeros((self.n_terms, 2), dtype=np.uint32)
-        for row, words in zip(self.key_words, keys):
-            row[:len(words)] = words
+        # words: its low, then its high 32 bits.
+        keys = [_term_key(t) for t in kb.entities + kb.relations]
+        self.key_words = np.array([[k & 0xFFFFFFFF, k >> 32] for k in keys],
+                                  dtype=np.uint32).reshape(-1, 2)
         for a in (self.operands, self.sources, self.signs, self.rows, self.incidence,
                   self.key_words):
             a.flags.writeable = False

@@ -2,6 +2,8 @@
 verdicts."""
 
 import json
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -472,6 +474,34 @@ class TestExport:
         assert models[2].clouds_tsv() == (
             "a\t0\t0.5\t-1.0\na\t3\t2.0\t3.0\na\t0\t-0.5\t1.0\na\t3\t-2.0\t-3.0\n"
         )
+
+    def test_non_finite_clouds_keep_their_spellings(self, friend_ensemble):
+        # Built by hand: build_aggregate refuses a cloud that is not finite.
+        cloud = np.array([[math.inf, -0.0], [math.nan, -math.inf]])
+        agg = AggregateModel((0, 3), friend_ensemble, {"a{0}": cloud, "}": cloud[::-1]},
+                             {"%s": np.ones((2, 2))}, {"a{0}": math.nan, "}": math.nan, "%s": 0.0})
+        assert agg.to_json() == json.dumps(agg.to_doc(), sort_keys=True, indent=2) + "\n"
+        assert agg.clouds_tsv() == (
+            "a{0}\t0\tinf\t-0.0\na{0}\t3\tnan\t-inf\n}\t0\tnan\t-inf\n}\t3\tinf\t-0.0\n"
+            "%s\t0\t1.0\t1.0\n%s\t3\t1.0\t1.0\n"
+        )
+
+    @pytest.mark.parametrize("entity_clouds, relation_clouds, term", [
+        pytest.param({"a": np.zeros((3, 2))}, {}, "a", id="more-points-than-members"),
+        pytest.param({"a": np.zeros((2, 2))}, {"r{0}": np.zeros((1, 2))}, "r{0}", id="fewer-points"),
+        pytest.param({"a": np.zeros((2, 2)), "b": np.zeros((2, 3))}, {}, "b", id="another-width"),
+        pytest.param({"a": np.zeros((2, 2))}, {"r": np.zeros((2, 1))}, "r", id="relation-width"),
+        pytest.param({"a": np.zeros(2)}, {}, "a", id="1-d"),
+        pytest.param({"a": np.zeros((2, 2, 1))}, {}, "a", id="3-d"),
+        pytest.param({"a": [[0.0, 0.0], [0.0, 0.0]]}, {}, "a", id="list"),
+        pytest.param({"a": np.zeros((2, 2), dtype=bool)}, {}, "a", id="booleans"),
+    ])
+    def test_clouds_are_checked_when_built(self, friend_ensemble, entity_clouds, relation_clouds,
+                                           term):
+        diameters = dict.fromkeys([*entity_clouds, *relation_clouds], 0.0)
+        with pytest.raises(ValueError, match=f"^the cloud of {re.escape(repr(term))} must be") as err:
+            AggregateModel((0, 3), friend_ensemble, entity_clouds, relation_clouds, diameters)
+        assert "\n" not in str(err.value)
 
 
 def assert_tsv_rows_are_the_json_clouds(agg):

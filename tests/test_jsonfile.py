@@ -15,7 +15,7 @@ from kbens import (
     Embedding, EmbeddingConfig, Ensemble, FitReport, KnowledgeBase, TrainConfig, build_aggregate,
     fit_ensemble, parse_kb,
 )
-from kbens.jsonfile import Field, Records, dumps, rows
+from kbens.jsonfile import Field, Records, dumps, scalar, spelled
 
 STORES = Path(__file__).resolve().parent.parent / "tools" / "stores"
 
@@ -23,27 +23,49 @@ SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-05, 1e22, math.inf, -math.inf, mat
 FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
 # Escapes, a non-ASCII letter, a CJK name, a C0 control, a surrogate pair.
 TEXT = st.text() | st.sampled_from(['"', "\\", "é", "知识", "\x01", "\U0001f600", ""])
+SCALARS = st.none() | st.booleans() | st.integers(-2**64, 2**64) | FLOATS | TEXT
+
+
+# Names a template must escape (its braces, and what another template
+# language would use), JSON escapes and non-ASCII names, and any other.
+MEMBER_NAMES = st.sampled_from(
+    ["{", "}", "{}", "{0}", "{{x}}", "%", "%s", '"', "\\", "é", "知识", "\U0001f600", "a{b}%\"\\c"]
+) | st.text(max_size=4)
 
 
 class Block:
-    """An array, with or without row names, in a generated document."""
+    """Records of one layout, with or without names, in a generated document."""
 
-    def __init__(self, array, names):
-        self.array, self.names = array, names
+    def __init__(self, layout, records, names):
+        self.layout, self.records, self.names = layout, records, names
+
+
+def filled(layout, record):
+    """``layout`` with each :class:`Field` replaced by its value in ``record``."""
+    if isinstance(layout, Field):
+        return record[layout.index]
+    if isinstance(layout, list):
+        return [filled(item, record) for item in layout]
+    if isinstance(layout, dict):
+        return {key: filled(item, record) for key, item in layout.items()}
+    return layout
 
 
 @st.composite
 def blocks(draw):
-    count, width = draw(st.integers(0, 4)), draw(st.integers(0, 3))
-    floating = draw(st.booleans())
-    numbers = FLOATS if floating else st.integers(-2**63, 2**63 - 1)
-    values = draw(st.lists(numbers, min_size=count * width, max_size=count * width))
-    array = np.array(values, dtype=np.float64 if floating else np.int64).reshape(count, width)
-    names = draw(st.none() | st.lists(TEXT, min_size=count, max_size=count, unique=True))
-    return Block(array, names)
+    width, count = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    leaves = SCALARS | st.builds(Field, st.integers(0, width - 1)) if width else SCALARS
+    layout = draw(st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=3) | st.dictionaries(TEXT, children, max_size=3),
+        max_leaves=8,
+    ))
+    records = draw(st.lists(st.lists(SCALARS, min_size=width, max_size=width),
+                            min_size=count, max_size=count))
+    names = draw(st.none() | st.lists(MEMBER_NAMES | TEXT, min_size=count, max_size=count, unique=True))
+    return Block(layout, records, names)
 
 
-SCALARS = st.none() | st.booleans() | st.integers(-2**64, 2**64) | FLOATS | TEXT
 DOCS = st.recursive(
     SCALARS | blocks(),
     lambda children: st.lists(children, max_size=4) | st.dictionaries(TEXT, children, max_size=4),
@@ -52,9 +74,9 @@ DOCS = st.recursive(
 
 
 def with_blocks(doc, block):
-    """``doc`` with each :class:`Block` replaced by ``block(array, names)``."""
+    """``doc`` with each :class:`Block` replaced by ``block(it)``."""
     if isinstance(doc, Block):
-        return block(doc.array, doc.names)
+        return block(doc)
     if isinstance(doc, list):
         return [with_blocks(item, block) for item in doc]
     if isinstance(doc, dict):
@@ -62,8 +84,14 @@ def with_blocks(doc, block):
     return doc
 
 
-def as_lists(array, names):
-    return array.tolist() if names is None else dict(zip(names, array.tolist()))
+def as_records(block):
+    values = [[scalar(v) for v in record] for record in block.records]
+    return Records(block.layout, values, block.names)
+
+
+def as_documents(block):
+    docs = [filled(block.layout, record) for record in block.records]
+    return docs if block.names is None else dict(zip(block.names, docs))
 
 
 def reference(doc) -> str:
@@ -72,8 +100,11 @@ def reference(doc) -> str:
 
 @settings(max_examples=300, deadline=None)
 @given(DOCS)
+@example({"m": [Block({"a": [Field(0), {"}": Field(1)}], "b": "{0}"}, [[1, "{0}"], [None, 2.5]], ["{", "}"]),
+                Block([Field(0), [Field(0)]], [["x"], [math.nan], [-0.0], [True]], ["{0}", "%", '"', "\\"]),
+                Block(Field(0), [], []), Block({"k": []}, [], None), Block({}, [[], []], None)]})
 def test_writes_the_bytes_of_json_dumps(doc):
-    assert dumps(with_blocks(doc, rows)) == reference(with_blocks(doc, as_lists))
+    assert dumps(with_blocks(doc, as_records)) == reference(with_blocks(doc, as_documents))
 
 
 @pytest.mark.parametrize("doc", [
@@ -93,16 +124,12 @@ def test_what_json_cannot_write_raises_type_error(doc):
         dumps(doc)
 
 
-@pytest.mark.parametrize("array", [np.zeros(3), np.zeros((1, 1, 1)), np.array([[True]])])
-def test_rows_are_a_2d_block_of_numbers(array):
-    with pytest.raises(TypeError, match="2-D array of numbers"):
-        rows(array)
-
-
-def test_rows_keep_python_spellings_and_write_json_ones():
-    block = rows(np.array([[math.inf, -math.inf], [math.nan, 1.5]]))
-    assert block.numbers == ["inf", "-inf", "nan", "1.5"] and not block.finite
-    assert dumps(block) == "[\n  [\n    Infinity,\n    -Infinity\n  ],\n  [\n    NaN,\n    1.5\n  ]\n]\n"
+def test_spelled_numbers_are_reprs_in_row_major_order():
+    assert spelled(np.array([[math.inf, -math.inf], [math.nan, -0.0]])) == ["inf", "-inf", "nan", "-0.0"]
+    assert spelled([np.array([[5e-324, 1e16]]), np.array([[1e-05, 1e22]])]) == [
+        "5e-324", "1e+16", "1e-05", "1e+22"]
+    assert spelled(np.array([[-3, 2**62]])) == ["-3", str(2**62)]
+    assert spelled(np.zeros((0, 2))) == []
 
 
 @pytest.mark.parametrize("store, dimension, members, tolerance", [
@@ -116,11 +143,6 @@ def test_ensemble_and_aggregate_files(store, dimension, members, tolerance):
     assert agg.to_json() == reference(agg.to_doc())
 
 
-# Names a template must escape (its braces, and what another template
-# language would use), JSON escapes and non-ASCII names, and any other.
-MEMBER_NAMES = st.sampled_from(
-    ["{", "}", "{}", "{0}", "{{x}}", "%", "%s", '"', "\\", "é", "知识", "\U0001f600", "a{b}%\"\\c"]
-) | st.text(max_size=4)
 SEEDS = st.sampled_from([0, -1, -2**63, 2**63 - 1, 2**63, 2**64, 2**64 + 5]) | st.integers(-2**70, 2**70)
 
 

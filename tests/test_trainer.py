@@ -154,7 +154,9 @@ class TestInitEmbedding:
         expected = [np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), keys[t]]))
                     .uniform(-1.0, 1.0, 2) for t in kb.entities + kb.relations]
         assert start.term_array.tobytes() == np.array(expected).tobytes()
-        assert _Problem.of(kb).key_sizes == (1, 2, 1, 2, 2)
+        assert _Problem.of(kb).key_words.tolist() == [
+            [keys[t] & 0xFFFFFFFF, keys[t] >> 32] for t in kb.entities + kb.relations
+        ]
 
 
 class TestGradients:
