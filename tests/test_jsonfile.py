@@ -12,10 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbens import (
-    Embedding, EmbeddingConfig, Ensemble, FitReport, KnowledgeBase, TrainConfig, build_aggregate,
-    fit_ensemble, parse_kb,
+    AggregateModel, Embedding, EmbeddingConfig, Ensemble, FitReport, KnowledgeBase, TrainConfig,
+    build_aggregate, fit_ensemble, parse_kb,
 )
 from kbens.jsonfile import Field, Records, dumps, scalar, spelled
+
+from conftest import hand_made_ensemble
 
 STORES = Path(__file__).resolve().parent.parent / "tools" / "stores"
 
@@ -122,6 +124,29 @@ def test_what_json_cannot_write_raises_type_error(doc):
         json.dumps(doc)
     with pytest.raises(TypeError):
         dumps(doc)
+
+
+def lone_cloud(cloud, members=1):
+    """A hand-built aggregate of one entity ``e`` whose cloud is ``cloud``."""
+    member = Embedding(("e",), (), np.zeros((1, 2)), np.zeros((0, 2)), EmbeddingConfig(dimension=2), 0)
+    return AggregateModel(tuple(range(members)), hand_made_ensemble([member]), {"e": cloud}, {},
+                          {"e": 0.0})
+
+
+@pytest.mark.parametrize("array", [np.zeros(3), np.zeros((1, 1, 1)), np.array([[True]])])
+def test_rows_are_a_2d_block_of_numbers(array):
+    # A cloud is written as one block of rows, so it must be a 2-D float array.
+    with pytest.raises(ValueError, match="^the cloud of 'e' must be a float array"):
+        lone_cloud(array)
+
+
+def test_rows_keep_python_spellings_and_write_json_ones():
+    agg = lone_cloud(np.array([[math.inf, -math.inf], [math.nan, 1.5]]), members=2)
+    assert spelled(agg.entity_clouds["e"]) == ["inf", "-inf", "nan", "1.5"]
+    assert agg.clouds_tsv() == "e\t0\tinf\t-inf\ne\t1\tnan\t1.5\n"
+    assert agg.to_json() == reference(agg.to_doc())
+    assert ('"e": [\n      [\n        Infinity,\n        -Infinity\n      ],\n'
+            '      [\n        NaN,\n        1.5\n      ]\n    ]') in agg.to_json()
 
 
 def test_spelled_numbers_are_reprs_in_row_major_order():
